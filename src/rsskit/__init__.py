@@ -2,6 +2,8 @@
 scenario: rule engine, proper-response controller, simplex supervisor,
 kinematic simulation, numerical verification, and trajectory auditing."""
 
+__version__ = "0.1.0"
+
 from .core import (
     AC,
     BC,
@@ -16,7 +18,6 @@ from .rule import SafetyEvaluation, evaluate, safe_distance, safe_distance_raw
 from .dynamics import (
     ExecutionTrace,
     PovBehavior,
-    classify_case,
     integrate,
     pov_stop_distance,
     sv_stop_distance,
@@ -24,8 +25,6 @@ from .dynamics import (
 )
 from .supervisor import SupervisorConfig, SupervisorState, decide, run_supervised
 from .audit import AuditReport, audit, check_compliance, safety_metric
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AC",
@@ -42,7 +41,6 @@ __all__ = [
     "TrajectorySample",
     "audit",
     "check_compliance",
-    "classify_case",
     "decide",
     "evaluate",
     "integrate",

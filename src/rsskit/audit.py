@@ -7,11 +7,10 @@ tolerances; the rule engine itself stays tolerance-free.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import BC, RssParams, Trajectory
+from .core import BC, Trajectory
 from .dynamics import COLLISION_EPS
 from .errors import EmptyTrajectory, NoCollision
 from .rule import evaluate

@@ -17,7 +17,7 @@ import numpy as np
 from .audit import audit as run_audit
 from .core import ScenarioState, load_params
 from .dynamics import gentle_pov, piecewise_pov, worst_case_pov
-from .errors import InvariantBreach, RssError
+from .errors import ConfigError, InvariantBreach, RssError
 from .report import make_report, write_report
 from .rule import evaluate, safe_distance_terms
 from .supervisor import (
@@ -57,12 +57,23 @@ def _load_supervisor_config(path):
         return SupervisorConfig()
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or set(raw) - {"period", "switchback_margin", "sv_command_bounds"}:
+        raise ConfigError(
+            "supervisor config must be a mapping with keys among period, "
+            f"switchback_margin and sv_command_bounds, got {raw!r}"
+        )
     bounds = raw.get("sv_command_bounds")
-    return SupervisorConfig(
-        period=raw.get("period", 0.1),
-        switchback_margin=raw.get("switchback_margin", 1.0),
-        sv_command_bounds=tuple(bounds) if bounds is not None else None,
-    )
+    try:
+        if bounds is not None:
+            lo, hi = (float(b) for b in bounds)
+            bounds = (lo, hi)
+        return SupervisorConfig(
+            period=float(raw.get("period", 0.1)),
+            switchback_margin=float(raw.get("switchback_margin", 1.0)),
+            sv_command_bounds=bounds,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed supervisor config {path}: {exc}") from exc
 
 
 def _load_campaign(path):
@@ -84,7 +95,7 @@ def cmd_safe_distance(args) -> int:
     return EXIT_OK
 
 
-def _make_pov(params, spec, seed):
+def _make_pov(params, spec):
     if spec == "worst":
         return worst_case_pov(params)
     if spec == "gentle":
@@ -113,7 +124,7 @@ def cmd_simulate(args) -> int:
         ac = benign_ac(params)
     else:
         raise RssError(f"unknown AC policy {args.ac!r} (use adversarial|benign)")
-    pov = _make_pov(params, args.pov, args.seed)
+    pov = _make_pov(params, args.pov)
     trace = run_supervised(
         params, cfg, start, ac, pov,
         dt=args.dt, t_end=args.t_end, supervised=not args.no_supervisor,
@@ -147,31 +158,23 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.compliant else EXIT_PROPERTY_FAILED
 
 
-def cmd_verify(args) -> int:
+def cmd_campaign(args) -> int:
+    """verify (safety or supervised kind) and falsify."""
     params = _load_params_arg(args)
     campaign = _load_campaign(args.campaign)
-    if args.kind == "supervised":
+    if args.command == "falsify":
+        outcome = falsify_below_threshold(params, campaign)
+    elif args.kind == "supervised":
         sup_cfg = _load_supervisor_config(args.supervisor_config)
         outcome = verify_supervised_safety(params, sup_cfg, campaign)
     else:
         outcome = verify_safety_theorem(params, campaign)
-    out = make_report("verify", params, campaign.to_dict(), outcome.to_dict())
+    out = make_report(args.command, params, campaign.to_dict(), outcome.to_dict())
     if args.out:
         write_report(out, args.out)
     print(f"trials: {outcome.trials_run}")
-    print(f"counterexamples: {len(outcome.counterexamples)}")
-    return EXIT_OK if outcome.ok else EXIT_PROPERTY_FAILED
-
-
-def cmd_falsify(args) -> int:
-    params = _load_params_arg(args)
-    campaign = _load_campaign(args.campaign)
-    outcome = falsify_below_threshold(params, campaign)
-    out = make_report("falsify", params, campaign.to_dict(), outcome.to_dict())
-    if args.out:
-        write_report(out, args.out)
-    print(f"trials: {outcome.trials_run}")
-    print(f"collision-free survivors: {len(outcome.counterexamples)}")
+    label = "collision-free survivors" if args.command == "falsify" else "counterexamples"
+    print(f"{label}: {len(outcome.counterexamples)}")
     return EXIT_OK if outcome.ok else EXIT_PROPERTY_FAILED
 
 
@@ -202,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pov", default="worst", help="worst|gentle|random:SEED")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-supervisor", action="store_true",
                    help="bypass the decision module (negative control)")
     p.add_argument("--out", required=True, help="trajectory CSV output")
@@ -222,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="safety", choices=("safety", "supervised"))
     p.add_argument("--supervisor-config")
     p.add_argument("--out", help="report JSON output")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("falsify", help="check tightness below the threshold")
     add_params(p)
     p.add_argument("--campaign", help="campaign JSON config")
     p.add_argument("--out", help="report JSON output")
-    p.set_defaults(func=cmd_falsify)
+    p.set_defaults(func=cmd_campaign)
 
     return parser
 

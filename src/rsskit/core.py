@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConfigError,
@@ -80,10 +80,8 @@ def validate_params(raw: dict) -> RssParams:
     if missing:
         raise ConfigError(f"missing parameter keys: {', '.join(missing)}")
     values = {}
-    for key in _REQUIRED_PARAM_KEYS + ("vehicle_length",):
-        if key == "vehicle_length" and key not in raw:
-            values[key] = 0.0
-            continue
+    # a missing vehicle_length takes the RssParams default
+    for key in [k for k in _REQUIRED_PARAM_KEYS + ("vehicle_length",) if k in raw]:
         try:
             v = float(raw[key])
         except (TypeError, ValueError) as exc:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import BC, AC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from .errors import ClassifyError, DomainError, StepError
+from .errors import StepError
+from .rule import travel_terms
 
 # Touching counts as collision (strict inequality reading of the safety
 # condition).  The epsilon absorbs float rounding at exact-boundary starts;
@@ -32,23 +33,13 @@ ALL_CASES = (CASE_1, CASE_2, CASE_3, CASE_4)
 
 def sv_stop_distance(params: RssParams, v_r: float) -> float:
     """Worst-case SV travel: a_max for rho, then a_brake_min to a halt."""
-    if v_r < 0:
-        raise DomainError(f"v_r must be >= 0, got {v_r!r}")
-    v_peak = v_r + params.a_max * params.rho
-    if v_peak <= 0.0:
-        return 0.0
-    return (
-        v_r * params.rho
-        + 0.5 * params.a_max * params.rho ** 2
-        + v_peak ** 2 / (2.0 * params.a_brake_min)
-    )
+    response_travel, response_gain, sv_brake, _ = travel_terms(params, v_r, 0.0)
+    return response_travel + response_gain + sv_brake
 
 
 def pov_stop_distance(params: RssParams, v_f: float) -> float:
     """POV travel under maximum emergency braking."""
-    if v_f < 0:
-        raise DomainError(f"v_f must be >= 0, got {v_f!r}")
-    return v_f ** 2 / (2.0 * params.a_brake_max)
+    return travel_terms(params, 0.0, v_f)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +98,11 @@ def profile_state(segs, t: float):
     )
 
 
-def first_stop_time(segs) -> Optional[float]:
-    """Earliest time the profile's velocity reaches zero, if it does."""
-    for t0, t1, x0, v0, a in segs:
-        if v0 <= 0.0:
-            return t0
-        if a < 0.0:
-            t_stop = t0 + v0 / (-a)
-            if t_stop <= t1 + 1e-12:
-                return min(t_stop, t1)
-    return None
-
-
-def analyze_gap(segs_r, segs_f, length: float = 0.0, eps: float = COLLISION_EPS):
+def analyze_gap(segs_r, segs_f, length: float = 0.0):
     """Earliest collision and minimum gap between two motion profiles.
 
     Returns (collision_t, gap_at_collision, min_gap, min_gap_t); the
-    first two are None when the gap never falls to length + eps.  The
+    first two are None when the gap never falls to length + COLLISION_EPS.  The
     minimum is tracked only up to the collision, if any.
     """
     times = sorted(
@@ -136,7 +115,7 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0, eps: float = COLLISION_EPS)
     xf0, _, _ = profile_state(segs_f, times[0])
     best_gap = xf0 - xr0 - length
     best_t = times[0]
-    if best_gap <= eps:
+    if best_gap <= COLLISION_EPS:
         return times[0], best_gap + length, best_gap + length, times[0]
 
     for u0, u1 in zip(times, times[1:]):
@@ -149,9 +128,9 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0, eps: float = COLLISION_EPS)
         ga = af - ar
         tau = u1 - u0
 
-        # earliest root of g(t) = eps within this interval
+        # earliest root of g(t) = COLLISION_EPS within this interval
         root = None
-        c = g0 - eps
+        c = g0 - COLLISION_EPS
         if ga != 0.0:
             disc = gv * gv - 2.0 * ga * c
             if disc >= 0.0:
@@ -200,7 +179,6 @@ class ExecutionTrace:
     params: RssParams
     collision: Optional[CollisionEvent] = None
     sv_halt_time: Optional[float] = None
-    pov_halt_time: Optional[float] = None
     min_gap: float = math.inf
     min_gap_time: float = 0.0
     bc_engagements: int = 0
@@ -213,8 +191,11 @@ class ExecutionTrace:
         return Trajectory(self.samples, self.params)
 
 
-def _worst_case_schedules(params: RssParams, start: ScenarioState):
-    """SV/POV acceleration schedules plus halt times for the worst case."""
+def _worst_case_run(params: RssParams, start: ScenarioState):
+    """Closed-form worst case up to the SV halt.
+
+    Returns (segs_r, segs_f, analyze_gap result, t_sv_halt, t_pov_halt).
+    """
     v_peak = start.v_r + params.a_max * params.rho
     if v_peak <= 0.0:
         t_sv_halt = 0.0
@@ -222,8 +203,10 @@ def _worst_case_schedules(params: RssParams, start: ScenarioState):
         t_sv_halt = params.rho + v_peak / params.a_brake_min
     t_pov_halt = start.v_f / params.a_brake_max
     sched_r = [(0.0, params.a_max), (params.rho, -params.a_brake_min)]
-    sched_f = [(0.0, -params.a_brake_max)]
-    return sched_r, sched_f, t_sv_halt, t_pov_halt
+    segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
+    segs_f = build_profile(start.x_f, start.v_f, [(0.0, -params.a_brake_max)], t_sv_halt)
+    gap = analyze_gap(segs_r, segs_f, params.vehicle_length)
+    return segs_r, segs_f, gap, t_sv_halt, t_pov_halt
 
 
 def worst_case_gap_analysis(params: RssParams, start: ScenarioState):
@@ -233,13 +216,8 @@ def worst_case_gap_analysis(params: RssParams, start: ScenarioState):
     t_pov_halt).  Used by the verification campaigns, where sampled traces
     would only add overhead.
     """
-    sched_r, sched_f, t_sv_halt, t_pov_halt = _worst_case_schedules(params, start)
-    segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
-    segs_f = build_profile(start.x_f, start.v_f, sched_f, t_sv_halt)
-    col_t, col_gap, min_gap, min_gap_t = analyze_gap(
-        segs_r, segs_f, params.vehicle_length
-    )
-    return col_t, col_gap, min_gap, min_gap_t, t_sv_halt, t_pov_halt
+    _, _, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
+    return gap + (t_sv_halt, t_pov_halt)
 
 
 def worst_case_execution(
@@ -253,12 +231,8 @@ def worst_case_execution(
     """
     if dt <= 0:
         raise StepError(f"dt must be > 0, got {dt!r}")
-    sched_r, sched_f, t_sv_halt, t_pov_halt = _worst_case_schedules(params, start)
-    segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
-    segs_f = build_profile(start.x_f, start.v_f, sched_f, t_sv_halt)
-    col_t, col_gap, min_gap, min_gap_t = analyze_gap(
-        segs_r, segs_f, params.vehicle_length
-    )
+    segs_r, segs_f, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
+    col_t, col_gap, min_gap, min_gap_t = gap
     end = col_t if col_t is not None else t_sv_halt
 
     ts = []
@@ -283,17 +257,9 @@ def worst_case_execution(
         params=params,
         collision=collision,
         sv_halt_time=t_sv_halt if col_t is None or col_t >= t_sv_halt else None,
-        pov_halt_time=t_pov_halt if t_pov_halt <= end else None,
         min_gap=min_gap,
         min_gap_time=min_gap_t,
     )
-
-
-def classify_case(trace: ExecutionTrace) -> str:
-    """Velocity-pattern case of a worst-case execution trace."""
-    if not trace.samples:
-        raise ClassifyError("cannot classify an empty trace")
-    return classify_worst_case(trace.params, trace.samples[0].state)
 
 
 def classify_worst_case(params: RssParams, start: ScenarioState) -> str:
@@ -417,21 +383,25 @@ def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     return hi
 
 
-def integrate(
+def run_fixed_step(
     params: RssParams,
     start: ScenarioState,
-    sv_policy: Callable[[float, ScenarioState], float],
+    control: Callable[[int, float, ScenarioState], tuple],
     pov_behavior: PovBehavior,
     dt: float,
     t_end: float,
-    mode: str = AC,
 ) -> ExecutionTrace:
-    """Fixed-step simulation of arbitrary SV/POV behaviors.
+    """The fixed-step closed loop behind every sampled simulation.
 
-    Policies are sampled at the start of each step and held constant over
-    it; within a step the kinematics are exact.  A collision (gap falling
-    to vehicle_length) is located by linear sub-step refinement and ends
-    the trace.
+    At the start of step i (t = i * dt) the loop calls
+    control(i, t, state), which returns (a_r, mode, settled): the SV
+    acceleration held over the step, the control mode recorded with the
+    sample, and whether the controller may stop here once both vehicles
+    have halted.  The POV command is sampled at the same instant; within
+    a step the kinematics are exact.  The run takes full dt steps until
+    t_end is reached, and ends early at a settled halt or at a collision
+    (gap falling to vehicle_length), which refine_crossing locates inside
+    the step.
     """
     if dt <= 0:
         raise StepError(f"dt must be > 0, got {dt!r}")
@@ -440,16 +410,14 @@ def integrate(
     samples = []
     collision = None
     sv_halt = None
-    pov_halt = None
     min_gap = math.inf
     min_gap_t = 0.0
 
     n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
-    t = 0.0
     for i in range(n_steps + 1):
         t = i * dt
         state = ScenarioState(x_f, v_f, x_r, v_r)
-        a_r = sv_policy(t, state)
+        a_r, mode, settled = control(i, t, state)
         g = state.gap - length
         if g < min_gap:
             min_gap, min_gap_t = g, t
@@ -459,18 +427,14 @@ def integrate(
             break
         if sv_halt is None and v_r <= 0.0:
             sv_halt = t
-        if pov_halt is None and v_f <= 0.0:
-            pov_halt = t
-        if i == n_steps:
+        if i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
-        step = min(dt, t_end - t)
         a_f = pov_behavior.command(t, x_f, v_f)
-        nx_r, nv_r = advance_vehicle(x_r, v_r, a_r, step)
-        nx_f, nv_f = advance_vehicle(x_f, v_f, a_f, step)
-        g_new = (nx_f - nx_r) - length
-        if g_new <= COLLISION_EPS:
-            tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length)
+        nx_r, nv_r = advance_vehicle(x_r, v_r, a_r, dt)
+        nx_f, nv_f = advance_vehicle(x_f, v_f, a_f, dt)
+        if (nx_f - nx_r) - length <= COLLISION_EPS:
+            tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
             t_c = t + tau
             cx_r, cv_r = advance_vehicle(x_r, v_r, a_r, tau)
             cx_f, cv_f = advance_vehicle(x_f, v_f, a_f, tau)
@@ -487,7 +451,26 @@ def integrate(
         params=params,
         collision=collision,
         sv_halt_time=sv_halt,
-        pov_halt_time=pov_halt,
         min_gap=min_gap + length,
         min_gap_time=min_gap_t,
     )
+
+
+def integrate(
+    params: RssParams,
+    start: ScenarioState,
+    sv_policy: Callable[[float, ScenarioState], float],
+    pov_behavior: PovBehavior,
+    dt: float,
+    t_end: float,
+) -> ExecutionTrace:
+    """Fixed-step simulation of an arbitrary SV policy (t, state) -> a_r.
+
+    Runs run_fixed_step with the policy sampled at every step, every
+    sample recorded in AC mode, and no early stop.
+    """
+
+    def control(i, t, state):
+        return sv_policy(t, state), AC, False
+
+    return run_fixed_step(params, start, control, pov_behavior, dt, t_end)

@@ -29,10 +29,6 @@ class StepError(RssError):
     """Bad integration step size."""
 
 
-class ClassifyError(RssError):
-    """Velocity-pattern classification asked for on an unusable trace."""
-
-
 class EmptyTrajectory(RssError):
     """An operation requiring samples was given none."""
 

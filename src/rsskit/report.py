@@ -11,7 +11,7 @@ import hashlib
 import json
 import time
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 
 def canonical_json(obj) -> str:
@@ -21,7 +21,7 @@ def canonical_json(obj) -> str:
 def make_report(kind: str, params, config: dict, outcome: dict) -> dict:
     body = {
         "kind": kind,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "params": params.to_dict(),
         "config": config,
         "outcome": outcome,

@@ -7,7 +7,7 @@ window policy is pluggable; the worst case is constant +a_max.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import RssParams
 from .errors import StepError
@@ -28,21 +28,15 @@ class ResponsePhase:
 
     kind: str
     elapsed: float = 0.0
-    started_at: float = 0.0
-    start_state_condition_held: bool = True
 
 
-def begin_response(t: float, condition_held: bool = True) -> ResponsePhase:
-    return ResponsePhase(RESPONSE_WINDOW, 0.0, t, condition_held)
+def begin_response() -> ResponsePhase:
+    return ResponsePhase(RESPONSE_WINDOW)
 
 
 def worst_case_window(params: RssParams, v_r: float) -> float:
     """Worst admissible response-window behavior: full forward acceleration."""
     return params.a_max
-
-
-def coast_window(params: RssParams, v_r: float) -> float:
-    return 0.0
 
 
 def hold_command_window(command: float):
@@ -88,8 +82,8 @@ def advance_phase(
     if phase.kind == RESPONSE_WINDOW:
         elapsed = phase.elapsed + dt
         if elapsed >= params.rho:
-            return replace(phase, kind=BRAKING, elapsed=min(elapsed, params.rho))
-        return replace(phase, elapsed=elapsed)
+            return ResponsePhase(BRAKING, min(elapsed, params.rho))
+        return ResponsePhase(RESPONSE_WINDOW, elapsed)
     if phase.kind == BRAKING and v_r_next <= 0.0:
-        return replace(phase, kind=HALTED)
+        return ResponsePhase(HALTED, phase.elapsed)
     return phase

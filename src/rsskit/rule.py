@@ -3,8 +3,8 @@
 The safe distance is the worst-case stopping distance of the rear
 vehicle (accelerate at a_max for rho, then brake at a_brake_min to a
 halt) minus the emergency stopping distance of the front vehicle,
-clamped at zero.  The instantaneous condition requires the gap to
-strictly exceed it.
+clamped at zero.  The instantaneous condition requires the free space
+between the vehicles (gap minus vehicle_length) to strictly exceed it.
 """
 from __future__ import annotations
 
@@ -14,21 +14,34 @@ from .core import RssParams, ScenarioState
 from .errors import DomainError
 
 
-def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:
-    """Term-by-term breakdown of the safe-distance formula (for diagnostics)."""
+def travel_terms(params: RssParams, v_r: float, v_f: float):
+    """The formula's four travels: (SV response travel, SV response
+    acceleration gain, SV braking travel, POV braking travel).
+
+    This is the one definition of the formula; the breakdown, the raw
+    value and the two stopping distances in dynamics are sums of these
+    terms.
+    """
     if v_r < 0 or v_f < 0:
         raise DomainError(f"velocities must be >= 0, got v_r={v_r!r}, v_f={v_f!r}")
-    response_travel = v_r * params.rho
-    response_gain = 0.5 * params.a_max * params.rho ** 2
     v_peak = v_r + params.a_max * params.rho
-    sv_brake_travel = v_peak ** 2 / (2.0 * params.a_brake_min)
-    pov_brake_travel = v_f ** 2 / (2.0 * params.a_brake_max)
-    raw = response_travel + response_gain + sv_brake_travel - pov_brake_travel
+    return (
+        v_r * params.rho,
+        0.5 * params.a_max * params.rho ** 2,
+        v_peak ** 2 / (2.0 * params.a_brake_min),
+        v_f ** 2 / (2.0 * params.a_brake_max),
+    )
+
+
+def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:
+    """Term-by-term breakdown of the safe-distance formula (for diagnostics)."""
+    terms = travel_terms(params, v_r, v_f)
+    raw = safe_distance_raw(params, v_r, v_f)
     return {
-        "response_travel": response_travel,
-        "response_gain": response_gain,
-        "sv_brake_travel": sv_brake_travel,
-        "pov_brake_travel": pov_brake_travel,
+        "response_travel": terms[0],
+        "response_gain": terms[1],
+        "sv_brake_travel": terms[2],
+        "pov_brake_travel": terms[3],
         "raw": raw,
         "d_min": max(0.0, raw),
     }
@@ -36,15 +49,8 @@ def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:
 
 def safe_distance_raw(params: RssParams, v_r: float, v_f: float) -> float:
     """The pre-clamp inner expression; may be negative."""
-    if v_r < 0 or v_f < 0:
-        raise DomainError(f"velocities must be >= 0, got v_r={v_r!r}, v_f={v_f!r}")
-    v_peak = v_r + params.a_max * params.rho
-    return (
-        v_r * params.rho
-        + 0.5 * params.a_max * params.rho ** 2
-        + v_peak ** 2 / (2.0 * params.a_brake_min)
-        - v_f ** 2 / (2.0 * params.a_brake_max)
-    )
+    response_travel, response_gain, sv_brake, pov_brake = travel_terms(params, v_r, v_f)
+    return response_travel + response_gain + sv_brake - pov_brake
 
 
 def safe_distance(params: RssParams, v_r: float, v_f: float) -> float:
@@ -56,28 +62,26 @@ def safe_distance(params: RssParams, v_r: float, v_f: float) -> float:
 class SafetyEvaluation:
     """Result of checking the safety condition at one state.
 
-    d_min_raw is the unclamped inner expression, exposed for diagnostics;
-    margin is computed against the clamped d_min.  condition_holds uses
-    the strict inequality gap > d_min, so a margin of exactly zero is
-    unsafe (touching counts as collision).
+    gap is the distance between the reference points; margin is
+    gap - vehicle_length - d_min, so d_min is the free space the rule
+    asks for between the vehicles.  condition_holds uses the strict
+    inequality margin > 0, so a margin of exactly zero is unsafe
+    (touching counts as collision).
     """
 
     d_min: float
     gap: float
     margin: float
     condition_holds: bool
-    d_min_raw: float
 
 
 def evaluate(params: RssParams, state: ScenarioState) -> SafetyEvaluation:
-    raw = safe_distance_raw(params, state.v_r, state.v_f)
-    d_min = max(0.0, raw)
+    d_min = max(0.0, safe_distance_raw(params, state.v_r, state.v_f))
     gap = state.gap
-    margin = gap - d_min
+    margin = gap - params.vehicle_length - d_min
     return SafetyEvaluation(
         d_min=d_min,
         gap=gap,
         margin=margin,
         condition_holds=margin > 0.0,
-        d_min_raw=raw,
     )

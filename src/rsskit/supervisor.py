@@ -10,23 +10,16 @@ threshold and the lookahead clears again.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
-from .core import AC, BC, RssParams, ScenarioState, TrajectorySample
-from .dynamics import (
-    COLLISION_EPS,
-    CollisionEvent,
-    ExecutionTrace,
-    PovBehavior,
-    advance_vehicle,
-    refine_crossing,
-)
+from .core import AC, BC, RssParams, ScenarioState
+from .dynamics import ExecutionTrace, PovBehavior, run_fixed_step
 from .errors import ConfigError, InvariantBreach, StepError
 from .response import (
     BRAKING,
     HALTED,
+    RESPONSE_WINDOW,
     ResponsePhase,
     advance_phase,
     begin_response,
@@ -34,6 +27,10 @@ from .response import (
     proper_response_command,
 )
 from .rule import evaluate, safe_distance
+
+# Sums of dt land a few ulps off rho even when dt divides it exactly; a
+# response window longer than rho by less than this is not an overrun.
+WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,9 @@ class SupervisorConfig:
     sv_command_bounds: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
+        if not self.period > 0:
             raise ConfigError(f"period must be > 0, got {self.period!r}")
-        if self.switchback_margin < 0:
+        if not self.switchback_margin >= 0:
             raise ConfigError(
                 f"switchback_margin must be >= 0, got {self.switchback_margin!r}"
             )
@@ -67,7 +64,7 @@ class SupervisorConfig:
     def validate_against(self, params: RssParams) -> None:
         if self.period > params.rho:
             raise ConfigError(
-                f"period {self.period!r} must not exceed rho {params.rho!r}"
+                f"decision interval {self.period!r} s must not exceed rho {params.rho!r}"
             )
 
 
@@ -77,7 +74,6 @@ class SupervisorState:
 
     mode: str = AC
     phase: Optional[ResponsePhase] = None
-    last_decision_t: float = 0.0
     held_command: float = 0.0
     engagements: int = 0
 
@@ -111,8 +107,8 @@ def decide(
     lo, hi = cfg.bounds(params)
     clamped = min(hi, max(lo, ac_command))
 
+    ev = evaluate(params, state)
     if sup.mode == AC:
-        ev = evaluate(params, state)
         if not ev.condition_holds:
             raise InvariantBreach(
                 f"AC-mode decision at t={t!r} with the safety condition violated "
@@ -120,30 +116,18 @@ def decide(
             )
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
-            return (
-                replace(sup, last_decision_t=t, held_command=clamped),
-                clamped,
-            )
-        phase = begin_response(t, condition_held=True)
-        new = SupervisorState(BC, phase, t, clamped, sup.engagements + 1)
-        cmd = proper_response_command(
-            params, phase, state.v_r, hold_command_window(clamped)
-        )
-        return new, cmd
-
-    # BC mode: consider switching back only once braking has begun, the
-    # margin clears the hysteresis threshold, and the lookahead is clean.
-    phase = sup.phase
-    ev = evaluate(params, state)
-    if phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
+            return replace(sup, held_command=clamped), clamped
+        sup = SupervisorState(BC, begin_response(), clamped, sup.engagements + 1)
+    elif sup.phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
+        # BC mode: switch back only once braking has begun, the margin
+        # clears the hysteresis threshold, and the lookahead is clean.
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
-            new = SupervisorState(AC, None, t, clamped, sup.engagements)
-            return new, clamped
+            return SupervisorState(AC, None, clamped, sup.engagements), clamped
     cmd = proper_response_command(
-        params, phase, state.v_r, hold_command_window(sup.held_command)
+        params, sup.phase, state.v_r, hold_command_window(sup.held_command)
     )
-    return replace(sup, last_decision_t=t), cmd
+    return sup, cmd
 
 
 def adversarial_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
@@ -151,17 +135,12 @@ def adversarial_ac(params: RssParams) -> Callable[[float, ScenarioState], float]
     return lambda t, state: params.a_max
 
 
-def benign_ac(
-    params: RssParams,
-    headway_ratio: float = 1.5,
-    k_gap: float = 0.5,
-    k_speed: float = 1.0,
-) -> Callable[[float, ScenarioState], float]:
-    """Gap-tracking controller aiming at headway_ratio times the safe distance."""
+def benign_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
+    """Gap-tracking controller aiming at 1.5 times the safe distance."""
 
     def policy(t, state):
-        target = headway_ratio * safe_distance(params, state.v_r, state.v_f)
-        return k_gap * (state.gap - target) + k_speed * (state.v_f - state.v_r)
+        target = 1.5 * safe_distance(params, state.v_r, state.v_f)
+        return 0.5 * (state.gap - target) + (state.v_f - state.v_r)
 
     return policy
 
@@ -175,22 +154,26 @@ def run_supervised(
     dt: float = 1e-3,
     t_end: Optional[float] = None,
     supervised: bool = True,
-    stop_when_settled: bool = True,
 ) -> ExecutionTrace:
     """Closed-loop run with the supervisor in the SV command path.
 
-    Decisions happen every cfg.period; between decisions the AC command is
-    held and the BC recomputes the proper-response command each step so
-    braking engages the moment the response window elapses.  With
-    supervised=False the (clamped) AC command passes straight through --
-    the negative control.  stop_when_settled ends the run early once both
-    vehicles have halted and no response episode is mid-flight.
+    The supervisor is the control policy of dynamics.run_fixed_step.  It
+    decides every k = round(period / dt) steps and looks ahead over the
+    realized interval k * dt, which must not exceed rho.  Between
+    decisions the AC command is held, and in BC mode the proper-response
+    command is recomputed each step; a step whose end would carry the
+    response window past rho brakes instead.  With supervised=False the
+    (clamped) AC command passes straight through -- the negative control.
+    The run ends early once both vehicles have halted, at a decision step
+    with no response episode mid-flight.
     """
     if dt <= 0:
         raise StepError(f"dt must be > 0, got {dt!r}")
     cfg.validate_against(params)
     steps_per_period = max(1, int(round(cfg.period / dt)))
-    length = params.vehicle_length
+    # decisions land on the step grid: look ahead over the realized interval
+    cfg = replace(cfg, period=steps_per_period * dt)
+    cfg.validate_against(params)
 
     start_ev = evaluate(params, start)
     if not start_ev.condition_holds:
@@ -204,83 +187,41 @@ def run_supervised(
             start.v_f / params.a_brake_max
         ) + 10.0
 
-    sup = SupervisorState(held_command=0.0)
-    x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
-    samples = []
-    collision = None
-    sv_halt = None
-    pov_halt = None
-    min_gap = math.inf
-    min_gap_t = 0.0
-    cmd = 0.0
     lo, hi = cfg.bounds(params)
+    braking = ResponsePhase(BRAKING)
+    sup = SupervisorState()
+    phase = None  # sup.phase, advanced step by step between decisions
+    cmd = 0.0
 
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-9)))
-    for i in range(n_steps + 1):
-        t = i * dt
-        state = ScenarioState(x_f, v_f, x_r, v_r)
-        if i % steps_per_period == 0:
-            ac_cmd = ac_policy(t, state)
-            if supervised:
-                sup, cmd = decide(params, cfg, sup, state, ac_cmd, t)
-            else:
-                cmd = min(hi, max(lo, ac_cmd))
-        elif supervised and sup.mode == BC:
+    def supervisor_policy(i, t, state):
+        nonlocal sup, phase, cmd
+        if phase is not None:
+            phase = advance_phase(params, phase, dt, state.v_r)
+        decision = i % steps_per_period == 0
+        if decision:
+            if phase is not None:
+                sup = SupervisorState(BC, phase, sup.held_command, sup.engagements)
+            sup, cmd = decide(params, cfg, sup, state, ac_policy(t, state), t)
+            phase = sup.phase
+        elif phase is not None:
             cmd = proper_response_command(
-                params, sup.phase, v_r, hold_command_window(sup.held_command)
+                params, phase, state.v_r, hold_command_window(sup.held_command)
             )
-
-        g = state.gap - length
-        if g < min_gap:
-            min_gap, min_gap_t = g, t
-        mode = sup.mode if supervised else AC
-        samples.append(TrajectorySample(t, state, cmd, mode))
-        if g <= COLLISION_EPS:
-            collision = CollisionEvent(t, state.gap)
-            break
-        if sv_halt is None and v_r <= 0.0:
-            sv_halt = t
-        if pov_halt is None and v_f <= 0.0:
-            pov_halt = t
-        if i == n_steps:
-            break
         if (
-            stop_when_settled
-            and v_r <= 0.0
-            and v_f <= 0.0
-            and (not supervised or sup.mode == AC or sup.phase.kind == HALTED)
-            and i % steps_per_period == 0
+            phase is not None
+            and phase.kind == RESPONSE_WINDOW
+            and phase.elapsed + dt > params.rho + WINDOW_SLACK
         ):
-            break
+            cmd = proper_response_command(params, braking, state.v_r)
+        return cmd, sup.mode, decision and (phase is None or phase.kind == HALTED)
 
-        a_f = pov_behavior.command(t, x_f, v_f)
-        nx_r, nv_r = advance_vehicle(x_r, v_r, cmd, dt)
-        nx_f, nv_f = advance_vehicle(x_f, v_f, a_f, dt)
-        g_new = (nx_f - nx_r) - length
-        if g_new <= COLLISION_EPS:
-            tau = refine_crossing(x_r, v_r, cmd, x_f, v_f, a_f, dt, length)
-            t_c = t + tau
-            cx_r, cv_r = advance_vehicle(x_r, v_r, cmd, tau)
-            cx_f, cv_f = advance_vehicle(x_f, v_f, a_f, tau)
-            cstate = ScenarioState(cx_f, cv_f, cx_r, cv_r)
-            samples.append(TrajectorySample(t_c, cstate, cmd, mode))
-            collision = CollisionEvent(t_c, cstate.gap)
-            if cstate.gap - length < min_gap:
-                min_gap, min_gap_t = cstate.gap - length, t_c
-            break
-        x_r, v_r, x_f, v_f = nx_r, nv_r, nx_f, nv_f
-        if supervised and sup.mode == BC:
-            sup = replace(
-                sup, phase=advance_phase(params, sup.phase, dt, v_r)
-            )
+    def pass_through(i, t, state):
+        nonlocal cmd
+        decision = i % steps_per_period == 0
+        if decision:
+            cmd = min(hi, max(lo, ac_policy(t, state)))
+        return cmd, AC, decision
 
-    return ExecutionTrace(
-        samples=tuple(samples),
-        params=params,
-        collision=collision,
-        sv_halt_time=sv_halt,
-        pov_halt_time=pov_halt,
-        min_gap=min_gap + length,
-        min_gap_time=min_gap_t,
-        bc_engagements=sup.engagements if supervised else 0,
-    )
+    policy = supervisor_policy if supervised else pass_through
+    trace = run_fixed_step(params, start, policy, pov_behavior, dt, t_end)
+    return replace(trace, bc_engagements=sup.engagements)

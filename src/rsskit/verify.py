@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .audit import check_compliance
 from .core import RssParams, ScenarioState
 from .dynamics import (
     ALL_CASES,
-    ExecutionTrace,
     analyze_gap,
     build_profile,
     classify_worst_case,
@@ -47,7 +45,6 @@ class CampaignConfig:
     v_min: float = 0.0
     v_max: float = 40.0
     margin_max: float = 50.0
-    dt: float = 1e-3
     sim_dt: float = 0.05
     a_fwd_max: float = 2.0
     pov_segments_min: int = 3
@@ -55,12 +52,14 @@ class CampaignConfig:
     include_grid: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_trials < 0:
             raise ConfigError(f"n_trials must be >= 0, got {self.n_trials!r}")
         if not self.v_min <= self.v_max:
             raise ConfigError("need v_min <= v_max")
-        if self.dt <= 0 or self.sim_dt <= 0:
-            raise ConfigError("step sizes must be > 0")
+        if not self.sim_dt > 0:
+            raise ConfigError("sim_dt must be > 0")
         if not 1 <= self.pov_segments_min <= self.pov_segments_max:
             raise ConfigError("bad POV segment counts")
 
@@ -71,7 +70,6 @@ class CampaignConfig:
             "v_min": self.v_min,
             "v_max": self.v_max,
             "margin_max": self.margin_max,
-            "dt": self.dt,
             "sim_dt": self.sim_dt,
             "a_fwd_max": self.a_fwd_max,
             "pov_segments_min": self.pov_segments_min,
@@ -83,10 +81,17 @@ class CampaignConfig:
 def campaign_from_dict(raw: dict) -> CampaignConfig:
     if not isinstance(raw, dict):
         raise ConfigError("campaign config must be a mapping")
-    allowed = set(CampaignConfig().to_dict())
-    unknown = set(raw) - allowed
+    defaults = CampaignConfig().to_dict()
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown campaign keys: {', '.join(sorted(unknown))}")
+    for key, value in raw.items():
+        want = type(defaults[key])
+        ok = type(value) is want or (want is float and type(value) is int)
+        if not ok or (want is float and not math.isfinite(value)):
+            raise ConfigError(
+                f"campaign key {key!r} must be a finite {want.__name__}, got {value!r}"
+            )
     return CampaignConfig(**raw)
 
 
@@ -117,10 +122,6 @@ class CampaignOutcome:
 
 def _state_key(ce: dict):
     return (ce["v_r"], ce["v_f"], ce["gap"], ce.get("behavior", ""))
-
-
-def _record_case(outcome: CampaignOutcome, params: RssParams, start: ScenarioState):
-    outcome.cases_seen[classify_worst_case(params, start)] += 1
 
 
 def _randomized_min_gap(params, cfg, rng, start, horizon):
@@ -169,7 +170,7 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         start = ScenarioState(gap, v_f, 0.0, v_r)
         col_t, _, min_gap, _, t_sv_halt, _ = worst_case_gap_analysis(params, start)
         outcome.trials_run += 1
-        _record_case(outcome, params, start)
+        outcome.cases_seen[classify_worst_case(params, start)] += 1
         if col_t is not None:
             outcome.counterexamples.append(
                 {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "worst_case",
@@ -177,19 +178,21 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
             )
         return start, min_gap, t_sv_halt
 
+    length = params.vehicle_length
     if cfg.include_grid:
         for v_r in GRID_SPEEDS:
             for v_f in GRID_SPEEDS:
+                d = safe_distance(params, v_r, v_f)
                 for m in GRID_MARGINS:
-                    worst_trial(v_r, v_f, safe_distance(params, v_r, v_f) + m, "grid")
+                    worst_trial(v_r, v_f, d + length + m, "grid")
         for v_r, v_f in CASE_COVERAGE_PAIRS:
-            worst_trial(v_r, v_f, safe_distance(params, v_r, v_f) + 5.0, "grid")
+            worst_trial(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0, "grid")
 
     for _ in range(cfg.n_trials):
         v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
         v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
         margin = cfg.margin_max * (1.0 - float(rng.random()))  # in (0, margin_max]
-        gap = safe_distance(params, v_r, v_f) + margin
+        gap = safe_distance(params, v_r, v_f) + length + margin
         start, worst_min_gap, t_sv_halt = worst_trial(v_r, v_f, gap, "random")
 
         horizon = t_sv_halt + 1.0
@@ -232,7 +235,7 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
             for v_f in GRID_SPEEDS:
                 d = safe_distance(params, v_r, v_f)
                 if d > 0.0:
-                    trial(v_r, v_f, d, "grid_boundary")
+                    trial(v_r, v_f, d + params.vehicle_length, "grid_boundary")
 
     attempts = 0
     done = 0
@@ -252,7 +255,7 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
         gap = d if done % 10 == 0 else d * (1.0 - float(rng.random()))
         if gap <= 0.0:
             gap = d
-        trial(v_r, v_f, gap, "random")
+        trial(v_r, v_f, gap + params.vehicle_length, "random")
 
     outcome.counterexamples.sort(key=lambda ce: (ce["v_r"], ce["v_f"], ce["gap"]))
     return outcome
@@ -281,7 +284,7 @@ def verify_supervised_safety(
         v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
         v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
         margin = cfg.margin_max * (1.0 - float(rng.random()))
-        gap = safe_distance(params, v_r, v_f) + margin
+        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin
         start = ScenarioState(gap, v_f, 0.0, v_r)
         trace = run_supervised(
             params, sup_cfg, start, ac, pov,

@@ -151,3 +151,39 @@ def test_report_files_byte_identical_modulo_timestamp(params_file, tmp_path):
         rep.pop("generated_at")
         bodies.append(json.dumps(rep, sort_keys=True))
     assert bodies[0] == bodies[1]
+
+
+def test_simulate_dt_not_dividing_period_stays_safe(params_file, tmp_path, capsys):
+    rc = main([
+        "simulate", "--params", params_file, "--dt", "0.25",
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+        "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 0
+    assert "collision: no" in capsys.readouterr().out
+
+
+def test_simulate_dt_above_rho_is_usage_error(params_file, tmp_path):
+    rc = main([
+        "simulate", "--params", params_file, "--dt", "0.5",
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+        "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 2
+
+
+def test_verify_mistyped_campaign_is_usage_error(params_file, tmp_path):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"n_trials": "5"}))
+    assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
+
+
+@pytest.mark.parametrize("config", [[1, 2], {"perod": 0.05}])
+def test_bad_supervisor_config_is_usage_error(params_file, tmp_path, config):
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps(config))
+    rc = main([
+        "simulate", "--params", params_file, "--supervisor-config", str(sup),
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 2

@@ -12,10 +12,8 @@ from rsskit.dynamics import (
     ALL_CASES,
     analyze_gap,
     build_profile,
-    classify_case,
     classify_worst_case,
     constant_pov,
-    first_stop_time,
     integrate,
     pov_stop_distance,
     profile_state,
@@ -71,8 +69,8 @@ def test_decomposition_matches_rule():
 
 def test_build_profile_braking_stop():
     segs = build_profile(0.0, 10.0, [(0.0, -4.0)], 10.0)
-    t_stop = first_stop_time(segs)
-    assert t_stop == pytest.approx(2.5)
+    assert profile_state(segs, 2.5 - 1e-6)[1] > 0.0
+    assert profile_state(segs, 2.5)[1] == 0.0
     x, v, _ = profile_state(segs, 10.0)
     assert x == pytest.approx(12.5)  # v^2/(2a) = 100/8
     assert v == 0.0
@@ -181,7 +179,7 @@ def test_classify_worst_case_examples(v_r, v_f, case):
 
 def test_classify_case_on_trace():
     trace = worst_case_execution(PAPER, state(100.0, 10.0, 12.0))
-    assert classify_case(trace) == CASE_2
+    assert classify_worst_case(trace.params, trace.start) == CASE_2
 
 
 def test_classification_is_exhaustive():
@@ -243,6 +241,16 @@ def test_integrate_error_shrinks_with_dt():
         tr = integrate(PAPER, st, worst_sv_policy(PAPER), worst_case_pov(PAPER), dt, 8.0)
         errs.append(abs(tr.min_gap - ref))
     assert errs[0] >= errs[1] >= errs[2] or errs[0] < 1e-9
+
+
+def test_integrate_takes_full_steps():
+    # t_end is not a multiple of dt: the last step still lasts dt, so each
+    # sample's state is the one at its own time stamp
+    sv = lambda t, s: 1.0
+    trace = integrate(PAPER, state(1000.0, 10.0, 0.0), sv, constant_pov(PAPER, 0.0), 0.3, 1.0)
+    assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2])
+    for s in trace.samples:
+        assert s.state.x_r == pytest.approx(10.0 * s.t + 0.5 * s.t ** 2, abs=1e-12)
 
 
 def test_integrate_rejects_bad_dt():

@@ -1,0 +1,76 @@
+"""Pinned outputs.
+
+The sha256 of the canonical outcome JSON of small seeded campaigns, and of
+three `rsskit simulate` trajectory CSVs, is fixed here.  A change that
+moves any of these outputs must update the hash on purpose and say why.
+"""
+import hashlib
+import json
+
+import pytest
+
+from rsskit.cli import main
+from rsskit.core import RssParams
+from rsskit.report import canonical_json
+from rsskit.supervisor import SupervisorConfig
+from rsskit.verify import (
+    CampaignConfig,
+    falsify_below_threshold,
+    verify_safety_theorem,
+    verify_supervised_safety,
+)
+
+PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
+PARAMS = {"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}
+
+CAMPAIGNS = {
+    "safety": lambda: verify_safety_theorem(PAPER, CampaignConfig(seed=3, n_trials=200)),
+    "falsify": lambda: falsify_below_threshold(PAPER, CampaignConfig(seed=3, n_trials=200)),
+    "supervised": lambda: verify_supervised_safety(
+        PAPER, SupervisorConfig(), CampaignConfig(seed=3, n_trials=30)
+    ),
+    "negative": lambda: verify_supervised_safety(
+        PAPER, SupervisorConfig(), CampaignConfig(seed=3, n_trials=30), supervised=False
+    ),
+}
+
+CAMPAIGN_SHA256 = {
+    "safety": "590988b8d043dabe31405f32abedfa17005062f47bccd142632efa5f9df8fd86",
+    "falsify": "ee3ecf34f82b112431bbc55900ff54cba7b345b6f2666661f934a2a36106b6aa",
+    "supervised": "1042fedb5b9b5a47dd9cde7afe279bd8f69134dad250e6feabd800e923649db8",
+    "negative": "ccb23132f9564726c8f655b2ea04ca0df08c4b01efa3638055e1aabe104e8d47",
+}
+
+SIMULATIONS = {
+    "benign": ["--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "benign"],
+    "adversarial": ["--gap", "40", "--v-r", "20", "--v-f", "20", "--ac", "adversarial"],
+    "unsupervised": ["--gap", "40", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+                     "--no-supervisor"],
+}
+
+SIMULATE_SHA256 = {
+    "benign": "b8491548928f2856fb4ceb4473ec169e67358646ac014827362cf3747f3c33df",
+    "adversarial": "9b5d3478c9725f3b88777d360f58302015f9294f4d59e6f45884cdcb5f472ea2",
+    "unsupervised": "19d99e648c43b3938f465a91725b7abd27f37b35b37d856c67f16a71cc46cfec",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_outcome_pinned(name):
+    outcome = CAMPAIGNS[name]().to_dict()
+    assert _sha256(canonical_json(outcome).encode()) == CAMPAIGN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATIONS))
+def test_simulate_csv_pinned(name, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS))
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--params", str(params), "--dt", "0.01", "--pov", "worst",
+            "--out", str(out)] + SIMULATIONS[name]
+    assert main(argv) == 0
+    assert _sha256(out.read_bytes()) == SIMULATE_SHA256[name]

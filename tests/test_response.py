@@ -7,7 +7,6 @@ from rsskit.response import (
     RESPONSE_WINDOW,
     advance_phase,
     begin_response,
-    coast_window,
     hold_command_window,
     proper_response_command,
     worst_case_window,
@@ -15,17 +14,15 @@ from rsskit.response import (
 
 
 def test_begin_response(params):
-    ph = begin_response(2.5)
+    ph = begin_response()
     assert ph.kind == RESPONSE_WINDOW
-    assert ph.started_at == 2.5
     assert ph.elapsed == 0.0
-    assert ph.start_state_condition_held
 
 
 def test_window_command_is_policy_clamped(params):
-    ph = begin_response(0.0)
+    ph = begin_response()
     assert proper_response_command(params, ph, 10.0) == params.a_max
-    assert proper_response_command(params, ph, 10.0, coast_window) == 0.0
+    assert proper_response_command(params, ph, 10.0, hold_command_window(0.0)) == 0.0
     # out-of-range window policies are clamped to the capability bounds
     assert proper_response_command(params, ph, 10.0, hold_command_window(99.0)) == params.a_max
     assert proper_response_command(params, ph, 10.0, hold_command_window(-99.0)) == -params.a_brake_min
@@ -33,7 +30,7 @@ def test_window_command_is_policy_clamped(params):
 
 
 def test_braking_command(params):
-    ph = begin_response(0.0)
+    ph = begin_response()
     ph = advance_phase(params, ph, params.rho, 12.0)
     assert ph.kind == BRAKING
     assert proper_response_command(params, ph, 12.0) == -params.a_brake_min
@@ -42,7 +39,7 @@ def test_braking_command(params):
 
 
 def test_window_ends_exactly_at_rho(params):
-    ph = begin_response(0.0)
+    ph = begin_response()
     ph = advance_phase(params, ph, 0.2, 10.0)
     assert ph.kind == RESPONSE_WINDOW
     assert ph.elapsed == pytest.approx(0.2)
@@ -52,7 +49,7 @@ def test_window_ends_exactly_at_rho(params):
 
 
 def test_halt_is_absorbing(params):
-    ph = begin_response(0.0)
+    ph = begin_response()
     ph = advance_phase(params, ph, params.rho, 5.0)
     ph = advance_phase(params, ph, 0.1, 0.0)
     assert ph.kind == HALTED
@@ -61,7 +58,7 @@ def test_halt_is_absorbing(params):
 
 
 def test_many_small_steps_accumulate(params):
-    ph = begin_response(0.0)
+    ph = begin_response()
     for _ in range(30):
         ph = advance_phase(params, ph, 0.01, 10.0)
     assert ph.kind == BRAKING
@@ -69,7 +66,7 @@ def test_many_small_steps_accumulate(params):
 
 def test_rejects_bad_dt(params):
     with pytest.raises(StepError):
-        advance_phase(params, begin_response(0.0), 0.0, 1.0)
+        advance_phase(params, begin_response(), 0.0, 1.0)
 
 
 def test_worst_case_window_is_full_throttle(params):

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
 from rsskit.core import AC, BC, RssParams
 from rsskit.audit import check_compliance
-from rsskit.dynamics import gentle_pov, worst_case_pov
+from rsskit.dynamics import gentle_pov, worst_case_gap_analysis, worst_case_pov
 from rsskit.errors import ConfigError, InvariantBreach
 from rsskit.response import BRAKING, HALTED, ResponsePhase
-from rsskit.rule import evaluate
+from rsskit.rule import evaluate, safe_distance
 from rsskit.supervisor import (
     SupervisorConfig,
     SupervisorState,
@@ -71,7 +72,6 @@ def test_decide_engages_before_violation():
     assert new.mode == BC
     assert new.engagements == 1
     assert new.phase is not None
-    assert new.phase.start_state_condition_held
 
 
 def test_decide_raises_on_violated_ac_state():
@@ -147,3 +147,33 @@ def test_custom_command_bounds():
     assert cfg.bounds(PAPER) == (-2.0, 1.0)
     _, cmd = decide(PAPER, cfg, SupervisorState(), state(60.0, 20.0, 20.0), 5.0)
     assert cmd == 1.0
+
+
+def test_vehicle_length_counts_against_the_margin():
+    p = RssParams(0.3, 2.0, 4.0, 8.0, vehicle_length=5.0)
+    d = safe_distance(p, 20.0, 20.0)
+    assert not evaluate(p, state(d + 1.0, 20.0, 20.0)).condition_holds
+    st = state(d + 6.0, 20.0, 20.0)
+    assert evaluate(p, st).condition_holds
+    assert worst_case_gap_analysis(p, st)[0] is None
+    trace = run_supervised(p, CFG, st, adversarial_ac(p), worst_case_pov(p), dt=0.01)
+    assert trace.collision is None
+    assert check_compliance(trace.to_trajectory())[0]
+
+
+@pytest.mark.parametrize("dt", [0.06, 0.07, 0.09, 0.25, 0.3])
+def test_supervised_runs_are_safe_when_dt_does_not_divide_rho(dt):
+    # decisions every round(period / dt) steps; the lookahead and the
+    # response window must follow the realized step grid
+    rng = np.random.default_rng(17)
+    for v_r, v_f, m in zip(rng.uniform(0, 40, 25), rng.uniform(0, 40, 25), rng.uniform(0, 5, 25)):
+        st = state(safe_distance(PAPER, v_r, v_f) + m, v_r, v_f)
+        trace = run_supervised(PAPER, CFG, st, adversarial_ac(PAPER), worst_case_pov(PAPER), dt=dt)
+        assert trace.collision is None, (dt, v_r, v_f, m)
+        assert check_compliance(trace.to_trajectory())[0], (dt, v_r, v_f, m)
+
+
+def test_decision_interval_longer_than_rho_is_rejected():
+    with pytest.raises(ConfigError):
+        run_supervised(PAPER, CFG, state(60.0, 20.0, 20.0),
+                       adversarial_ac(PAPER), worst_case_pov(PAPER), dt=0.5)

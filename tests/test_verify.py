@@ -23,7 +23,7 @@ def test_campaign_config_validation():
     with pytest.raises(ConfigError):
         CampaignConfig(v_min=10.0, v_max=5.0)
     with pytest.raises(ConfigError):
-        CampaignConfig(dt=0.0)
+        CampaignConfig(sim_dt=0.0)
     with pytest.raises(ConfigError):
         CampaignConfig(pov_segments_min=0)
 
@@ -35,6 +35,15 @@ def test_campaign_from_dict_round_trip():
         campaign_from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
         campaign_from_dict([1, 2])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"n_trials": "5"}, {"n_trials": 5.0}, {"include_grid": 1}, {"seed": -1}],
+)
+def test_campaign_from_dict_rejects_mistyped_values(raw):
+    with pytest.raises(ConfigError):
+        campaign_from_dict(raw)
 
 
 def test_safety_theorem_small_campaign():
@@ -116,3 +125,12 @@ def test_different_seeds_sample_different_states():
     b = verify_safety_theorem(PAPER, CampaignConfig(seed=2, n_trials=200, include_grid=False))
     assert a.trials_run == b.trials_run == 200
     assert a.cases_seen != b.cases_seen
+
+
+def test_campaigns_hold_with_vehicle_length():
+    p = RssParams(0.3, 2.0, 4.0, 8.0, vehicle_length=4.5)
+    cfg = CampaignConfig(seed=8, n_trials=100)
+    assert verify_safety_theorem(p, cfg).ok
+    assert falsify_below_threshold(p, cfg).ok
+    out = verify_supervised_safety(p, SupervisorConfig(), CampaignConfig(seed=8, n_trials=30))
+    assert out.ok and out.stats["bc_engagements"] >= 1
