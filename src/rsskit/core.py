@@ -15,6 +15,7 @@ from .errors import (
     DomainError,
     EmptyTrajectory,
     Negative,
+    NonFinite,
     NonPositive,
     OrderViolation,
 )
@@ -43,6 +44,9 @@ class RssParams:
     vehicle_length: float = 0.0
 
     def __post_init__(self) -> None:
+        for key, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise NonFinite(f"{key} must be finite, got {value!r}")
         if not self.rho > 0:
             raise NonPositive(f"rho must be > 0, got {self.rho!r}")
         if not self.a_brake_min > 0:
@@ -117,7 +121,8 @@ class ScenarioState:
     v_r: float
 
     def __post_init__(self) -> None:
-        if self.v_f < 0 or self.v_r < 0:
+        # written so that NaN fails too
+        if not (self.v_f >= 0 and self.v_r >= 0):
             raise DomainError(
                 f"velocities must be >= 0, got v_f={self.v_f!r}, v_r={self.v_r!r}"
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import BC, AC, RssParams, ScenarioState, Trajectory, TrajectorySample
@@ -85,11 +86,9 @@ def build_profile(x0: float, v0: float, schedule, t_end: float):
     return segs
 
 
-def profile_state(segs, t: float):
-    """(position, velocity, acceleration) at time t; t clamped to the span."""
-    starts = [s[0] for s in segs]
-    i = max(0, bisect_right(starts, t) - 1)
-    t0, t1, x0, v0, a = segs[i]
+def segment_state(seg, t: float):
+    """(position, velocity, acceleration) on one segment; t clamped to it."""
+    t0, t1, x0, v0, a = seg
     dt = min(max(t, t0), t1) - t0
     return (
         x0 + v0 * dt + 0.5 * a * dt * dt,
@@ -98,12 +97,21 @@ def profile_state(segs, t: float):
     )
 
 
+def profile_state(segs, t: float):
+    """(position, velocity, acceleration) at time t; t clamped to the span."""
+    i = max(0, bisect_right(segs, t, key=itemgetter(0)) - 1)
+    return segment_state(segs[i], t)
+
+
 def analyze_gap(segs_r, segs_f, length: float = 0.0):
     """Earliest collision and minimum gap between two motion profiles.
 
     Returns (collision_t, gap_at_collision, min_gap, min_gap_t); the
     first two are None when the gap never falls to length + COLLISION_EPS.  The
     minimum is tracked only up to the collision, if any.
+
+    One forward walk: each profile's index moves on while its next
+    segment starts at or before u0, the segment profile_state picks.
     """
     times = sorted(
         {s[0] for s in segs_r}
@@ -111,19 +119,24 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
         | {s[0] for s in segs_f}
         | {s[1] for s in segs_f}
     )
-    xr0, _, _ = profile_state(segs_r, times[0])
-    xf0, _, _ = profile_state(segs_f, times[0])
-    best_gap = xf0 - xr0 - length
-    best_t = times[0]
-    if best_gap <= COLLISION_EPS:
-        return times[0], best_gap + length, best_gap + length, times[0]
-
-    for u0, u1 in zip(times, times[1:]):
+    last_r, last_f = len(segs_r) - 1, len(segs_f) - 1
+    ir = jf = 0
+    best_gap = best_t = None
+    # a single breakpoint pairs with itself, so the start check still runs
+    for u0, u1 in zip(times, times[1:] or times):
+        while ir < last_r and segs_r[ir + 1][0] <= u0:
+            ir += 1
+        while jf < last_f and segs_f[jf + 1][0] <= u0:
+            jf += 1
+        xr, vr, ar = segment_state(segs_r[ir], u0)
+        xf, vf, af = segment_state(segs_f[jf], u0)
+        g0 = xf - xr - length
+        if best_gap is None:
+            if g0 <= COLLISION_EPS:
+                return u0, g0 + length, g0 + length, u0
+            best_gap, best_t = g0, u0
         if u1 <= u0:
             continue
-        xr, vr, ar = profile_state(segs_r, u0)
-        xf, vf, af = profile_state(segs_f, u0)
-        g0 = xf - xr - length
         gv = vf - vr
         ga = af - ar
         tau = u1 - u0
@@ -137,10 +150,12 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
                 sq = math.sqrt(disc)
                 r1 = (-gv - sq) / ga
                 r2 = (-gv + sq) / ga
-                for r in sorted((r1, r2)):
-                    if 0.0 <= r <= tau:
-                        root = r
-                        break
+                if r2 < r1:
+                    r1, r2 = r2, r1
+                if 0.0 <= r1 <= tau:
+                    root = r1
+                elif 0.0 <= r2 <= tau:
+                    root = r2
         elif gv < 0.0:
             r = c / (-gv)
             if r <= tau:
@@ -149,16 +164,18 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
             g_col = g0 + gv * root + 0.5 * ga * root * root
             return u0 + root, g_col + length, g_col + length, u0 + root
 
-        # interval minimum: endpoints plus the interior vertex, if a minimum
-        candidates = [(0.0, g0), (tau, g0 + gv * tau + 0.5 * ga * tau * tau)]
+        # interval minimum: start, end, then the interior vertex if a minimum
+        if g0 < best_gap:
+            best_gap, best_t = g0, u0
+        g1 = g0 + gv * tau + 0.5 * ga * tau * tau
+        if g1 < best_gap:
+            best_gap, best_t = g1, u0 + tau
         if ga > 0.0:
             tv = -gv / ga
             if 0.0 < tv < tau:
-                candidates.append((tv, g0 + gv * tv + 0.5 * ga * tv * tv))
-        for tt, gg in candidates:
-            if gg < best_gap:
-                best_gap = gg
-                best_t = u0 + tt
+                gm = g0 + gv * tv + 0.5 * ga * tv * tv
+                if gm < best_gap:
+                    best_gap, best_t = gm, u0 + tv
     return None, None, best_gap + length, best_t
 
 
@@ -229,8 +246,7 @@ def worst_case_execution(
     a_brake_min; the POV brakes at a_brake_max.  The trace ends at SV
     halt or at the collision, whichever comes first.
     """
-    if dt <= 0:
-        raise StepError(f"dt must be > 0, got {dt!r}")
+    check_step(dt)
     segs_r, segs_f, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
     col_t, col_gap, min_gap, min_gap_t = gap
     end = col_t if col_t is not None else t_sv_halt
@@ -360,6 +376,14 @@ def advance_vehicle(x: float, v: float, a: float, dt: float):
     return x + v * dt + 0.5 * a * dt * dt, max(0.0, v + a * dt)
 
 
+def check_step(dt: float, t_end: float = 0.0) -> None:
+    """Reject a step that is not finite and positive, or a non-finite t_end."""
+    if not 0.0 < dt < math.inf:
+        raise StepError(f"dt must be finite and > 0, got {dt!r}")
+    if not math.isfinite(t_end):
+        raise StepError(f"t_end must be finite, got {t_end!r}")
+
+
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     """Bisect for the time within (0, step] where the gap falls to
     length + COLLISION_EPS, using the exact per-vehicle kinematics.
@@ -403,8 +427,7 @@ def run_fixed_step(
     (gap falling to vehicle_length), which refine_crossing locates inside
     the step.
     """
-    if dt <= 0:
-        raise StepError(f"dt must be > 0, got {dt!r}")
+    check_step(dt, t_end)
     length = params.vehicle_length
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []

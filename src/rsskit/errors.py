@@ -21,6 +21,10 @@ class Negative(ParamError):
     """A parameter that must be nonnegative is negative."""
 
 
+class NonFinite(ParamError):
+    """A parameter is NaN or infinite."""
+
+
 class DomainError(RssError):
     """An input is outside the admissible domain (e.g. negative velocity)."""
 

@@ -10,12 +10,13 @@ threshold and the lookahead clears again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .core import AC, BC, RssParams, ScenarioState
-from .dynamics import ExecutionTrace, PovBehavior, run_fixed_step
-from .errors import ConfigError, InvariantBreach, StepError
+from .dynamics import ExecutionTrace, PovBehavior, check_step, run_fixed_step
+from .errors import ConfigError, InvariantBreach
 from .response import (
     BRAKING,
     HALTED,
@@ -65,6 +66,13 @@ class SupervisorConfig:
         if self.period > params.rho:
             raise ConfigError(
                 f"decision interval {self.period!r} s must not exceed rho {params.rho!r}"
+            )
+        lo, hi = self.bounds(params)
+        # the lookahead assumes the SV accelerates at most at a_max
+        if not -math.inf < lo <= hi <= params.a_max:
+            raise ConfigError(
+                f"sv_command_bounds must be finite with lo <= hi <= a_max "
+                f"{params.a_max!r}, got {(lo, hi)!r}"
             )
 
 
@@ -167,8 +175,7 @@ def run_supervised(
     The run ends early once both vehicles have halted, at a decision step
     with no response episode mid-flight.
     """
-    if dt <= 0:
-        raise StepError(f"dt must be > 0, got {dt!r}")
+    check_step(dt, 0.0 if t_end is None else t_end)
     cfg.validate_against(params)
     steps_per_period = max(1, int(round(cfg.period / dt)))
     # decisions land on the step grid: look ahead over the realized interval

@@ -178,7 +178,9 @@ def test_verify_mistyped_campaign_is_usage_error(params_file, tmp_path):
     assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
 
 
-@pytest.mark.parametrize("config", [[1, 2], {"perod": 0.05}])
+# an upper command bound above a_max was accepted; an AC that used it drove
+# the loop into InvariantBreach, which the CLI reported as exit 3
+@pytest.mark.parametrize("config", [[1, 2], {"perod": 0.05}, {"sv_command_bounds": [-4, 8]}])
 def test_bad_supervisor_config_is_usage_error(params_file, tmp_path, config):
     sup = tmp_path / "supervisor.json"
     sup.write_text(json.dumps(config))
@@ -187,3 +189,18 @@ def test_bad_supervisor_config_is_usage_error(params_file, tmp_path, config):
         "--gap", "60", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dt", "nan"], ["--t-end", "nan"], ["--t-end", "inf"], ["--v-r", "nan"],
+])
+def test_simulate_non_finite_number_is_usage_error(params_file, tmp_path, capsys, extra):
+    # these ended in a ValueError/OverflowError traceback with exit 1
+    args = [
+        "simulate", "--params", params_file,
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+        "--out", str(tmp_path / "t.csv"),
+    ]
+    assert main(args + extra) == 2
+    assert "Traceback" not in capsys.readouterr().err
+

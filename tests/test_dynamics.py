@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rsskit.dynamics import (
     CASE_3,
     CASE_4,
     ALL_CASES,
+    COLLISION_EPS,
     analyze_gap,
     build_profile,
     classify_worst_case,
@@ -117,6 +119,103 @@ def test_analyze_gap_vehicle_length_offset():
     segs_f = build_profile(20.0, 0.0, [(0.0, 0.0)], 5.0)
     col_t, _, _, _ = analyze_gap(segs_r, segs_f, length=5.0)
     assert col_t == pytest.approx(1.5, abs=1e-9)
+
+
+def _scan_state(segs, t):
+    """profile_state by linear scan: the last segment starting at or before t."""
+    i = 0
+    for k, seg in enumerate(segs):
+        if seg[0] <= t:
+            i = k
+    t0, t1, x0, v0, a = segs[i]
+    dt = min(max(t, t0), t1) - t0
+    return x0 + v0 * dt + 0.5 * a * dt * dt, max(0.0, v0 + a * dt), a
+
+
+def _reference_analyze_gap(segs_r, segs_f, length):
+    """The per-breakpoint-lookup kernel analyze_gap must reproduce exactly."""
+    times = sorted({s[0] for s in segs_r} | {s[1] for s in segs_r}
+                   | {s[0] for s in segs_f} | {s[1] for s in segs_f})
+    xr0, _, _ = _scan_state(segs_r, times[0])
+    xf0, _, _ = _scan_state(segs_f, times[0])
+    best_gap = xf0 - xr0 - length
+    best_t = times[0]
+    if best_gap <= COLLISION_EPS:
+        return times[0], best_gap + length, best_gap + length, times[0]
+    for u0, u1 in zip(times, times[1:]):
+        if u1 <= u0:
+            continue
+        xr, vr, ar = _scan_state(segs_r, u0)
+        xf, vf, af = _scan_state(segs_f, u0)
+        g0 = xf - xr - length
+        gv = vf - vr
+        ga = af - ar
+        tau = u1 - u0
+        root = None
+        c = g0 - COLLISION_EPS
+        if ga != 0.0:
+            disc = gv * gv - 2.0 * ga * c
+            if disc >= 0.0:
+                sq = math.sqrt(disc)
+                for r in sorted(((-gv - sq) / ga, (-gv + sq) / ga)):
+                    if 0.0 <= r <= tau:
+                        root = r
+                        break
+        elif gv < 0.0:
+            r = c / (-gv)
+            if r <= tau:
+                root = r
+        if root is not None:
+            g_col = g0 + gv * root + 0.5 * ga * root * root
+            return u0 + root, g_col + length, g_col + length, u0 + root
+        candidates = [(0.0, g0), (tau, g0 + gv * tau + 0.5 * ga * tau * tau)]
+        if ga > 0.0:
+            tv = -gv / ga
+            if 0.0 < tv < tau:
+                candidates.append((tv, g0 + gv * tv + 0.5 * ga * tv * tv))
+        for tt, gg in candidates:
+            if gg < best_gap:
+                best_gap = gg
+                best_t = u0 + tt
+    return None, None, best_gap + length, best_t
+
+
+def _random_profile(rng, x0):
+    """1-8 schedule entries with halts and restarts; horizon 0 now and then;
+    sometimes a zero-length segment spliced in front of a breakpoint."""
+    starts = [0.0] + sorted(rng.uniform(0.0, 8.0) for _ in range(rng.randint(0, 7)))
+    sched = [(t, rng.choice((rng.uniform(-9.0, 4.0), 0.0, -8.0, 2.0)))
+             for i, t in enumerate(starts) if i == 0 or t > starts[i - 1]]
+    t_end = rng.choice((0.0, 5.0, rng.uniform(0.1, 10.0)))
+    segs = build_profile(x0, rng.choice((0.0, rng.uniform(0.0, 40.0))), sched, t_end)
+    if rng.random() < 0.2:
+        k = rng.randrange(len(segs))
+        t0, _, x, v, _ = segs[k]
+        segs.insert(k, (t0, t0, x, v, rng.uniform(-9.0, 4.0)))
+    return segs
+
+
+def test_analyze_gap_matches_per_breakpoint_reference():
+    rng = random.Random(20261018)
+    collisions = 0
+    for _ in range(10_000):
+        segs_r = _random_profile(rng, 0.0)
+        segs_f = _random_profile(rng, rng.uniform(-1.0, 80.0))
+        length = rng.choice((0.0, 4.5))
+        got = analyze_gap(segs_r, segs_f, length)
+        assert got == _reference_analyze_gap(segs_r, segs_f, length), (segs_r, segs_f, length)
+        collisions += got[0] is not None
+    # both the collision return and the scan to the end are exercised
+    assert 1_000 < collisions < 9_000
+
+
+def test_profile_state_matches_linear_scan():
+    rng = random.Random(7)
+    for _ in range(2_000):
+        segs = _random_profile(rng, rng.uniform(-5.0, 5.0))
+        breaks = [s[0] for s in segs] + [s[1] for s in segs]
+        for t in [rng.uniform(-1.0, 12.0), segs[-1][1] + 1.0] + rng.sample(breaks, 2):
+            assert profile_state(segs, t) == _scan_state(segs, t), (segs, t)
 
 
 # --- worst-case execution --------------------------------------------------
@@ -257,6 +356,15 @@ def test_integrate_rejects_bad_dt():
     with pytest.raises(StepError):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
                   constant_pov(PAPER, 0.0), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf),
+])
+def test_integrate_rejects_non_finite_steps(dt, t_end):
+    with pytest.raises(StepError):
+        integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
+                  constant_pov(PAPER, 0.0), dt, t_end)
 
 
 def test_pov_command_clamped_to_model():

@@ -8,6 +8,7 @@ from rsskit.errors import (
     ConfigError,
     DomainError,
     Negative,
+    NonFinite,
     NonPositive,
     OrderViolation,
     ParamError,
@@ -71,6 +72,23 @@ def test_state_rejects_negative_velocity():
         ScenarioState(10.0, -1.0, 0.0, 5.0)
     with pytest.raises(DomainError):
         ScenarioState(10.0, 1.0, 0.0, -5.0)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, bad):
+    # with a_max = nan the rule gave d_min 0 and accepted any gap
+    values = [0.3, 2.0, 4.0, 8.0, 0.0]
+    values[field] = bad
+    with pytest.raises(NonFinite):
+        RssParams(*values)
+
+
+def test_state_rejects_nan_velocity():
+    with pytest.raises(DomainError):
+        ScenarioState(1.0, 20.0, 0.0, math.nan)
+    with pytest.raises(DomainError):
+        ScenarioState(1.0, math.nan, 0.0, 20.0)
 
 
 def test_state_gap():

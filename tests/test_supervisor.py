@@ -4,7 +4,7 @@ import pytest
 from rsskit.core import AC, BC, RssParams
 from rsskit.audit import check_compliance
 from rsskit.dynamics import gentle_pov, worst_case_gap_analysis, worst_case_pov
-from rsskit.errors import ConfigError, InvariantBreach
+from rsskit.errors import ConfigError, InvariantBreach, StepError
 from rsskit.response import BRAKING, HALTED, ResponsePhase
 from rsskit.rule import evaluate, safe_distance
 from rsskit.supervisor import (
@@ -177,3 +177,29 @@ def test_decision_interval_longer_than_rho_is_rejected():
     with pytest.raises(ConfigError):
         run_supervised(PAPER, CFG, state(60.0, 20.0, 20.0),
                        adversarial_ac(PAPER), worst_case_pov(PAPER), dt=0.5)
+
+
+@pytest.mark.parametrize("bounds", [(-4.0, 8.0), (1.0, -1.0), (-float("inf"), 2.0), (-4.0, float("nan"))])
+def test_command_bounds_outside_the_formula_are_rejected(bounds):
+    # an AC commanding more than a_max outruns the lookahead; at (-4, 8)
+    # the run used to end in InvariantBreach at t = 0.1 s
+    cfg = SupervisorConfig(sv_command_bounds=bounds)
+    with pytest.raises(ConfigError):
+        cfg.validate_against(PAPER)
+    with pytest.raises(ConfigError):
+        run_supervised(PAPER, cfg, state(60.0, 20.0, 20.0),
+                       lambda t, s: 8.0, worst_case_pov(PAPER), dt=0.01)
+
+
+def test_command_bounds_within_the_formula_are_accepted():
+    SupervisorConfig(sv_command_bounds=(-8.0, 2.0)).validate_against(PAPER)
+    SupervisorConfig(sv_command_bounds=(0.0, 0.0)).validate_against(PAPER)
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (float("nan"), None), (float("inf"), None), (0.01, float("nan")), (0.01, float("inf")),
+])
+def test_run_supervised_rejects_non_finite_steps(dt, t_end):
+    with pytest.raises(StepError):
+        run_supervised(PAPER, CFG, state(60.0, 20.0, 20.0),
+                       adversarial_ac(PAPER), worst_case_pov(PAPER), dt=dt, t_end=t_end)
