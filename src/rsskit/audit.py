@@ -8,12 +8,13 @@ tolerances; the rule engine itself stays tolerance-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import List, Optional, Tuple
 
 from .core import BC, Trajectory
 from .dynamics import COLLISION_EPS
-from .errors import EmptyTrajectory, NoCollision
-from .rule import evaluate
+from .errors import ConfigError, EmptyTrajectory, NoCollision
+from .rule import evaluate, margin
 
 SATISFIED = "Satisfied"
 NOT_APPLICABLE = "NotApplicable"
@@ -77,18 +78,10 @@ def _default_time_tol(traj: Trajectory) -> float:
     return dts[len(dts) // 2]
 
 
-def _episode_starts(traj: Trajectory):
-    """Index of the first sample of the BC episode each sample belongs to."""
-    starts = [None] * len(traj.samples)
-    current = None
-    for i, s in enumerate(traj.samples):
-        if s.mode == BC:
-            if current is None:
-                current = i
-            starts[i] = current
-        else:
-            current = None
-    return starts
+def _check_accel_tol(accel_tol: float) -> None:
+    # written so that NaN fails too
+    if not 0 <= accel_tol < inf:
+        raise ConfigError(f"accel_tol must be finite and >= 0, got {accel_tol!r}")
 
 
 def check_compliance(
@@ -107,31 +100,31 @@ def check_compliance(
     """
     if not traj.samples:
         raise EmptyTrajectory("cannot check compliance of an empty trajectory")
+    _check_accel_tol(accel_tol)
     if time_tol is None:
         time_tol = _default_time_tol(traj)
     params = traj.params
-    starts = _episode_starts(traj)
-    episode_ok = {}
-    for i, s in enumerate(traj.samples):
-        if starts[i] == i:
-            episode_ok[i] = evaluate(params, s.state).condition_holds
+    window = params.rho + time_tol
+    weak = -params.a_brake_min + accel_tol
 
     failures = []  # (t, reason)
-    for i, s in enumerate(traj.samples):
-        ev = evaluate(params, s.state)
-        if ev.condition_holds:
-            continue
+    ep_t = None  # start time of the current BC episode; None outside one
+    for s in traj.samples:
+        holds = margin(params, s.state) > 0.0
         if s.mode != BC:
-            failures.append((s.t, REASON_NO_RESPONSE))
+            ep_t = None
+            if not holds:
+                failures.append((s.t, REASON_NO_RESPONSE))
             continue
-        ep = starts[i]
-        if not episode_ok[ep]:
+        if ep_t is None:
+            ep_t, ep_ok = s.t, holds
+        if holds:
+            continue
+        if not ep_ok:
             failures.append((s.t, REASON_UNSAFE_START))
-            continue
-        in_window = s.t - traj.samples[ep].t <= params.rho + time_tol
-        if in_window:
-            continue
-        if s.state.v_r > 0.0 and s.a_r > -params.a_brake_min + accel_tol:
+        elif s.t - ep_t <= window:
+            continue  # inside the response window
+        elif s.state.v_r > 0.0 and s.a_r > weak:
             failures.append((s.t, REASON_WEAK_BRAKING))
 
     violations = []
@@ -195,6 +188,7 @@ def attribute_liability(
     collision contradicts the safety guarantee and flags a numerical or
     data problem rather than being silently accepted.
     """
+    _check_accel_tol(accel_tol)
     idx = find_collision_index(traj)
     if idx is None:
         raise NoCollision("trajectory contains no collision sample")
@@ -209,6 +203,11 @@ def attribute_liability(
     return INCONSISTENT
 
 
+def _principles(liability: str) -> dict:
+    verdict = VIOLATED if liability == SV_LIABLE else SATISFIED
+    return {1: verdict, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE, 4: NOT_APPLICABLE, 5: verdict}
+
+
 def principles_report(
     traj: Trajectory,
     accel_tol: float = DEFAULT_ACCEL_TOL,
@@ -219,13 +218,9 @@ def principles_report(
     Principles 1 and 5 hold unless a collision is attributable to the
     SV; 2-4 do not apply to this driving scenario.
     """
-    idx = find_collision_index(traj)
-    if idx is None:
-        sv_fault = False
-    else:
-        sv_fault = attribute_liability(traj, accel_tol, time_tol) == SV_LIABLE
-    verdict = VIOLATED if sv_fault else SATISFIED
-    return {1: verdict, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE, 4: NOT_APPLICABLE, 5: verdict}
+    if find_collision_index(traj) is None:
+        return _principles(LIABILITY_NONE)
+    return _principles(attribute_liability(traj, accel_tol, time_tol))
 
 
 def audit(
@@ -245,12 +240,11 @@ def audit(
         liability = LIABILITY_NONE
     else:
         liability = attribute_liability(traj, accel_tol, time_tol)
-    principles = principles_report(traj, accel_tol, time_tol)
     return AuditReport(
         per_sample=per_sample,
         compliant=compliant,
         violations=tuple(violations),
         metric_score=score,
         liability=liability,
-        principles=principles,
+        principles=_principles(liability),
     )

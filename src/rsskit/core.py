@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from math import inf
 
 from .errors import (
     ConfigError,
@@ -111,8 +112,8 @@ class ScenarioState:
     """Positions and velocities of both vehicles at one instant.
 
     x_f/v_f belong to the front vehicle (POV), x_r/v_r to the rear
-    vehicle (SV), in the 1-D lane coordinate.  Velocities are
-    nonnegative; the lane model has no reversing.
+    vehicle (SV), in the 1-D lane coordinate.  Positions are finite and
+    velocities finite and nonnegative; the lane model has no reversing.
     """
 
     x_f: float
@@ -122,9 +123,13 @@ class ScenarioState:
 
     def __post_init__(self) -> None:
         # written so that NaN fails too
-        if not (self.v_f >= 0 and self.v_r >= 0):
+        if not (-inf < self.x_f < inf and -inf < self.x_r < inf):
             raise DomainError(
-                f"velocities must be >= 0, got v_f={self.v_f!r}, v_r={self.v_r!r}"
+                f"positions must be finite, got x_f={self.x_f!r}, x_r={self.x_r!r}"
+            )
+        if not (0 <= self.v_f < inf and 0 <= self.v_r < inf):
+            raise DomainError(
+                f"velocities must be finite and >= 0, got v_f={self.v_f!r}, v_r={self.v_r!r}"
             )
 
     @property

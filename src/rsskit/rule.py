@@ -9,6 +9,7 @@ between the vehicles (gap minus vehicle_length) to strictly exceed it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .core import RssParams, ScenarioState
 from .errors import DomainError
@@ -22,8 +23,11 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     value and the two stopping distances in dynamics are sums of these
     terms.
     """
-    if v_r < 0 or v_f < 0:
-        raise DomainError(f"velocities must be >= 0, got v_r={v_r!r}, v_f={v_f!r}")
+    # written so that NaN fails too
+    if not (0 <= v_r < inf and 0 <= v_f < inf):
+        raise DomainError(
+            f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
+        )
     v_peak = v_r + params.a_max * params.rho
     return (
         v_r * params.rho,
@@ -73,6 +77,16 @@ class SafetyEvaluation:
     gap: float
     margin: float
     condition_holds: bool
+
+
+def margin(params: RssParams, state: ScenarioState) -> float:
+    """The safety margin gap - vehicle_length - d_min, bit for bit as
+    evaluate reports it; the condition holds iff it is > 0.  For callers
+    that need neither d_min nor the gap."""
+    return (
+        state.x_f - state.x_r - params.vehicle_length
+        - max(0.0, safe_distance_raw(params, state.v_r, state.v_f))
+    )
 
 
 def evaluate(params: RssParams, state: ScenarioState) -> SafetyEvaluation:

@@ -27,7 +27,7 @@ from .response import (
     hold_command_window,
     proper_response_command,
 )
-from .rule import evaluate, safe_distance
+from .rule import evaluate, margin, safe_distance
 
 # Sums of dt land a few ulps off rho even when dt divides it exactly; a
 # response window longer than rho by less than this is not an overrun.
@@ -115,22 +115,20 @@ def decide(
     lo, hi = cfg.bounds(params)
     clamped = min(hi, max(lo, ac_command))
 
-    ev = evaluate(params, state)
+    m = margin(params, state)
     if sup.mode == AC:
-        if not ev.condition_holds:
+        if not m > 0.0:
             raise InvariantBreach(
                 f"AC-mode decision at t={t!r} with the safety condition violated "
-                f"(margin {ev.margin!r}); the supervised loop is misconfigured"
+                f"(margin {m!r}); the supervised loop is misconfigured"
             )
-        succ = worst_case_successor(params, state, cfg.period)
-        if evaluate(params, succ).condition_holds:
-            return replace(sup, held_command=clamped), clamped
+        if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
+            return SupervisorState(AC, sup.phase, clamped, sup.engagements), clamped
         sup = SupervisorState(BC, begin_response(), clamped, sup.engagements + 1)
-    elif sup.phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
+    elif sup.phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin:
         # BC mode: switch back only once braking has begun, the margin
         # clears the hysteresis threshold, and the lookahead is clean.
-        succ = worst_case_successor(params, state, cfg.period)
-        if evaluate(params, succ).condition_holds:
+        if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
             return SupervisorState(AC, None, clamped, sup.engagements), clamped
     cmd = proper_response_command(
         params, sup.phase, state.v_r, hold_command_window(sup.held_command)

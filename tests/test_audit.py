@@ -4,6 +4,9 @@ The fixtures are hand-constructed sample sequences; states need not be
 kinematically exact because the auditor judges recorded data, not a
 simulator.
 """
+import importlib
+import math
+
 import pytest
 
 from rsskit.audit import (
@@ -24,7 +27,7 @@ from rsskit.audit import (
     safety_metric,
 )
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from rsskit.errors import NoCollision
+from rsskit.errors import ConfigError, NoCollision
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
 
@@ -214,3 +217,37 @@ def test_compliance_monotone_under_prefix():
     for n in range(1, len(GOLDEN_COMPLIANT) + 1):
         ok, _ = check_compliance(GOLDEN_COMPLIANT.prefix(n))
         assert ok
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -5.0])
+def test_bad_accel_tol_is_rejected(tol):
+    # -5 turned a compliant record into InsufficientBraking; NaN and inf
+    # reached the report hash and raised ValueError there
+    for fn, record in ((check_compliance, GOLDEN_COMPLIANT), (audit, GOLDEN_COMPLIANT),
+                       (attribute_liability, LIAB_SV), (attribute_liability, LIAB_POV)):
+        with pytest.raises(ConfigError, match="accel_tol"):
+            fn(record, accel_tol=tol)
+
+
+def test_zero_accel_tol_is_accepted():
+    assert check_compliance(GOLDEN_COMPLIANT, accel_tol=0.0)[0]
+    assert audit(LIAB_SV, accel_tol=0.0).liability == SV_LIABLE
+
+
+def test_audit_attributes_liability_once(monkeypatch):
+    # rsskit.audit is also the name of the audit function
+    module = importlib.import_module("rsskit.audit")
+    calls = []
+    original = module.attribute_liability
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "attribute_liability", counting)
+    for record in (GOLDEN_COMPLIANT, LIAB_SV, LIAB_POV, LIAB_INCONSISTENT):
+        calls.clear()
+        rep = audit(record)
+        assert len(calls) == (0 if record is GOLDEN_COMPLIANT else 1)
+        # the report's principles are the ones principles_report derives
+        assert rep.principles == principles_report(record)

@@ -191,16 +191,60 @@ def test_bad_supervisor_config_is_usage_error(params_file, tmp_path, config):
     assert rc == 2
 
 
+# how the error message names the value each flag sets
+_NAMED = {"--dt": "dt must", "--t-end": "t_end must", "--v-r": "v_r=", "--v-f": "v_f=",
+          "--gap": "x_f="}
+
+
 @pytest.mark.parametrize("extra", [
     ["--dt", "nan"], ["--t-end", "nan"], ["--t-end", "inf"], ["--v-r", "nan"],
+    ["--gap", "nan"], ["--gap", "inf"], ["--gap=-inf"], ["--v-f", "inf"], ["--v-r", "inf"],
 ])
 def test_simulate_non_finite_number_is_usage_error(params_file, tmp_path, capsys, extra):
-    # these ended in a ValueError/OverflowError traceback with exit 1
+    # these ended in a ValueError/OverflowError traceback with exit 1; a
+    # NaN gap or infinite v_r exited 3, an infinite gap ran and exited 0,
+    # and an infinite v_f exited 2 naming t_end
     args = [
         "simulate", "--params", params_file,
         "--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
         "--out", str(tmp_path / "t.csv"),
     ]
     assert main(args + extra) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _NAMED[extra[0].split("=")[0]] in err
+
+
+@pytest.mark.parametrize("speeds", [
+    ["--v-r", "nan", "--v-f", "0"], ["--v-r", "inf", "--v-f", "0"],
+    ["--v-r", "0", "--v-f", "nan"], ["--v-r", "0", "--v-f", "inf"],
+])
+def test_safe_distance_non_finite_speed_is_usage_error(params_file, capsys, speeds):
+    # a NaN speed printed d_min = 0 m and an infinite v_r printed inf, exit 0
+    assert main(["safe-distance", "--params", params_file] + speeds) == 2
+    captured = capsys.readouterr()
+    assert "d_min" not in captured.out
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-5"])
+def test_audit_bad_accel_tol_is_usage_error(params_file, tmp_path, capsys, tol):
+    # NaN and inf ended in a ValueError traceback (exit 1) from the report
+    # hash; -5 turned this compliant run into InsufficientBraking
+    traj = tmp_path / "traj.csv"
+    assert main([
+        "simulate", "--params", params_file,
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+        "--out", str(traj),
+    ]) == 0
+    capsys.readouterr()
+    rc = main(["audit", "--params", params_file, "--trajectory", str(traj),
+               f"--accel-tol={tol}", "--out", str(tmp_path / "audit.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "accel_tol" in err
+    assert not (tmp_path / "audit.json").exists()
+    assert main(["audit", "--params", params_file, "--trajectory", str(traj),
+                 "--accel-tol", "0"]) == 0
 

@@ -1,0 +1,266 @@
+"""The supervisor's decisions and the compliance check read the safety
+margin through rule.margin instead of building a SafetyEvaluation.
+
+Each fast path is compared here with a copy of its evaluate-based form,
+kept in this file as the reference: the results must be identical, down
+to the float bits and the text of any InvariantBreach.
+"""
+import random
+from dataclasses import replace
+
+from rsskit.audit import Violation, check_compliance
+from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from rsskit.dynamics import gentle_pov, piecewise_pov, worst_case_pov
+from rsskit.errors import InvariantBreach
+from rsskit.response import (
+    BRAKING,
+    HALTED,
+    RESPONSE_WINDOW,
+    ResponsePhase,
+    begin_response,
+    hold_command_window,
+    proper_response_command,
+)
+from rsskit.rule import evaluate, margin, safe_distance
+from rsskit.supervisor import (
+    SupervisorConfig,
+    SupervisorState,
+    adversarial_ac,
+    benign_ac,
+    decide,
+    run_supervised,
+    worst_case_successor,
+)
+
+PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
+
+
+def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
+    lo, hi = cfg.bounds(params)
+    clamped = min(hi, max(lo, ac_command))
+
+    ev = evaluate(params, state)
+    if sup.mode == AC:
+        if not ev.condition_holds:
+            raise InvariantBreach(
+                f"AC-mode decision at t={t!r} with the safety condition violated "
+                f"(margin {ev.margin!r}); the supervised loop is misconfigured"
+            )
+        succ = worst_case_successor(params, state, cfg.period)
+        if evaluate(params, succ).condition_holds:
+            return replace(sup, held_command=clamped), clamped
+        sup = SupervisorState(BC, begin_response(), clamped, sup.engagements + 1)
+    elif sup.phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
+        succ = worst_case_successor(params, state, cfg.period)
+        if evaluate(params, succ).condition_holds:
+            return SupervisorState(AC, None, clamped, sup.engagements), clamped
+    cmd = proper_response_command(
+        params, sup.phase, state.v_r, hold_command_window(sup.held_command)
+    )
+    return sup, cmd
+
+
+def reference_check_compliance(traj, accel_tol=0.2, time_tol=None):
+    if time_tol is None:
+        ts = [s.t for s in traj.samples]
+        if len(ts) < 2:
+            time_tol = 0.0
+        else:
+            dts = sorted(b - a for a, b in zip(ts, ts[1:]))
+            time_tol = dts[len(dts) // 2]
+    params = traj.params
+    starts = [None] * len(traj.samples)
+    current = None
+    for i, s in enumerate(traj.samples):
+        if s.mode == BC:
+            if current is None:
+                current = i
+            starts[i] = current
+        else:
+            current = None
+    episode_ok = {}
+    for i, s in enumerate(traj.samples):
+        if starts[i] == i:
+            episode_ok[i] = evaluate(params, s.state).condition_holds
+
+    failures = []
+    for i, s in enumerate(traj.samples):
+        ev = evaluate(params, s.state)
+        if ev.condition_holds:
+            continue
+        if s.mode != BC:
+            failures.append((s.t, "ConditionFalseNoResponse"))
+            continue
+        ep = starts[i]
+        if not episode_ok[ep]:
+            failures.append((s.t, "ResponseStartedUnsafe"))
+            continue
+        if s.t - traj.samples[ep].t <= params.rho + time_tol:
+            continue
+        if s.state.v_r > 0.0 and s.a_r > -params.a_brake_min + accel_tol:
+            failures.append((s.t, "InsufficientBraking"))
+
+    violations = []
+    for t, reason in failures:
+        if violations and violations[-1][2] == reason and t - violations[-1][1] <= 2 * (time_tol or 0.0) + 1e-12:
+            violations[-1][1] = t
+        else:
+            violations.append([t, t, reason])
+    violations = [Violation(a, b, r) for a, b, r in violations]
+    return (not violations), violations
+
+
+def random_params(rng):
+    a_brake_min = rng.uniform(1.0, 8.0)
+    return RssParams(
+        rho=rng.uniform(0.1, 1.5),
+        a_max=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+        a_brake_min=a_brake_min,
+        a_brake_max=a_brake_min * rng.uniform(1.05, 3.0),
+        vehicle_length=rng.choice([0.0, rng.uniform(0.1, 6.0)]),
+    )
+
+
+def random_state(rng, params, lo=-5.0, hi=30.0):
+    """A state whose margin lies in [lo, hi], at a random lane offset."""
+    v_r = rng.choice([0.0, rng.uniform(0.0, 40.0)])
+    v_f = rng.choice([0.0, rng.uniform(0.0, 40.0)])
+    x_r = rng.uniform(-100.0, 100.0)
+    gap = safe_distance(params, v_r, v_f) + params.vehicle_length + rng.uniform(lo, hi)
+    return ScenarioState(x_r + gap, v_f, x_r, v_r)
+
+
+def boundary_states(params):
+    """States whose margin is exactly 0, clamped d_min included."""
+    found = []
+    for v_r in (0.0, 5.0, 12.5, 20.0, 33.0):
+        for v_f in (0.0, 7.0, 20.0, 40.0):
+            d = safe_distance(params, v_r, v_f)
+            for x_r in (0.0, 1.0, -3.5, 100.0):
+                st = ScenarioState(x_r + params.vehicle_length + d, v_f, x_r, v_r)
+                if evaluate(params, st).margin == 0.0:
+                    found.append(st)
+    return found
+
+
+def bits(x):
+    return float(x).hex()
+
+
+def test_margin_is_evaluate_margin_bit_for_bit():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(40):
+        params = random_params(rng)
+        states = [random_state(rng, params) for _ in range(250)] + boundary_states(params)
+        for st in states:
+            assert bits(margin(params, st)) == bits(evaluate(params, st).margin), (params, st)
+            checked += 1
+    assert checked >= 10_000
+
+
+def test_margin_exactly_zero_fails_the_condition():
+    zeros = boundary_states(PAPER) + boundary_states(replace(PAPER, vehicle_length=4.5))
+    assert len(zeros) >= 20
+    for params in (PAPER, replace(PAPER, vehicle_length=4.5)):
+        for st in boundary_states(params):
+            assert margin(params, st) == 0.0
+            assert not evaluate(params, st).condition_holds
+
+
+def random_supervisor_state(rng):
+    held = rng.uniform(-6.0, 6.0)
+    engagements = rng.randrange(5)
+    if rng.random() < 0.5:
+        phase = None if rng.random() < 0.9 else ResponsePhase(HALTED, 0.3)
+        return SupervisorState(AC, phase, held, engagements)
+    kind = rng.choice([RESPONSE_WINDOW, BRAKING, HALTED])
+    return SupervisorState(BC, ResponsePhase(kind, rng.uniform(0.0, 0.3)), held, engagements)
+
+
+def outcome(fn, *args):
+    try:
+        new, cmd = fn(*args)
+    except InvariantBreach as exc:
+        return "InvariantBreach: " + str(exc)
+    return repr(new), bits(cmd)
+
+
+def test_decide_matches_the_evaluate_based_reference():
+    rng = random.Random(5)
+    counts = {"breach": 0, "ac": 0, "engage": 0, "release": 0, "bc": 0}
+    for i in range(12_000):
+        if i % 400 == 0:
+            params = random_params(rng) if i else PAPER
+            period = params.rho * rng.choice([1.0, rng.uniform(0.05, 1.0)])
+            bounds = rng.choice([None, (-params.a_brake_min * rng.uniform(0.2, 2.0),
+                                        params.a_max * rng.uniform(0.0, 1.0))])
+            cfg = SupervisorConfig(period, rng.choice([0.0, rng.uniform(0.0, 5.0)]), bounds)
+            zeros = boundary_states(params)
+        sup = random_supervisor_state(rng)
+        if zeros and rng.random() < 0.05:
+            st = rng.choice(zeros)
+        else:
+            st = random_state(rng, params, lo=-3.0, hi=8.0)
+        ac_command = rng.choice([params.a_max, rng.uniform(-10.0, 10.0)])
+        t = rng.uniform(0.0, 30.0)
+        got = outcome(decide, params, cfg, sup, st, ac_command, t)
+        assert got == outcome(reference_decide, params, cfg, sup, st, ac_command, t)
+        if isinstance(got, str):
+            counts["breach"] += 1
+        elif sup.mode == AC:
+            counts["ac" if got[0].startswith("SupervisorState(mode='AC'") else "engage"] += 1
+        else:
+            counts["release" if got[0].startswith("SupervisorState(mode='AC'") else "bc"] += 1
+    # every branch of the decision was taken many times
+    assert min(counts.values()) >= 200, counts
+
+
+def perturbed(traj, rng):
+    """Recorded noise and faults: jittered states, flipped modes, weak
+    braking, and BC episodes started in unsafe states."""
+    samples = []
+    for s in traj.samples:
+        st, a_r, mode = s.state, s.a_r, s.mode
+        u = rng.random()
+        if u < 0.1:
+            st = ScenarioState(st.x_f - rng.uniform(0.0, 3.0), st.v_f, st.x_r, st.v_r)
+        elif u < 0.15:
+            mode = BC if mode == AC else AC
+        elif u < 0.25 and mode == BC:
+            a_r = rng.uniform(-traj.params.a_brake_min, 0.0)
+        samples.append(TrajectorySample(s.t, st, a_r, mode))
+    return Trajectory(tuple(samples), traj.params)
+
+
+def test_check_compliance_matches_the_evaluate_based_reference():
+    rng = random.Random(9)
+    kinds = {"supervised": 0, "unsupervised": 0, "perturbed": 0}
+    verdicts = set()
+    reasons = set()
+    for i in range(1_050):
+        if i % 30 == 0:
+            params = random_params(rng) if i else PAPER
+            # below rho, so that k * (period / k) cannot round above it
+            cfg = SupervisorConfig(params.rho * rng.uniform(0.2, 0.95), rng.uniform(0.0, 3.0))
+            dt = cfg.period / rng.choice([1, 2, 3, 2.5])
+        st = random_state(rng, params, lo=1e-3, hi=20.0)
+        ac = adversarial_ac(params) if rng.random() < 0.7 else benign_ac(params)
+        pov = rng.choice([worst_case_pov(params), gentle_pov(params),
+                          piecewise_pov(params, [(0.0, 1.0), (1.0, -params.a_brake_max)])])
+        kind = ("supervised", "unsupervised", "perturbed")[i % 3]
+        trace = run_supervised(params, cfg, st, ac, pov, dt=dt, t_end=rng.uniform(1.0, 8.0),
+                               supervised=kind != "unsupervised")
+        traj = trace.to_trajectory()
+        if kind == "perturbed":
+            traj = perturbed(traj, rng)
+        kinds[kind] += 1
+        accel_tol = rng.choice([0.2, 0.0, rng.uniform(0.0, 2.0)])
+        time_tol = rng.choice([None, 0.0, dt])
+        got = check_compliance(traj, accel_tol, time_tol)
+        assert repr(got) == repr(reference_check_compliance(traj, accel_tol, time_tol))
+        verdicts.add(got[0])
+        reasons.update(v.reason for v in got[1])
+    assert min(kinds.values()) >= 350
+    assert verdicts == {True, False}
+    assert reasons == {"ConditionFalseNoResponse", "ResponseStartedUnsafe", "InsufficientBraking"}

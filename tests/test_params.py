@@ -91,6 +91,22 @@ def test_state_rejects_nan_velocity():
         ScenarioState(1.0, math.nan, 0.0, 20.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x_f", "x_r"])
+def test_state_rejects_non_finite_position(field, bad):
+    # a NaN gap was reported as an unsafe start (exit 3); an infinite one ran
+    values = {"x_f": 40.0, "v_f": 20.0, "x_r": 0.0, "v_r": 20.0, field: bad}
+    with pytest.raises(DomainError, match="positions must be finite"):
+        ScenarioState(**values)
+
+
+@pytest.mark.parametrize("field", ["v_f", "v_r"])
+def test_state_rejects_infinite_velocity(field):
+    values = {"x_f": 40.0, "v_f": 20.0, "x_r": 0.0, "v_r": 20.0, field: math.inf}
+    with pytest.raises(DomainError, match="velocities must be finite"):
+        ScenarioState(**values)
+
+
 def test_state_gap():
     assert ScenarioState(40.0, 20.0, 5.0, 20.0).gap == 35.0
 

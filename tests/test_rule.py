@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,13 @@ from hypothesis import given, strategies as st
 from rsskit.core import RssParams
 from rsskit.dynamics import pov_stop_distance, sv_stop_distance
 from rsskit.errors import DomainError
-from rsskit.rule import evaluate, safe_distance, safe_distance_raw, safe_distance_terms
+from rsskit.rule import (
+    evaluate,
+    safe_distance,
+    safe_distance_raw,
+    safe_distance_terms,
+    travel_terms,
+)
 
 from conftest import state
 
@@ -52,6 +60,17 @@ def test_rejects_negative_velocities():
         safe_distance(PAPER, -1.0, 0.0)
     with pytest.raises(DomainError):
         safe_distance_raw(PAPER, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("v_r, v_f", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (math.inf, math.inf),
+])
+def test_rejects_non_finite_velocities(v_r, v_f):
+    # NaN gave d_min 0, an infinite v_r gave inf and an infinite v_f gave 0
+    with pytest.raises(DomainError, match="finite"):
+        travel_terms(PAPER, v_r, v_f)
+    with pytest.raises(DomainError):
+        safe_distance(PAPER, v_r, v_f)
 
 
 @given(v_r=speeds, v_f=speeds)
