@@ -62,8 +62,8 @@ class SupervisorConfig:
             return self.sv_command_bounds
         return (-params.a_brake_min, params.a_max)
 
-    def validate_against(self, params: RssParams) -> None:
-        if self.period > params.rho:
+    def validate_against(self, params: RssParams, slack: float = 0.0) -> None:
+        if self.period > params.rho + slack:
             raise ConfigError(
                 f"decision interval {self.period!r} s must not exceed rho {params.rho!r}"
             )
@@ -165,20 +165,22 @@ def run_supervised(
 
     The supervisor is the control policy of dynamics.run_fixed_step.  It
     decides every k = round(period / dt) steps and looks ahead over the
-    realized interval k * dt, which must not exceed rho.  Between
-    decisions the AC command is held, and in BC mode the proper-response
-    command is recomputed each step; a step whose end would carry the
-    response window past rho brakes instead.  With supervised=False the
-    (clamped) AC command passes straight through -- the negative control.
-    The run ends early once both vehicles have halted, at a decision step
-    with no response episode mid-flight.
+    realized interval k * dt, which must not exceed rho by more than
+    WINDOW_SLACK.  Between decisions the AC command is held, and in BC
+    mode the proper-response command is recomputed each step; a step
+    whose end would carry the response window past rho brakes instead.
+    With supervised=False the (clamped) AC command passes straight
+    through -- the negative control.  The run ends early once both
+    vehicles have halted, at a decision step with no response episode
+    mid-flight.
     """
     check_step(dt, 0.0 if t_end is None else t_end)
     cfg.validate_against(params)
     steps_per_period = max(1, int(round(cfg.period / dt)))
-    # decisions land on the step grid: look ahead over the realized interval
+    # decisions land on the step grid: look ahead over the realized
+    # interval; when dt divides rho, k * dt may land a few ulps above it
     cfg = replace(cfg, period=steps_per_period * dt)
-    cfg.validate_against(params)
+    cfg.validate_against(params, WINDOW_SLACK)
 
     start_ev = evaluate(params, start)
     if not start_ev.condition_holds:

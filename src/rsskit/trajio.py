@@ -10,30 +10,21 @@ import math
 
 from .core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from .errors import TrajectoryFormatError
-from .rule import evaluate
+from .rule import margin
 
 HEADER = "t,x_f,v_f,x_r,v_r,a_r,mode"
 _MODES = (AC, BC)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def trajectory_lines(traj: Trajectory):
-    yield HEADER
-    for s in traj.samples:
-        st = s.state
-        yield ",".join(
-            [_fmt(s.t), _fmt(st.x_f), _fmt(st.v_f), _fmt(st.x_r), _fmt(st.v_r),
-             _fmt(s.a_r), s.mode]
-        )
-
-
 def write_trajectory(traj: Trajectory, path) -> None:
+    rows = [
+        "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\n"
+        % (s.t, st.x_f, st.v_f, st.x_r, st.v_r, s.a_r, s.mode)
+        for s in traj.samples
+        for st in (s.state,)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for line in trajectory_lines(traj):
-            fh.write(line + "\n")
+        fh.write(HEADER + "\n" + "".join(rows))
 
 
 def read_trajectory(path, params: RssParams) -> Trajectory:
@@ -93,14 +84,12 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
 def write_metric_csv(traj: Trajectory, path) -> None:
     """Plot data: per-sample margin, gap, and velocities (rendering is up
     to the caller)."""
+    params = traj.params
+    rows = [
+        "%.9g,%.9g,%.9g,%.9g,%.9g\n"
+        % (s.t, margin(params, st), st.gap, st.v_r, st.v_f)
+        for s in traj.samples
+        for st in (s.state,)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,margin,gap,v_r,v_f\n")
-        for s in traj.samples:
-            ev = evaluate(traj.params, s.state)
-            fh.write(
-                ",".join(
-                    [_fmt(s.t), _fmt(ev.margin), _fmt(ev.gap),
-                     _fmt(s.state.v_r), _fmt(s.state.v_f)]
-                )
-                + "\n"
-            )
+        fh.write("t,margin,gap,v_r,v_f\n" + "".join(rows))

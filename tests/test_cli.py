@@ -172,6 +172,46 @@ def test_simulate_dt_above_rho_is_usage_error(params_file, tmp_path):
     assert rc == 2
 
 
+# a decision period equal to rho was refused when dt divides it, because
+# round(period / dt) * dt lands one ulp above rho (0.30000000000000004)
+@pytest.mark.parametrize("dt", ["0.1", "0.05"])
+def test_simulate_period_equal_to_rho(params_file, tmp_path, capsys, dt):
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps({"period": 0.3}))
+    rc = main([
+        "simulate", "--params", params_file, "--supervisor-config", str(sup), "--dt", dt,
+        "--gap", "40", "--v-r", "20", "--v-f", "20", "--ac", "adversarial",
+        "--pov", "worst", "--out", str(tmp_path / "t.csv"),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "collision: no" in out
+
+
+def test_verify_supervised_period_equal_to_rho(params_file, tmp_path, capsys):
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps({"period": 0.3}))
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"seed": 5, "n_trials": 20, "sim_dt": 0.1}))
+    rc = main(["verify", "--params", params_file, "--campaign", str(campaign),
+               "--kind", "supervised", "--supervisor-config", str(sup)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "counterexamples: 0" in out
+
+
+@pytest.mark.parametrize("period", [0.30000000000000004, 0.31])
+def test_simulate_period_above_rho_is_usage_error(params_file, tmp_path, capsys, period):
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps({"period": period}))
+    rc = main([
+        "simulate", "--params", params_file, "--supervisor-config", str(sup), "--dt", "0.1",
+        "--gap", "60", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 2
+    assert "must not exceed rho" in capsys.readouterr().err
+
+
 def test_verify_mistyped_campaign_is_usage_error(params_file, tmp_path):
     campaign = tmp_path / "campaign.json"
     campaign.write_text(json.dumps({"n_trials": "5"}))

@@ -1,7 +1,8 @@
 """Pinned outputs.
 
-The sha256 of the canonical outcome JSON of small seeded campaigns, and of
-three `rsskit simulate` trajectory CSVs, is fixed here.  A change that
+The sha256 of the canonical outcome JSON of small seeded campaigns, of
+three `rsskit simulate` trajectory CSVs, and of the `rsskit audit` report
+and metric CSV of each of those trajectories, is fixed here.  A change that
 moves any of these outputs must update the hash on purpose and say why.
 """
 import hashlib
@@ -74,3 +75,39 @@ def test_simulate_csv_pinned(name, tmp_path):
             "--out", str(out)] + SIMULATIONS[name]
     assert main(argv) == 0
     assert _sha256(out.read_bytes()) == SIMULATE_SHA256[name]
+
+
+AUDIT_EXIT = {"benign": 0, "adversarial": 0, "unsupervised": 1}
+
+# The report file with its generated_at line removed, so the pin covers
+# the file's layout as well as its values.
+AUDIT_REPORT_SHA256 = {
+    "benign": "09f1e0ff4c4007ba9d1b07130c58ec3a06667300754e70c39050a657fa468906",
+    "adversarial": "922ec20131f906f877fb861755355d19e9c7ef6a4c3287836d09477e87116775",
+    "unsupervised": "08c5abf00f5468abd65ac517cc7d3a215874c0bd1b2d29852176e60e76eb8a54",
+}
+
+AUDIT_METRIC_SHA256 = {
+    "benign": "3d2dc8ea21fef31ad24eabaf67019b1230f760e66478497bb7dd82c034c04463",
+    "adversarial": "8f499ff0ca5d8ef9daf65d4edc40da2971c67603ab68733066250f1aff10f433",
+    "unsupervised": "8a915e487dff00b7444d7ae868e1f8ac5c171075aee4a525e9ba9fdd5b8b3229",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATIONS))
+def test_audit_outputs_pinned(name, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS))
+    traj = tmp_path / "traj.csv"
+    argv = ["simulate", "--params", str(params), "--dt", "0.01", "--pov", "worst",
+            "--out", str(traj)] + SIMULATIONS[name]
+    assert main(argv) == 0
+    report, metric = tmp_path / "report.json", tmp_path / "metric.csv"
+    argv = ["audit", "--trajectory", str(traj), "--params", str(params), "--out", str(report),
+            "--metric-csv", str(metric)]
+    assert main(argv) == AUDIT_EXIT[name]
+    lines = report.read_bytes().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(b'  "generated_at": ')]
+    assert len(kept) == len(lines) - 1
+    assert _sha256(b"".join(kept)) == AUDIT_REPORT_SHA256[name]
+    assert _sha256(metric.read_bytes()) == AUDIT_METRIC_SHA256[name]

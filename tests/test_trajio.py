@@ -1,5 +1,6 @@
 import pytest
 
+from rsskit.cli import main
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import worst_case_execution
 from rsskit.errors import TrajectoryFormatError
@@ -73,6 +74,37 @@ def test_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(TrajectoryFormatError):
         read_trajectory(path, PAPER)
+
+
+_ROW = ["0.1", "41", "19", "2", "20", "-4"]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "-1e999", "Infinity", "nan"])
+@pytest.mark.parametrize("column", range(6))
+def test_rejects_non_finite_field(tmp_path, column, value):
+    fields = list(_ROW)
+    fields[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\n0,40,20,0,20,0.5,AC\n" + ",".join(fields) + ",BC\n")
+    with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:3: non-finite"):
+        read_trajectory(path, PAPER)
+
+
+@pytest.mark.parametrize("column", [0, 5])
+def test_audit_of_non_finite_file_is_usage_error(tmp_path, capsys, column):
+    params = tmp_path / "params.json"
+    params.write_text('{"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}')
+    fields = list(_ROW)
+    fields[column] = "1e999"
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\n0,40,20,0,20,0.5,AC\n" + ",".join(fields) + ",BC\n")
+    rc = main(["audit", "--params", str(params), "--trajectory", str(path),
+               "--out", str(tmp_path / "audit.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "bad.csv:3: non-finite" in err
+    assert not (tmp_path / "audit.json").exists()
 
 
 def test_metric_csv(tmp_path):
