@@ -1,6 +1,11 @@
 """Safe-following-distance toolkit for the single-lane same-direction
 scenario: rule engine, proper-response controller, simplex supervisor,
-kinematic simulation, numerical verification, and trajectory auditing."""
+kinematic simulation, numerical verification, and trajectory auditing.
+
+``from rsskit import audit`` is the audit function, which hides the
+submodule of the same name; reach the module through
+``importlib.import_module("rsskit.audit")``.
+"""
 
 __version__ = "0.1.0"
 

@@ -8,14 +8,13 @@ safety condition.  This lets the verification suite double as a CI gate.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from .audit import audit as run_audit
-from .core import ScenarioState, load_params
+from .core import ScenarioState, as_float, load_json, load_params
 from .dynamics import gentle_pov, piecewise_pov, worst_case_pov
 from .errors import ConfigError, InvariantBreach, RssError
 from .report import make_report, write_report
@@ -55,8 +54,7 @@ def _load_params_arg(args):
 def _load_supervisor_config(path):
     if not path:
         return SupervisorConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path, "supervisor config")
     if not isinstance(raw, dict) or set(raw) - {"period", "switchback_margin", "sv_command_bounds"}:
         raise ConfigError(
             "supervisor config must be a mapping with keys among period, "
@@ -65,22 +63,21 @@ def _load_supervisor_config(path):
     bounds = raw.get("sv_command_bounds")
     try:
         if bounds is not None:
-            lo, hi = (float(b) for b in bounds)
+            lo, hi = (as_float(b) for b in bounds)
             bounds = (lo, hi)
         return SupervisorConfig(
-            period=float(raw.get("period", 0.1)),
-            switchback_margin=float(raw.get("switchback_margin", 1.0)),
+            period=as_float(raw.get("period", 0.1)),
+            switchback_margin=as_float(raw.get("switchback_margin", 1.0)),
             sv_command_bounds=bounds,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed supervisor config {path}: {exc}") from exc
 
 
 def _load_campaign(path):
     if not path:
         return CampaignConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return campaign_from_dict(json.load(fh))
+    return campaign_from_dict(load_json(path, "campaign"))
 
 
 def cmd_safe_distance(args) -> int:
@@ -101,7 +98,10 @@ def _make_pov(params, spec):
     if spec == "gentle":
         return gentle_pov(params)
     if spec.startswith("random:"):
-        rng = np.random.default_rng(int(spec.split(":", 1)[1]))
+        seed = spec.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):
+            raise RssError(f"POV seed must be a nonnegative integer, got {seed!r}")
+        rng = np.random.default_rng(int(seed))
         cuts = np.sort(rng.uniform(0.0, 20.0, size=5))
         accels = rng.uniform(-params.a_brake_max, 2.0, size=6)
         sched = [(0.0, float(accels[0]))] + [
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except InvariantBreach as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (RssError, OSError, json.JSONDecodeError) as exc:
+    except (RssError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

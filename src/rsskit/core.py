@@ -2,7 +2,7 @@
 
 Units are SI throughout (m, s, m/s^2).  Braking rates are stored as
 positive magnitudes and applied as negative accelerations.  All types are
-immutable value objects after construction.
+immutable; the per-step ones are named tuples, equal to plain value tuples.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -88,8 +89,8 @@ def validate_params(raw: dict) -> RssParams:
     # a missing vehicle_length takes the RssParams default
     for key in [k for k in _REQUIRED_PARAM_KEYS + ("vehicle_length",) if k in raw]:
         try:
-            v = float(raw[key])
-        except (TypeError, ValueError) as exc:
+            v = as_float(raw[key])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"parameter {key!r} is not a number: {raw[key]!r}") from exc
         if not math.isfinite(v):
             raise ConfigError(f"parameter {key!r} must be finite, got {v!r}")
@@ -97,18 +98,40 @@ def validate_params(raw: dict) -> RssParams:
     return RssParams(**values)
 
 
-def load_params(path) -> RssParams:
-    """Load parameters from a JSON file."""
+def as_float(value) -> float:
+    """float(value), refusing booleans, which float() reads as 0.0 or 1.0.
+
+    Raises TypeError, ValueError or OverflowError (an int too large for a
+    float) for a value float() refuses.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def load_json(path, what: str):
+    """Parse a JSON file; text that is not UTF-8 or not JSON raises
+    ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse parameter file {path}: {exc}") from exc
-    return validate_params(raw)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ScenarioState:
+def load_params(path) -> RssParams:
+    """Load parameters from a JSON file."""
+    return validate_params(load_json(path, "parameter"))
+
+
+class _StateFields(NamedTuple):  # a NamedTuple body may not define __new__
+    x_f: float
+    v_f: float
+    x_r: float
+    v_r: float
+
+
+class ScenarioState(_StateFields):
     """Positions and velocities of both vehicles at one instant.
 
     x_f/v_f belong to the front vehicle (POV), x_r/v_r to the rear
@@ -116,29 +139,29 @@ class ScenarioState:
     velocities finite and nonnegative; the lane model has no reversing.
     """
 
-    x_f: float
-    v_f: float
-    x_r: float
-    v_r: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, x_f, v_f, x_r, v_r):
         # written so that NaN fails too
-        if not (-inf < self.x_f < inf and -inf < self.x_r < inf):
+        if not (-inf < x_f < inf and -inf < x_r < inf):
+            raise DomainError(f"positions must be finite, got x_f={x_f!r}, x_r={x_r!r}")
+        if not (0 <= v_f < inf and 0 <= v_r < inf):
             raise DomainError(
-                f"positions must be finite, got x_f={self.x_f!r}, x_r={self.x_r!r}"
+                f"velocities must be finite and >= 0, got v_f={v_f!r}, v_r={v_r!r}"
             )
-        if not (0 <= self.v_f < inf and 0 <= self.v_r < inf):
-            raise DomainError(
-                f"velocities must be finite and >= 0, got v_f={self.v_f!r}, v_r={self.v_r!r}"
-            )
+        return tuple.__new__(cls, (x_f, v_f, x_r, v_r))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named-tuple _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     @property
     def gap(self) -> float:
         return self.x_f - self.x_r
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """One recorded instant: time, state, SV acceleration, control mode."""
 
     t: float

@@ -246,10 +246,10 @@ def worst_case_execution(
     a_brake_min; the POV brakes at a_brake_max.  The trace ends at SV
     halt or at the collision, whichever comes first.
     """
-    check_step(dt)
     segs_r, segs_f, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
     col_t, col_gap, min_gap, min_gap_t = gap
     end = col_t if col_t is not None else t_sv_halt
+    check_step(dt, end)
 
     ts = []
     k = 0
@@ -376,12 +376,22 @@ def advance_vehicle(x: float, v: float, a: float, dt: float):
     return x + v * dt + 0.5 * a * dt * dt, max(0.0, v + a * dt)
 
 
+# A sampled run keeps every sample (about 0.3 kB each), so its length is
+# bounded: more steps than this is an input error, not a long run.
+MAX_STEPS = 1_000_000
+
+
 def check_step(dt: float, t_end: float = 0.0) -> None:
-    """Reject a step that is not finite and positive, or a non-finite t_end."""
+    """Reject a step that is not finite and positive, a non-finite t_end,
+    or a run of more than MAX_STEPS steps of dt up to t_end."""
     if not 0.0 < dt < math.inf:
         raise StepError(f"dt must be finite and > 0, got {dt!r}")
     if not math.isfinite(t_end):
         raise StepError(f"t_end must be finite, got {t_end!r}")
+    if t_end / dt > MAX_STEPS:
+        raise StepError(
+            f"t_end {t_end!r} s at dt {dt!r} s takes more than {MAX_STEPS} steps"
+        )
 
 
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):

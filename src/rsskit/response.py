@@ -7,7 +7,7 @@ window policy is pluggable; the worst case is constant +a_max.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RssParams
 from .errors import StepError
@@ -17,8 +17,7 @@ BRAKING = "braking"
 HALTED = "halted"
 
 
-@dataclass(frozen=True)
-class ResponsePhase:
+class ResponsePhase(NamedTuple):
     """Phase of one proper-response episode.
 
     elapsed tracks time spent in the response window; it never exceeds

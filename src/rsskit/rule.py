@@ -8,8 +8,8 @@ between the vehicles (gap minus vehicle_length) to strictly exceed it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 from .core import RssParams, ScenarioState
 from .errors import DomainError
@@ -62,8 +62,7 @@ def safe_distance(params: RssParams, v_r: float, v_f: float) -> float:
     return max(0.0, safe_distance_raw(params, v_r, v_f))
 
 
-@dataclass(frozen=True)
-class SafetyEvaluation:
+class SafetyEvaluation(NamedTuple):
     """Result of checking the safety condition at one state.
 
     gap is the distance between the reference points; margin is

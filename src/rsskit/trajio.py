@@ -32,8 +32,12 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
     unknown modes, and non-increasing timestamps."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise TrajectoryFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

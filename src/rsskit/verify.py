@@ -9,7 +9,7 @@ identical outcomes.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +34,10 @@ GRID_MARGINS = (1e-3, 1.0, 10.0)
 # four relative-velocity patterns (the 5 m/s speed grid cannot produce a
 # crossing inside the response window on its own).
 CASE_COVERAGE_PAIRS = ((20.0, 10.0), (10.0, 12.0), (10.0, 14.0), (5.0, 30.0))
+# Each random trial draws up to this many POV segments and sorts their cut
+# times; a larger count is refused rather than allocated per trial.
+MAX_POV_SEGMENTS = 1000
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,17 @@ class CampaignConfig:
             raise ConfigError(f"n_trials must be >= 0, got {self.n_trials!r}")
         if not self.v_min <= self.v_max:
             raise ConfigError("need v_min <= v_max")
+        # starts sit margin_max * (0, 1] above the threshold; at or below
+        # it, condition-satisfying samples would read as counterexamples
+        if not self.margin_max > 0:
+            raise ConfigError(f"margin_max must be > 0, got {self.margin_max!r}")
         if not self.sim_dt > 0:
             raise ConfigError("sim_dt must be > 0")
-        if not 1 <= self.pov_segments_min <= self.pov_segments_max:
-            raise ConfigError("bad POV segment counts")
+        if not 1 <= self.pov_segments_min <= self.pov_segments_max <= MAX_POV_SEGMENTS:
+            raise ConfigError(
+                f"need 1 <= pov_segments_min <= pov_segments_max <= {MAX_POV_SEGMENTS}, "
+                f"got {self.pov_segments_min!r} and {self.pov_segments_max!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +99,8 @@ def campaign_from_dict(raw: dict) -> CampaignConfig:
     for key, value in raw.items():
         want = type(defaults[key])
         ok = type(value) is want or (want is float and type(value) is int)
-        if not ok or (want is float and not math.isfinite(value)):
+        # compared, not math.isfinite(), which raises on an int too big for a float
+        if not ok or (want is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
             raise ConfigError(
                 f"campaign key {key!r} must be a finite {want.__name__}, got {value!r}"
             )

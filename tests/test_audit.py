@@ -6,6 +6,7 @@ simulator.
 """
 import importlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +252,15 @@ def test_audit_attributes_liability_once(monkeypatch):
         assert len(calls) == (0 if record is GOLDEN_COMPLIANT else 1)
         # the report's principles are the ones principles_report derives
         assert rep.principles == principles_report(record)
+
+
+def test_package_audit_name_is_the_function_and_the_module_stays_reachable():
+    import rsskit
+    from rsskit import audit as audit_name
+
+    module = importlib.import_module("rsskit.audit")
+    assert audit_name is rsskit.audit is module.audit
+    assert callable(module.check_compliance) and callable(module.attribute_liability)
+    route = 'importlib.import_module("rsskit.audit")'
+    assert route in rsskit.__doc__
+    assert route in (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -288,3 +288,92 @@ def test_audit_bad_accel_tol_is_usage_error(params_file, tmp_path, capsys, tol):
     assert main(["audit", "--params", params_file, "--trajectory", str(traj),
                  "--accel-tol", "0"]) == 0
 
+
+@pytest.mark.parametrize("key, value", [
+    ("period", True), ("switchback_margin", False), ("sv_command_bounds", [True, 1]),
+])
+def test_boolean_in_supervisor_config_is_usage_error(tmp_path, capsys, key, value):
+    # booleans were read as 0.0 or 1.0: with rho 1.5, {"period": true} ran
+    # with a 1.0 s decision period
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(PARAMS, rho=1.5)))
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps({key: value}))
+    rc = main([
+        "simulate", "--params", str(params), "--supervisor-config", str(sup),
+        "--gap", "200", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert rc == 2
+    assert "expected a number, got" in capsys.readouterr().err
+
+
+def test_boolean_parameter_is_usage_error(tmp_path, capsys):
+    # {"rho": true} was read as rho 1.0 and printed d_min = 56.5 m
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(PARAMS, rho=True)))
+    assert main(["safe-distance", "--params", str(params), "--v-r", "20", "--v-f", "20"]) == 2
+    captured = capsys.readouterr()
+    assert "d_min" not in captured.out
+    assert "parameter 'rho' is not a number: True" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["safety", "supervised"])
+def test_verify_non_positive_margin_max_is_usage_error(params_file, tmp_path, capsys, kind):
+    # verify reported 67 false counterexamples (exit 1); the supervised kind exited 3
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"margin_max": 0.0, "n_trials": 50, "include_grid": False}))
+    rc = main(["verify", "--params", params_file, "--campaign", str(campaign), "--kind", kind])
+    assert rc == 2
+    assert "margin_max must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
+def test_simulate_bad_pov_seed_is_usage_error(params_file, tmp_path, capsys, seed):
+    # int("abc") and default_rng(-1) raised ValueError: a traceback, exit 1
+    rc = main([
+        "simulate", "--params", params_file, "--gap", "60", "--v-r", "20", "--v-f", "20",
+        "--pov", f"random:{seed}", "--out", str(tmp_path / "t.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"got {seed!r}" in err
+
+
+@pytest.mark.parametrize("which", ["params", "supervisor", "campaign", "trajectory"])
+def test_input_file_not_utf8_is_usage_error(params_file, tmp_path, capsys, which):
+    # UnicodeDecodeError escaped every loader: a traceback, exit 1
+    bad = tmp_path / "latin1.dat"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = {
+        "params": ["safe-distance", "--params", str(bad), "--v-r", "1", "--v-f", "1"],
+        "supervisor": ["simulate", "--params", params_file, "--supervisor-config", str(bad),
+                       "--gap", "60", "--v-r", "20", "--v-f", "20",
+                       "--out", str(tmp_path / "t.csv")],
+        "campaign": ["verify", "--params", params_file, "--campaign", str(bad)],
+        "trajectory": ["audit", "--params", params_file, "--trajectory", str(bad)],
+    }[which]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("extra", [["--dt", "1e-300"], ["--t-end", "1e12"]])
+def test_simulate_too_many_steps_is_usage_error(params_file, tmp_path, capsys, extra):
+    # --dt 1e-300 ran about 1e300 steps and never ended
+    rc = main([
+        "simulate", "--params", params_file, "--gap", "60", "--v-r", "20", "--v-f", "20",
+        "--out", str(tmp_path / "t.csv"),
+    ] + extra)
+    assert rc == 2
+    assert "more than 1000000 steps" in capsys.readouterr().err
+
+
+def test_verify_too_many_pov_segments_is_usage_error(params_file, tmp_path, capsys):
+    # 1e8 segments tried to allocate 1e8-float arrays for every trial
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"pov_segments_max": 100_000_000, "n_trials": 1}))
+    assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
+    assert "pov_segments_max" in capsys.readouterr().err

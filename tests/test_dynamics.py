@@ -12,8 +12,10 @@ from rsskit.dynamics import (
     CASE_4,
     ALL_CASES,
     COLLISION_EPS,
+    MAX_STEPS,
     analyze_gap,
     build_profile,
+    check_step,
     classify_worst_case,
     constant_pov,
     integrate,
@@ -365,6 +367,18 @@ def test_integrate_rejects_non_finite_steps(dt, t_end):
     with pytest.raises(StepError):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
                   constant_pov(PAPER, 0.0), dt, t_end)
+
+
+def test_run_length_is_bounded():
+    # a dt of 1e-300 made a run of about 1e300 steps that never ended
+    check_step(1.0, float(MAX_STEPS))
+    with pytest.raises(StepError, match="more than"):
+        check_step(1.0, MAX_STEPS + 1.0)
+    with pytest.raises(StepError, match="more than"):
+        integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
+                  constant_pov(PAPER, 0.0), 1e-300, 1.0)
+    with pytest.raises(StepError, match="more than"):
+        worst_case_execution(PAPER, state(40.0, 20.0, 20.0), dt=1e-300)
 
 
 def test_pov_command_clamped_to_model():

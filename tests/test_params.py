@@ -60,6 +60,12 @@ def test_validate_params_defaults_length():
         {"rho": 0.3},
         {"rho": "x", "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
         {"rho": float("nan"), "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
+        # float() reads a boolean as 0.0 or 1.0: {"rho": true} was rho 1.0
+        {"rho": True, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
+        {"rho": 0.3, "a_max": False, "a_brake_min": 4, "a_brake_max": 8},
+        {"rho": 0.3, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8, "vehicle_length": True},
+        # an int too large for a float raised OverflowError
+        {"rho": 10 ** 400, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
     ],
 )
 def test_validate_params_rejects_malformed(raw):

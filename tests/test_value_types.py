@@ -1,0 +1,142 @@
+"""Contract of the per-step and per-sample value types.
+
+ScenarioState, TrajectorySample, SafetyEvaluation and ResponsePhase are
+named tuples: immutable, hashable, printed like the frozen dataclasses
+they replaced, and validated on every construction route.  Being tuples,
+they also compare equal to plain tuples holding the same values.
+"""
+import copy
+import math
+import pickle
+
+import pytest
+
+from rsskit.core import AC, ScenarioState, TrajectorySample
+from rsskit.errors import DomainError
+from rsskit.response import BRAKING, ResponsePhase
+from rsskit.rule import SafetyEvaluation
+
+STATE = ScenarioState(40.0, 20.0, 0.0, 15.0)
+
+# (fields, message) for each state ScenarioState rejects; the messages are
+# those of the dataclass it replaced
+BAD_STATES = [
+    ((0.0, -1.0, 0.0, 0.0), "velocities must be finite and >= 0, got v_f=-1.0, v_r=0.0"),
+    ((0.0, 1.0, 0.0, -5.0), "velocities must be finite and >= 0, got v_f=1.0, v_r=-5.0"),
+    ((0.0, 1.0, 0.0, math.nan), "velocities must be finite and >= 0, got v_f=1.0, v_r=nan"),
+    ((0.0, math.inf, 0.0, 1.0), "velocities must be finite and >= 0, got v_f=inf, v_r=1.0"),
+    ((math.nan, 1.0, 0.0, 1.0), "positions must be finite, got x_f=nan, x_r=0.0"),
+    ((0.0, 1.0, -math.inf, 1.0), "positions must be finite, got x_f=0.0, x_r=-inf"),
+]
+NAMES = ("x_f", "v_f", "x_r", "v_r")
+
+
+def _routes(values):
+    good = ScenarioState(1.0, 1.0, 0.0, 1.0)
+    return {
+        "positional": lambda: ScenarioState(*values),
+        "keyword": lambda: ScenarioState(**dict(zip(NAMES, values))),
+        "_make": lambda: ScenarioState._make(values),
+        "_make_iterator": lambda: ScenarioState._make(iter(values)),
+        "_replace": lambda: good._replace(**dict(zip(NAMES, values))),
+    }
+
+
+@pytest.mark.parametrize(
+    "values, message", BAD_STATES,
+    ids=["neg_v_f", "neg_v_r", "nan_v_r", "inf_v_f", "nan_x_f", "inf_x_r"],
+)
+@pytest.mark.parametrize(
+    "route", ["positional", "keyword", "_make", "_make_iterator", "_replace"]
+)
+def test_every_route_rejects_bad_states(values, message, route):
+    with pytest.raises(DomainError) as exc:
+        _routes(values)[route]()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_replace_of_one_velocity_is_checked(bad):
+    # the named-tuple _replace calls tuple.__new__ unless _make is overridden
+    with pytest.raises(DomainError):
+        STATE._replace(v_r=bad)
+
+
+def test_valid_routes_agree():
+    values = (40.0, 20.0, 0.0, 15.0)
+    built = [route() for route in _routes(values).values()]
+    assert all(type(s) is ScenarioState and s == STATE for s in built)
+    assert STATE._replace(v_r=3.0) == ScenarioState(40.0, 20.0, 0.0, 3.0)
+    assert STATE.gap == 40.0
+
+
+def test_wrong_field_count_is_rejected():
+    with pytest.raises(TypeError):
+        ScenarioState._make((1.0, 1.0, 0.0))
+    with pytest.raises(TypeError):
+        ScenarioState(1.0, 1.0, 0.0, 1.0, 2.0)
+
+
+def test_pickle_and_copy_keep_the_type_and_value():
+    for clone in (pickle.loads(pickle.dumps(STATE)), copy.copy(STATE), copy.deepcopy(STATE)):
+        assert type(clone) is ScenarioState and clone == STATE
+
+
+VALUES = [
+    STATE,
+    TrajectorySample(0.5, STATE, 2.0, "BC"),
+    SafetyEvaluation(d_min=34.1, gap=40.0, margin=5.9, condition_holds=True),
+    ResponsePhase(BRAKING, 0.3),
+]
+# each differs from its VALUES entry in the last field
+OTHERS = [
+    ScenarioState(40.0, 20.0, 0.0, 16.0),
+    TrajectorySample(0.5, STATE, 2.0, "AC"),
+    SafetyEvaluation(d_min=34.1, gap=40.0, margin=5.9, condition_holds=False),
+    ResponsePhase(BRAKING, 0.2),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0  # no instance __dict__ either
+
+
+def test_repr_matches_the_dataclass_form():
+    assert repr(STATE) == "ScenarioState(x_f=40.0, v_f=20.0, x_r=0.0, v_r=15.0)"
+    assert repr(VALUES[1]) == (
+        "TrajectorySample(t=0.5, state=ScenarioState(x_f=40.0, v_f=20.0, x_r=0.0, "
+        "v_r=15.0), a_r=2.0, mode='BC')"
+    )
+    assert repr(VALUES[2]) == (
+        "SafetyEvaluation(d_min=34.1, gap=40.0, margin=5.9, condition_holds=True)"
+    )
+    assert repr(VALUES[3]) == "ResponsePhase(kind='braking', elapsed=0.3)"
+
+
+@pytest.mark.parametrize("value, other", zip(VALUES, OTHERS), ids=lambda v: type(v).__name__)
+def test_equality_and_hash_within_a_type(value, other):
+    twin = type(value)._make(tuple(value))
+    assert twin == value and hash(twin) == hash(value)
+    assert len({value, twin, other}) == 2
+    assert other != value
+    # tuple semantics: equal to a plain tuple of the same values
+    assert value == tuple(value) and hash(value) == hash(tuple(value))
+
+
+def test_defaults():
+    assert TrajectorySample(0.0, STATE, 1.0).mode == AC
+    assert ResponsePhase(BRAKING).elapsed == 0.0
+    assert TrajectorySample._field_defaults == {"mode": AC}
+    assert ResponsePhase._field_defaults == {"elapsed": 0.0}
+
+
+def test_field_order():
+    assert ScenarioState._fields == NAMES
+    assert TrajectorySample._fields == ("t", "state", "a_r", "mode")
+    assert SafetyEvaluation._fields == ("d_min", "gap", "margin", "condition_holds")
+    assert ResponsePhase._fields == ("kind", "elapsed")

@@ -7,6 +7,7 @@ from rsskit.report import dump_report, make_report
 from rsskit.supervisor import SupervisorConfig
 from rsskit.verify import (
     CASE_COVERAGE_PAIRS,
+    MAX_POV_SEGMENTS,
     CampaignConfig,
     campaign_from_dict,
     falsify_below_threshold,
@@ -28,6 +29,22 @@ def test_campaign_config_validation():
         CampaignConfig(pov_segments_min=0)
 
 
+@pytest.mark.parametrize("margin_max", [0.0, -5.0, float("nan")])
+def test_margin_max_must_be_positive(margin_max):
+    # starts at or below the threshold were reported as counterexamples
+    with pytest.raises(ConfigError, match="margin_max must be > 0"):
+        CampaignConfig(margin_max=margin_max)
+
+
+def test_pov_segment_count_is_bounded():
+    # 1e8 segments tried to allocate 1e8-float arrays for every trial
+    CampaignConfig(pov_segments_max=MAX_POV_SEGMENTS)
+    with pytest.raises(ConfigError, match=str(MAX_POV_SEGMENTS)):
+        CampaignConfig(pov_segments_max=MAX_POV_SEGMENTS + 1)
+    with pytest.raises(ConfigError):
+        campaign_from_dict({"pov_segments_max": 100_000_000})
+
+
 def test_campaign_from_dict_round_trip():
     cfg = CampaignConfig(seed=9, n_trials=17)
     assert campaign_from_dict(cfg.to_dict()) == cfg
@@ -39,7 +56,8 @@ def test_campaign_from_dict_round_trip():
 
 @pytest.mark.parametrize(
     "raw",
-    [{"n_trials": "5"}, {"n_trials": 5.0}, {"include_grid": 1}, {"seed": -1}],
+    [{"n_trials": "5"}, {"n_trials": 5.0}, {"include_grid": 1}, {"seed": -1},
+     {"v_max": 10 ** 400}, {"margin_max": True}],
 )
 def test_campaign_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError):
