@@ -8,7 +8,7 @@ tolerances; the rule engine itself stays tolerance-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import floor, inf, log10
 from typing import List, Optional, Tuple
 
 from .core import BC, Trajectory
@@ -30,8 +30,9 @@ REASON_UNSAFE_START = "ResponseStartedUnsafe"
 REASON_WEAK_BRAKING = "InsufficientBraking"
 
 DEFAULT_ACCEL_TOL = 0.2
-# Trajectory files carry 9 significant digits, so a recorded collision
-# sample can sit up to ~1e-6 m away from exact touching.
+# Trajectory files keep 9 significant digits, so a touching pair can read
+# back one rounding unit of its larger position apart: 1e-6 m from 100 m,
+# ten times that per decade beyond.  The tolerance never drops below this.
 GAP_RESOLUTION = 1e-6
 
 
@@ -147,11 +148,20 @@ def safety_metric(traj: Trajectory):
 
 
 def find_collision_index(traj: Trajectory) -> Optional[int]:
+    """The first sample whose free space is at most COLLISION_EPS plus
+    GAP_RESOLUTION, or plus the 9-digit rounding unit of its larger
+    position where that is coarser."""
     length = traj.params.vehicle_length
-    tol = max(COLLISION_EPS, GAP_RESOLUTION)
     for i, s in enumerate(traj.samples):
-        if s.state.gap - length <= tol:
+        x_f, _, x_r, _ = s.state
+        g = x_f - x_r - length - COLLISION_EPS
+        if g <= GAP_RESOLUTION:
             return i
+        # now x_r < x_f, so the larger |position| is x_f or -x_r; its unit
+        # is at most 1e-8 of it, a cheap test to pass before the log
+        if g <= 1e-8 * x_f or g <= -1e-8 * x_r:
+            if g <= 10.0 ** (floor(log10(max(x_f, -x_r))) - 8):
+                return i
     return None
 
 
@@ -204,23 +214,9 @@ def attribute_liability(
 
 
 def _principles(liability: str) -> dict:
+    """Principles 1 and 5 hold unless the SV is liable; 2-4 do not apply."""
     verdict = VIOLATED if liability == SV_LIABLE else SATISFIED
     return {1: verdict, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE, 4: NOT_APPLICABLE, 5: verdict}
-
-
-def principles_report(
-    traj: Trajectory,
-    accel_tol: float = DEFAULT_ACCEL_TOL,
-    time_tol: Optional[float] = None,
-) -> dict:
-    """Responsibility principles 1-5 for this trajectory.
-
-    Principles 1 and 5 hold unless a collision is attributable to the
-    SV; 2-4 do not apply to this driving scenario.
-    """
-    if find_collision_index(traj) is None:
-        return _principles(LIABILITY_NONE)
-    return _principles(attribute_liability(traj, accel_tol, time_tol))
 
 
 def audit(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import inf
 from typing import NamedTuple
 
@@ -64,13 +64,7 @@ class RssParams:
             raise Negative(f"vehicle_length must be >= 0, got {self.vehicle_length!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "a_max": self.a_max,
-            "a_brake_min": self.a_brake_min,
-            "a_brake_max": self.a_brake_max,
-            "vehicle_length": self.vehicle_length,
-        }
+        return asdict(self)
 
 
 def validate_params(raw: dict) -> RssParams:

@@ -103,6 +103,30 @@ def profile_state(segs, t: float):
     return segment_state(segs[i], t)
 
 
+def _first_root(g0, gv, ga, tau):
+    """Earliest s in [0, tau] at which the gap g0 + gv s + ga s^2 / 2
+    falls to COLLISION_EPS, or None.  analyze_gap and refine_crossing
+    both solve their gap quadratics here."""
+    c = g0 - COLLISION_EPS
+    if ga != 0.0:
+        disc = gv * gv - 2.0 * ga * c
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            r1 = (-gv - sq) / ga
+            r2 = (-gv + sq) / ga
+            if r2 < r1:
+                r1, r2 = r2, r1
+            if 0.0 <= r1 <= tau:
+                return r1
+            if 0.0 <= r2 <= tau:
+                return r2
+    elif gv < 0.0:
+        r = c / (-gv)
+        if r <= tau:
+            return r
+    return None
+
+
 def analyze_gap(segs_r, segs_f, length: float = 0.0):
     """Earliest collision and minimum gap between two motion profiles.
 
@@ -140,26 +164,7 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
         gv = vf - vr
         ga = af - ar
         tau = u1 - u0
-
-        # earliest root of g(t) = COLLISION_EPS within this interval
-        root = None
-        c = g0 - COLLISION_EPS
-        if ga != 0.0:
-            disc = gv * gv - 2.0 * ga * c
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                r1 = (-gv - sq) / ga
-                r2 = (-gv + sq) / ga
-                if r2 < r1:
-                    r1, r2 = r2, r1
-                if 0.0 <= r1 <= tau:
-                    root = r1
-                elif 0.0 <= r2 <= tau:
-                    root = r2
-        elif gv < 0.0:
-            r = c / (-gv)
-            if r <= tau:
-                root = r
+        root = _first_root(g0, gv, ga, tau)
         if root is not None:
             g_col = g0 + gv * root + 0.5 * ga * root * root
             return u0 + root, g_col + length, g_col + length, u0 + root
@@ -199,10 +204,6 @@ class ExecutionTrace:
     min_gap: float = math.inf
     min_gap_time: float = 0.0
     bc_engagements: int = 0
-
-    @property
-    def start(self) -> ScenarioState:
-        return self.samples[0].state
 
     def to_trajectory(self) -> Trajectory:
         return Trajectory(self.samples, self.params)
@@ -343,10 +344,6 @@ def gentle_pov(params: RssParams, rate: float = 1.0) -> PovBehavior:
     return PovBehavior(lambda t, x, v: -rate, params.a_brake_max)
 
 
-def constant_pov(params: RssParams, accel: float, a_fwd_max: float = 2.0) -> PovBehavior:
-    return PovBehavior(lambda t, x, v: accel, params.a_brake_max, a_fwd_max)
-
-
 def piecewise_pov(params: RssParams, schedule, a_fwd_max: float = 2.0) -> PovBehavior:
     """Piecewise-constant acceleration schedule [(start time, accel), ...]."""
     starts = [t for t, _ in schedule]
@@ -394,27 +391,52 @@ def check_step(dt: float, t_end: float = 0.0) -> None:
         )
 
 
+def _step_segments(x, v, a, step):
+    """advance_vehicle's motion over one step as two segments: moving, then
+    standing from the stop time (0 if held at rest, step if not stopping)."""
+    if v <= 0.0 and a <= 0.0:
+        t_stop = 0.0
+    elif a < 0.0 and v + a * step < 0.0:
+        t_stop = min(v / (-a), step)
+    else:
+        t_stop = step
+    x_stop = x + v * t_stop + 0.5 * a * t_stop * t_stop
+    return (0.0, t_stop, x, v, a), (t_stop, step, x_stop, 0.0, 0.0)
+
+
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
-    """Bisect for the time within (0, step] where the gap falls to
-    length + COLLISION_EPS, using the exact per-vehicle kinematics.
+    """The time within (0, step] at which the advance_vehicle gap falls
+    to length + COLLISION_EPS; it must be above that at 0, at most at step.
 
-    Precondition: the gap is above the threshold at 0 and at or below it
-    at `step`.
+    The stop times split the step into at most three gap quadratics.  The
+    first root _first_root finds (Newton-polished for the digits lost to
+    cancellation), or a tangent piece's vertex, starts a forward search in
+    steps doubling from one ulp: the gap is flat over ulp(x) / closing speed.
     """
-
-    def gap_at(tau):
-        xr, _ = advance_vehicle(x_r, v_r, a_r, tau)
-        xf, _ = advance_vehicle(x_f, v_f, a_f, tau)
-        return xf - xr - length
-
-    lo, hi = 0.0, step
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap_at(mid) <= COLLISION_EPS:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    r0, r1 = _step_segments(x_r, v_r, a_r, step)
+    f0, f1 = _step_segments(x_f, v_f, a_f, step)
+    times = sorted({0.0, r1[0], f1[0], step})
+    tau = step
+    for u0, u1 in zip(times, times[1:]):
+        xr, vr, ar = segment_state(r1 if r1[0] <= u0 else r0, u0)
+        xf, vf, af = segment_state(f1 if f1[0] <= u0 else f0, u0)
+        g0, gv, ga = xf - xr - length, vf - vr, af - ar
+        root = _first_root(g0, gv, ga, u1 - u0)
+        if root is not None and gv + ga * root < 0.5 * gv:
+            residual = g0 - COLLISION_EPS + root * (gv + 0.5 * ga * root)
+            root = max(0.0, root - residual / (gv + ga * root))
+        elif root is None and ga > 0.0 and 0.0 < -gv / ga < u1 - u0:
+            root = -gv / ga
+        if root is not None:
+            tau = min(u0 + root, step)
+            break
+    h = math.ulp(tau)
+    while tau < step and (
+        advance_vehicle(x_f, v_f, a_f, tau)[0] - advance_vehicle(x_r, v_r, a_r, tau)[0]
+        - length > COLLISION_EPS
+    ):
+        tau, h = min(tau + h, step), 2.0 * h
+    return tau
 
 
 def run_fixed_step(

@@ -3,7 +3,7 @@
 An episode runs through three phases: a response window of at most rho
 seconds with arbitrary but bounded behavior, then maximum comfortable
 braking, then a halt that is held for the rest of the episode.  The
-window policy is pluggable; the worst case is constant +a_max.
+window policy is pluggable; the worst case is hold_command_window(a_max).
 """
 from __future__ import annotations
 
@@ -33,11 +33,6 @@ def begin_response() -> ResponsePhase:
     return ResponsePhase(RESPONSE_WINDOW)
 
 
-def worst_case_window(params: RssParams, v_r: float) -> float:
-    """Worst admissible response-window behavior: full forward acceleration."""
-    return params.a_max
-
-
 def hold_command_window(command: float):
     """Window policy that keeps emitting the last pre-engagement command."""
 
@@ -51,13 +46,14 @@ def proper_response_command(
     params: RssParams,
     phase: ResponsePhase,
     v_r: float,
-    window_policy=worst_case_window,
+    window_policy,
 ) -> float:
     """Commanded SV acceleration for the current phase.
 
-    The window policy output is clamped to [-a_brake_min, a_max]; the
-    braking phase commands -a_brake_min until the vehicle stops; a halted
-    vehicle stays halted.
+    window_policy(params, v_r) gives the command inside the response
+    window, clamped to [-a_brake_min, a_max], and is not consulted after
+    it; the braking phase commands -a_brake_min until the vehicle stops;
+    a halted vehicle stays halted.
     """
     if phase.kind == RESPONSE_WINDOW:
         cmd = window_policy(params, v_r)

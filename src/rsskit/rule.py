@@ -29,12 +29,17 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
             f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
         )
     v_peak = v_r + params.a_max * params.rho
-    return (
-        v_r * params.rho,
-        0.5 * params.a_max * params.rho ** 2,
-        v_peak ** 2 / (2.0 * params.a_brake_min),
-        v_f ** 2 / (2.0 * params.a_brake_max),
-    )
+    try:
+        response_travel = v_r * params.rho
+        response_gain = 0.5 * params.a_max * params.rho ** 2
+        sv_brake = v_peak ** 2 / (2.0 * params.a_brake_min)
+        pov_brake = v_f ** 2 / (2.0 * params.a_brake_max)
+    except OverflowError:  # ** raises where * and / give inf
+        pov_brake = inf  # fails the test below before the unset terms are read
+    # an overflowing term makes d_min inf or, as inf - inf, NaN
+    if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
+        raise DomainError(f"the safe distance overflows at v_r={v_r!r}, v_f={v_f!r}")
+    return response_travel, response_gain, sv_brake, pov_brake
 
 
 def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:

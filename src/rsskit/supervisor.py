@@ -219,7 +219,7 @@ def run_supervised(
             and phase.kind == RESPONSE_WINDOW
             and phase.elapsed + dt > params.rho + WINDOW_SLACK
         ):
-            cmd = proper_response_command(params, braking, state.v_r)
+            cmd = proper_response_command(params, braking, state.v_r, None)
         return cmd, sup.mode, decision and (phase is None or phase.kind == HALTED)
 
     def pass_through(i, t, state):

@@ -10,7 +10,7 @@ identical outcomes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,18 +75,7 @@ class CampaignConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_trials": self.n_trials,
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "margin_max": self.margin_max,
-            "sim_dt": self.sim_dt,
-            "a_fwd_max": self.a_fwd_max,
-            "pov_segments_min": self.pov_segments_min,
-            "pov_segments_max": self.pov_segments_max,
-            "include_grid": self.include_grid,
-        }
+        return asdict(self)
 
 
 def campaign_from_dict(raw: dict) -> CampaignConfig:
@@ -148,15 +137,13 @@ def _randomized_min_gap(params, cfg, rng, start, horizon):
     cuts = np.sort(rng.uniform(0.0, horizon, size=n_seg - 1)) if n_seg > 1 else []
     accels = rng.uniform(-params.a_brake_max, cfg.a_fwd_max, size=n_seg)
     sched_f = [(0.0, float(accels[0]))]
-    for t, a in zip(cuts, accels[1:]):
-        sched_f.append((float(t), float(a)))
+    sched_f += [(float(t), float(a)) for t, a in zip(cuts, accels[1:])]
 
     n_win = int(rng.integers(1, 4))
     wcuts = np.sort(rng.uniform(0.0, params.rho, size=n_win - 1)) if n_win > 1 else []
     waccels = rng.uniform(-params.a_brake_min, params.a_max, size=n_win)
     sched_r = [(0.0, float(waccels[0]))]
-    for t, a in zip(wcuts, waccels[1:]):
-        sched_r.append((float(t), float(a)))
+    sched_r += [(float(t), float(a)) for t, a in zip(wcuts, waccels[1:])]
     sched_r.append((params.rho, -params.a_brake_min))
 
     segs_r = build_profile(start.x_r, start.v_r, sched_r, horizon)

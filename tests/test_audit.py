@@ -24,11 +24,12 @@ from rsskit.audit import (
     attribute_liability,
     audit,
     check_compliance,
-    principles_report,
+    find_collision_index,
     safety_metric,
 )
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.errors import ConfigError, NoCollision
+from rsskit.trajio import read_trajectory, write_trajectory
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
 
@@ -183,19 +184,57 @@ def test_liability_inconsistent():
     assert attribute_liability(LIAB_INCONSISTENT) == INCONSISTENT
 
 
+def read_back(record, tmp_path):
+    path = tmp_path / "traj.csv"
+    write_trajectory(record, path)
+    return read_trajectory(path, record.params)
+
+
+def test_collision_found_after_9_digit_rounding(tmp_path):
+    # an unsupervised run ended touching (gap 1e-9 m); written as
+    # 119.603215 and 119.603214, the gap read back as 1.0000000117e-06 m,
+    # above the old absolute 1e-6 m, and the audit reported liability None
+    x_f, x_r = 119.60321450021304, 119.60321449921305
+    record = moving_traj([
+        (0.0, 100.0, 20.0, 110.0, 0.0, 2.0, AC),
+        (1.0, x_r, 20.0, x_f, 0.0, 2.0, AC),
+    ])
+    back = read_back(record, tmp_path)
+    assert back.samples[-1].state.gap > 1e-6
+    assert find_collision_index(record) == find_collision_index(back) == 1
+    assert audit(back).liability == SV_LIABLE
+
+
+def test_collision_found_beyond_1000_m(tmp_path):
+    # 9 significant digits leave 1e-5 m here: a touching pair that
+    # straddles a rounding boundary reads back 1e-5 m apart
+    edge = 1234.567895
+    record = moving_traj([
+        (0.0, 1200.0, 20.0, 1230.0, 0.0, 2.0, AC),
+        (1.0, edge - 2e-10, 20.0, edge + 3e-10, 0.0, 2.0, AC),
+    ])
+    back = read_back(record, tmp_path)
+    assert back.samples[-1].state.gap == pytest.approx(1e-5, rel=1e-6)
+    assert find_collision_index(record) == find_collision_index(back) == 1
+    assert audit(back).liability == SV_LIABLE
+    # a gap of a few rounding units there is no collision
+    apart = moving_traj([(0.0, 1200.0, 20.0, 1200.0 + 3e-5, 0.0, 2.0, AC)])
+    assert find_collision_index(apart) is None
+
+
 def test_liability_requires_collision():
     with pytest.raises(NoCollision):
         attribute_liability(GOLDEN_COMPLIANT)
 
 
 def test_principles():
-    rep = principles_report(GOLDEN_COMPLIANT)
+    rep = audit(GOLDEN_COMPLIANT).principles
     assert rep == {1: SATISFIED, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE,
                    4: NOT_APPLICABLE, 5: SATISFIED}
-    rep = principles_report(LIAB_SV)
+    rep = audit(LIAB_SV).principles
     assert rep[1] == VIOLATED and rep[5] == VIOLATED
     # a collision caused by an out-of-model front vehicle is not our fault
-    rep = principles_report(LIAB_POV)
+    rep = audit(LIAB_POV).principles
     assert rep[1] == SATISFIED
 
 
@@ -250,8 +289,10 @@ def test_audit_attributes_liability_once(monkeypatch):
         calls.clear()
         rep = audit(record)
         assert len(calls) == (0 if record is GOLDEN_COMPLIANT else 1)
-        # the report's principles are the ones principles_report derives
-        assert rep.principles == principles_report(record)
+        # the report's principles follow from its one liability verdict
+        verdict = VIOLATED if rep.liability == SV_LIABLE else SATISFIED
+        assert rep.principles == {1: verdict, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE,
+                                  4: NOT_APPLICABLE, 5: verdict}
 
 
 def test_package_audit_name_is_the_function_and_the_module_stays_reachable():

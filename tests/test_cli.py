@@ -377,3 +377,19 @@ def test_verify_too_many_pov_segments_is_usage_error(params_file, tmp_path, caps
     campaign.write_text(json.dumps({"pov_segments_max": 100_000_000, "n_trials": 1}))
     assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
     assert "pov_segments_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, v", [(PARAMS, "1e200"), (dict(PARAMS, a_brake_min=0.1, a_brake_max=0.2), "1e154")])
+def test_overflowing_speed_is_usage_error(tmp_path, capsys, params, v):
+    # 1e200 ended in an OverflowError traceback with exit 1; 1e154 with
+    # weak braking gave d_min NaN, printed as 0
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["safe-distance", "--params", str(path), "--v-r", v, "--v-f", v]) == 2
+    assert main([
+        "simulate", "--params", str(path), "--gap", "60", "--v-r", v, "--v-f", "0",
+        "--out", str(tmp_path / "t.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("overflows") == 2

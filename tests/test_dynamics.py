@@ -17,8 +17,8 @@ from rsskit.dynamics import (
     build_profile,
     check_step,
     classify_worst_case,
-    constant_pov,
     integrate,
+    piecewise_pov,
     pov_stop_distance,
     profile_state,
     sv_stop_distance,
@@ -280,7 +280,7 @@ def test_classify_worst_case_examples(v_r, v_f, case):
 
 def test_classify_case_on_trace():
     trace = worst_case_execution(PAPER, state(100.0, 10.0, 12.0))
-    assert classify_worst_case(trace.params, trace.start) == CASE_2
+    assert classify_worst_case(trace.params, trace.samples[0].state) == CASE_2
 
 
 def test_classification_is_exhaustive():
@@ -308,10 +308,14 @@ def worst_sv_policy(params):
     return lambda t, s: params.a_max if t < params.rho else -params.a_brake_min
 
 
+# a front vehicle that holds its speed (zero acceleration throughout)
+STEADY_POV = piecewise_pov(PAPER, [(0.0, 0.0)])
+
+
 def test_integrate_braking_stop_is_exact():
     # stationary front far away; rear brakes from 10 m/s at -4: travels 12.5 m
     sv = lambda t, s: -4.0
-    trace = integrate(PAPER, state(1000.0, 10.0, 0.0), sv, constant_pov(PAPER, 0.0), 1e-3, 5.0)
+    trace = integrate(PAPER, state(1000.0, 10.0, 0.0), sv, STEADY_POV, 1e-3, 5.0)
     final = trace.samples[-1].state
     assert final.v_r == 0.0
     assert final.x_r == pytest.approx(12.5, abs=1e-12)
@@ -328,7 +332,7 @@ def test_integrate_matches_closed_form_on_boundary_case():
 
 def test_integrate_collision_detection():
     sv = lambda t, s: 0.0
-    trace = integrate(PAPER, state(20.0, 10.0, 0.0), sv, constant_pov(PAPER, 0.0), 1e-2, 5.0)
+    trace = integrate(PAPER, state(20.0, 10.0, 0.0), sv, STEADY_POV, 1e-2, 5.0)
     assert trace.collision is not None
     assert trace.collision.t == pytest.approx(2.0, abs=1e-2)
     assert trace.samples[-1].state.gap <= 1e-9
@@ -348,7 +352,7 @@ def test_integrate_takes_full_steps():
     # t_end is not a multiple of dt: the last step still lasts dt, so each
     # sample's state is the one at its own time stamp
     sv = lambda t, s: 1.0
-    trace = integrate(PAPER, state(1000.0, 10.0, 0.0), sv, constant_pov(PAPER, 0.0), 0.3, 1.0)
+    trace = integrate(PAPER, state(1000.0, 10.0, 0.0), sv, STEADY_POV, 0.3, 1.0)
     assert [s.t for s in trace.samples] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2])
     for s in trace.samples:
         assert s.state.x_r == pytest.approx(10.0 * s.t + 0.5 * s.t ** 2, abs=1e-12)
@@ -357,7 +361,7 @@ def test_integrate_takes_full_steps():
 def test_integrate_rejects_bad_dt():
     with pytest.raises(StepError):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
-                  constant_pov(PAPER, 0.0), -1.0, 1.0)
+                  STEADY_POV, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("dt, t_end", [
@@ -366,7 +370,7 @@ def test_integrate_rejects_bad_dt():
 def test_integrate_rejects_non_finite_steps(dt, t_end):
     with pytest.raises(StepError):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
-                  constant_pov(PAPER, 0.0), dt, t_end)
+                  STEADY_POV, dt, t_end)
 
 
 def test_run_length_is_bounded():
@@ -376,13 +380,13 @@ def test_run_length_is_bounded():
         check_step(1.0, MAX_STEPS + 1.0)
     with pytest.raises(StepError, match="more than"):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
-                  constant_pov(PAPER, 0.0), 1e-300, 1.0)
+                  STEADY_POV, 1e-300, 1.0)
     with pytest.raises(StepError, match="more than"):
         worst_case_execution(PAPER, state(40.0, 20.0, 20.0), dt=1e-300)
 
 
 def test_pov_command_clamped_to_model():
-    pov = constant_pov(PAPER, -100.0)
+    pov = piecewise_pov(PAPER, [(0.0, -100.0)])
     assert pov.command(0.0, 0.0, 10.0) == -PAPER.a_brake_max
-    pov = constant_pov(PAPER, 100.0)
+    pov = piecewise_pov(PAPER, [(0.0, 100.0)])
     assert pov.command(0.0, 0.0, 10.0) == pov.a_fwd_max

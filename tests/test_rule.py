@@ -73,6 +73,38 @@ def test_rejects_non_finite_velocities(v_r, v_f):
         safe_distance(PAPER, v_r, v_f)
 
 
+def test_rejects_speeds_whose_terms_overflow():
+    # 1e200 ** 2 raised OverflowError; at 1e154 with these braking rates
+    # both braking terms were inf, raw inf - inf was NaN and the condition
+    # held at a 10 m gap
+    with pytest.raises(DomainError, match="overflows"):
+        safe_distance(PAPER, 1e200, 0.0)
+    with pytest.raises(DomainError, match="overflows"):
+        safe_distance(PAPER, 0.0, 1e200)
+    weak = RssParams(0.3, 2.0, 0.1, 0.2)
+    with pytest.raises(DomainError, match="overflows"):
+        evaluate(weak, state(10.0, 1e154, 1e154))
+
+
+def reference_travel_terms(params, v_r, v_f):
+    v_peak = v_r + params.a_max * params.rho
+    return (
+        v_r * params.rho,
+        0.5 * params.a_max * params.rho ** 2,
+        v_peak ** 2 / (2.0 * params.a_brake_min),
+        v_f ** 2 / (2.0 * params.a_brake_max),
+    )
+
+
+def test_overflow_check_changes_no_in_range_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        params = RssParams(*rng.uniform([0.01, 0.0, 0.1], [3.0, 10.0, 10.0]),
+                           a_brake_max=20.0 + rng.uniform(0.0, 10.0))
+        v_r, v_f = 10.0 ** rng.uniform(-3.0, 153.0, size=2)
+        assert travel_terms(params, v_r, v_f) == reference_travel_terms(params, v_r, v_f)
+
+
 @given(v_r=speeds, v_f=speeds)
 def test_nonnegative(v_r, v_f):
     assert safe_distance(PAPER, v_r, v_f) >= 0.0
