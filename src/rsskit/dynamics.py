@@ -52,37 +52,27 @@ def build_profile(x0: float, v0: float, schedule, t_end: float):
     schedule is a list of (start time, acceleration) pairs with strictly
     increasing start times, the first at 0.  Returns a list of
     (t0, t1, x0, v0, a) tuples; within a segment the acceleration is
-    constant and the velocity stays nonnegative.  Velocity-zero crossings
-    split segments exactly; while the commanded acceleration is
-    nonpositive a stopped vehicle stays stopped.
+    constant and the velocity stays nonnegative.  Each schedule piece is
+    one advance_vehicle step, so its no-reversing rule decides where a
+    piece splits into a moving and a standing segment.
     """
     if t_end <= 0.0:
         return [(0.0, 0.0, x0, max(0.0, v0), 0.0)]
     segs = []
     x, v = x0, max(0.0, v0)
-    starts = [t for t, _ in schedule]
-    for i, (tb, a) in enumerate(schedule):
-        if tb >= t_end:
+    for i, (t, a) in enumerate(schedule):
+        if t >= t_end:
             break
-        t_next = min(starts[i + 1] if i + 1 < len(starts) else t_end, t_end)
-        t = tb
-        while t < t_next:
-            if v <= 0.0 and a <= 0.0:
-                segs.append((t, t_next, x, 0.0, 0.0))
-                v = 0.0
-                t = t_next
-            elif a < 0.0 and v + a * (t_next - t) < 0.0:
-                t_stop = t + v / (-a)
-                segs.append((t, t_stop, x, v, a))
-                x += v * (t_stop - t) + 0.5 * a * (t_stop - t) ** 2
-                v = 0.0
-                t = t_stop
-            else:
-                span = t_next - t
-                segs.append((t, t_next, x, v, a))
-                x += v * span + 0.5 * a * span * span
-                v = max(0.0, v + a * span)
-                t = t_next
+        t_next = min(schedule[i + 1][0], t_end) if i + 1 < len(schedule) else t_end
+        span = t_next - t
+        x_next, v_next, moving = advance_vehicle(x, v, a, span)
+        if moving == span:
+            segs.append((t, t_next, x, v, a))
+        else:
+            if moving > 0.0:
+                segs.append((t, t + moving, x, v, a))
+            segs.append((t + moving, t_next, x_next, 0.0, 0.0))
+        x, v = x_next, v_next
     return segs
 
 
@@ -360,17 +350,20 @@ def piecewise_pov(params: RssParams, schedule, a_fwd_max: float = 2.0) -> PovBeh
 # fixed-step integrator
 
 def advance_vehicle(x: float, v: float, a: float, dt: float):
-    """One exact constant-acceleration step with the no-reversing clamp.
+    """One exact constant-acceleration step with the no-reversing rule,
+    the only code that decides whether and when a vehicle stops.
 
-    The velocity-zero crossing is solved inside the step, so stopping
+    Returns (x, v, moving), moving being how long the vehicle moves in
+    the step: 0 when held at rest, the stop time when it stops inside
+    the step, dt otherwise.  The stop is solved exactly, so stopping
     distances carry no O(dt) bias.
     """
     if v <= 0.0 and a <= 0.0:
-        return x, 0.0
+        return x, 0.0, 0.0
     if a < 0.0 and v + a * dt < 0.0:
         t_stop = v / (-a)
-        return x + v * t_stop + 0.5 * a * t_stop * t_stop, 0.0
-    return x + v * dt + 0.5 * a * dt * dt, max(0.0, v + a * dt)
+        return x + v * t_stop + 0.5 * a * t_stop * t_stop, 0.0, t_stop
+    return x + v * dt + 0.5 * a * dt * dt, max(0.0, v + a * dt), dt
 
 
 # A sampled run keeps every sample (about 0.3 kB each), so its length is
@@ -391,30 +384,20 @@ def check_step(dt: float, t_end: float = 0.0) -> None:
         )
 
 
-def _step_segments(x, v, a, step):
-    """advance_vehicle's motion over one step as two segments: moving, then
-    standing from the stop time (0 if held at rest, step if not stopping)."""
-    if v <= 0.0 and a <= 0.0:
-        t_stop = 0.0
-    elif a < 0.0 and v + a * step < 0.0:
-        t_stop = min(v / (-a), step)
-    else:
-        t_stop = step
-    x_stop = x + v * t_stop + 0.5 * a * t_stop * t_stop
-    return (0.0, t_stop, x, v, a), (t_stop, step, x_stop, 0.0, 0.0)
-
-
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     """The time within (0, step] at which the advance_vehicle gap falls
     to length + COLLISION_EPS; it must be above that at 0, at most at step.
 
-    The stop times split the step into at most three gap quadratics.  The
-    first root _first_root finds (Newton-polished for the digits lost to
-    cancellation), or a tangent piece's vertex, starts a forward search in
-    steps doubling from one ulp: the gap is flat over ulp(x) / closing speed.
+    The stop times from advance_vehicle split the step into at most three
+    gap quadratics.  The first root _first_root finds (Newton-polished for
+    the digits lost to cancellation), or a tangent piece's vertex, starts a
+    forward search in steps doubling from one ulp: the gap is flat over
+    ulp(x) / closing speed.
     """
-    r0, r1 = _step_segments(x_r, v_r, a_r, step)
-    f0, f1 = _step_segments(x_f, v_f, a_f, step)
+    xr1, _, tr = advance_vehicle(x_r, v_r, a_r, step)
+    xf1, _, tf = advance_vehicle(x_f, v_f, a_f, step)
+    r0, r1 = (0.0, tr, x_r, v_r, a_r), (tr, step, xr1, 0.0, 0.0)
+    f0, f1 = (0.0, tf, x_f, v_f, a_f), (tf, step, xf1, 0.0, 0.0)
     times = sorted({0.0, r1[0], f1[0], step})
     tau = step
     for u0, u1 in zip(times, times[1:]):
@@ -486,13 +469,13 @@ def run_fixed_step(
             break
 
         a_f = pov_behavior.command(t, x_f, v_f)
-        nx_r, nv_r = advance_vehicle(x_r, v_r, a_r, dt)
-        nx_f, nv_f = advance_vehicle(x_f, v_f, a_f, dt)
+        nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
+        nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:
             tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
             t_c = t + tau
-            cx_r, cv_r = advance_vehicle(x_r, v_r, a_r, tau)
-            cx_f, cv_f = advance_vehicle(x_f, v_f, a_f, tau)
+            cx_r, cv_r, _ = advance_vehicle(x_r, v_r, a_r, tau)
+            cx_f, cv_f, _ = advance_vehicle(x_f, v_f, a_f, tau)
             cstate = ScenarioState(cx_f, cv_f, cx_r, cv_r)
             samples.append(TrajectorySample(t_c, cstate, a_r, mode))
             collision = CollisionEvent(t_c, cstate.gap)

@@ -2,8 +2,9 @@
 
 An episode runs through three phases: a response window of at most rho
 seconds with arbitrary but bounded behavior, then maximum comfortable
-braking, then a halt that is held for the rest of the episode.  The
-window policy is pluggable; the worst case is hold_command_window(a_max).
+braking, then a halt that is held for the rest of the episode.  Inside
+the window the SV holds the advanced controller's last command, clamped
+to its bounds; the worst case is holding a_max.
 """
 from __future__ import annotations
 
@@ -33,31 +34,21 @@ def begin_response() -> ResponsePhase:
     return ResponsePhase(RESPONSE_WINDOW)
 
 
-def hold_command_window(command: float):
-    """Window policy that keeps emitting the last pre-engagement command."""
-
-    def policy(params: RssParams, v_r: float) -> float:
-        return command
-
-    return policy
-
-
 def proper_response_command(
     params: RssParams,
     phase: ResponsePhase,
     v_r: float,
-    window_policy,
+    window_command: float,
 ) -> float:
     """Commanded SV acceleration for the current phase.
 
-    window_policy(params, v_r) gives the command inside the response
-    window, clamped to [-a_brake_min, a_max], and is not consulted after
-    it; the braking phase commands -a_brake_min until the vehicle stops;
-    a halted vehicle stays halted.
+    Inside the response window the SV keeps window_command, the AC
+    command held at engagement, clamped to [-a_brake_min, a_max]; it is
+    ignored after the window.  The braking phase commands -a_brake_min
+    until the vehicle stops; a halted vehicle stays halted.
     """
     if phase.kind == RESPONSE_WINDOW:
-        cmd = window_policy(params, v_r)
-        return min(params.a_max, max(-params.a_brake_min, cmd))
+        return min(params.a_max, max(-params.a_brake_min, window_command))
     if phase.kind == BRAKING:
         return -params.a_brake_min if v_r > 0.0 else 0.0
     return 0.0

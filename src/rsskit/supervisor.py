@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .core import AC, BC, RssParams, ScenarioState
-from .dynamics import ExecutionTrace, PovBehavior, check_step, run_fixed_step
+from .dynamics import ExecutionTrace, PovBehavior, advance_vehicle, check_step, run_fixed_step
 from .errors import ConfigError, InvariantBreach
 from .response import (
     BRAKING,
@@ -24,7 +24,6 @@ from .response import (
     ResponsePhase,
     advance_phase,
     begin_response,
-    hold_command_window,
     proper_response_command,
 )
 from .rule import evaluate, margin, safe_distance
@@ -90,11 +89,8 @@ def worst_case_successor(
     params: RssParams, state: ScenarioState, delta: float
 ) -> ScenarioState:
     """State after delta seconds of SV at +a_max and POV at -a_brake_max."""
-    v_r = state.v_r + params.a_max * delta
-    x_r = state.x_r + state.v_r * delta + 0.5 * params.a_max * delta * delta
-    t_b = min(delta, state.v_f / params.a_brake_max)
-    x_f = state.x_f + state.v_f * t_b - 0.5 * params.a_brake_max * t_b * t_b
-    v_f = max(0.0, state.v_f - params.a_brake_max * delta)
+    x_r, v_r, _ = advance_vehicle(state.x_r, state.v_r, params.a_max, delta)
+    x_f, v_f, _ = advance_vehicle(state.x_f, state.v_f, -params.a_brake_max, delta)
     return ScenarioState(x_f, v_f, x_r, v_r)
 
 
@@ -130,9 +126,7 @@ def decide(
         # clears the hysteresis threshold, and the lookahead is clean.
         if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
             return SupervisorState(AC, None, clamped, sup.engagements), clamped
-    cmd = proper_response_command(
-        params, sup.phase, state.v_r, hold_command_window(sup.held_command)
-    )
+    cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
     return sup, cmd
 
 
@@ -211,15 +205,13 @@ def run_supervised(
             sup, cmd = decide(params, cfg, sup, state, ac_policy(t, state), t)
             phase = sup.phase
         elif phase is not None:
-            cmd = proper_response_command(
-                params, phase, state.v_r, hold_command_window(sup.held_command)
-            )
+            cmd = proper_response_command(params, phase, state.v_r, sup.held_command)
         if (
             phase is not None
             and phase.kind == RESPONSE_WINDOW
             and phase.elapsed + dt > params.rho + WINDOW_SLACK
         ):
-            cmd = proper_response_command(params, braking, state.v_r, None)
+            cmd = proper_response_command(params, braking, state.v_r, 0.0)
         return cmd, sup.mode, decision and (phase is None or phase.kind == HALTED)
 
     def pass_through(i, t, state):

@@ -160,6 +160,10 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     response-window policy.  Any collision is a counterexample; the
     expected count is zero.
     """
+    if cfg.a_fwd_max < -params.a_brake_max:
+        raise ConfigError(
+            f"a_fwd_max must be >= -a_brake_max {-params.a_brake_max!r}, got {cfg.a_fwd_max!r}"
+        )
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("safety_theorem")
     outcome.stats["randomized_trials"] = 0

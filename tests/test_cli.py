@@ -139,6 +139,25 @@ def test_verify_bad_campaign_is_usage_error(params_file, tmp_path):
     assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
 
 
+def test_verify_rejects_pov_acceleration_below_its_braking(params_file, tmp_path, capsys):
+    # sampling uniform(-a_brake_max, a_fwd_max) needs a_fwd_max >= -a_brake_max
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"a_fwd_max": -20.0, "n_trials": 200, "include_grid": False}))
+    assert main(["verify", "--params", params_file, "--campaign", str(campaign)]) == 2
+    err = capsys.readouterr().err
+    assert "a_fwd_max" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("a_fwd_max", [-8.0, -5.0])
+def test_verify_runs_with_pov_acceleration_down_to_its_braking(params_file, tmp_path, a_fwd_max):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"a_fwd_max": a_fwd_max, "n_trials": 200, "include_grid": False}))
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--params", params_file, "--campaign", str(campaign), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["outcome"]["n_counterexamples"] == 0
+
+
 def test_report_files_byte_identical_modulo_timestamp(params_file, tmp_path):
     campaign = tmp_path / "campaign.json"
     campaign.write_text(json.dumps({"seed": 5, "n_trials": 30}))

@@ -22,8 +22,8 @@ from rsskit.supervisor import SupervisorConfig, adversarial_ac, run_supervised
 
 def reference_bisection(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     def gap_at(tau):
-        xr, _ = advance_vehicle(x_r, v_r, a_r, tau)
-        xf, _ = advance_vehicle(x_f, v_f, a_f, tau)
+        xr, _, _ = advance_vehicle(x_r, v_r, a_r, tau)
+        xf, _, _ = advance_vehicle(x_f, v_f, a_f, tau)
         return xf - xr - length
 
     lo, hi = 0.0, step
@@ -45,8 +45,8 @@ def plateau(step_args, tau):
     """How long the advance_vehicle gap takes to move by 4 ulps of the
     positions around tau."""
     x_r, v_r, a_r, x_f, v_f, a_f, _, _ = step_args
-    xr, vr = advance_vehicle(x_r, v_r, a_r, tau)
-    xf, vf = advance_vehicle(x_f, v_f, a_f, tau)
+    xr, vr, _ = advance_vehicle(x_r, v_r, a_r, tau)
+    xf, vf, _ = advance_vehicle(x_f, v_f, a_f, tau)
     dg = 4.0 * math.ulp(max(abs(xr), abs(xf)))
     closing = abs(vf - vr)
     bend = abs((a_f if vf > 0.0 else 0.0) - (a_r if vr > 0.0 else 0.0))

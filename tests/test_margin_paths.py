@@ -18,7 +18,6 @@ from rsskit.response import (
     RESPONSE_WINDOW,
     ResponsePhase,
     begin_response,
-    hold_command_window,
     proper_response_command,
 )
 from rsskit.rule import evaluate, margin, safe_distance
@@ -54,9 +53,7 @@ def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
             return SupervisorState(AC, None, clamped, sup.engagements), clamped
-    cmd = proper_response_command(
-        params, sup.phase, state.v_r, hold_command_window(sup.held_command)
-    )
+    cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
     return sup, cmd
 
 

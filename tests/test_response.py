@@ -7,7 +7,6 @@ from rsskit.response import (
     RESPONSE_WINDOW,
     advance_phase,
     begin_response,
-    hold_command_window,
     proper_response_command,
 )
 
@@ -20,22 +19,22 @@ def test_begin_response(params):
 
 def test_window_command_is_policy_clamped(params):
     ph = begin_response()
-    assert proper_response_command(params, ph, 10.0, hold_command_window(params.a_max)) == params.a_max
-    assert proper_response_command(params, ph, 10.0, hold_command_window(0.0)) == 0.0
-    # out-of-range window policies are clamped to the capability bounds
-    assert proper_response_command(params, ph, 10.0, hold_command_window(99.0)) == params.a_max
-    assert proper_response_command(params, ph, 10.0, hold_command_window(-99.0)) == -params.a_brake_min
-    assert proper_response_command(params, ph, 10.0, hold_command_window(-1.0)) == -1.0
+    assert proper_response_command(params, ph, 10.0, params.a_max) == params.a_max
+    assert proper_response_command(params, ph, 10.0, 0.0) == 0.0
+    # out-of-range window commands are clamped to the capability bounds
+    assert proper_response_command(params, ph, 10.0, 99.0) == params.a_max
+    assert proper_response_command(params, ph, 10.0, -99.0) == -params.a_brake_min
+    assert proper_response_command(params, ph, 10.0, -1.0) == -1.0
 
 
 def test_braking_command(params):
     ph = begin_response()
     ph = advance_phase(params, ph, params.rho, 12.0)
     assert ph.kind == BRAKING
-    # past the window the window policy is not consulted
-    assert proper_response_command(params, ph, 12.0, None) == -params.a_brake_min
+    # past the window the window command is ignored
+    assert proper_response_command(params, ph, 12.0, params.a_max) == -params.a_brake_min
     # a stopped vehicle is not pushed backwards
-    assert proper_response_command(params, ph, 0.0, None) == 0.0
+    assert proper_response_command(params, ph, 0.0, params.a_max) == 0.0
 
 
 def test_window_ends_exactly_at_rho(params):
@@ -53,7 +52,7 @@ def test_halt_is_absorbing(params):
     ph = advance_phase(params, ph, params.rho, 5.0)
     ph = advance_phase(params, ph, 0.1, 0.0)
     assert ph.kind == HALTED
-    assert proper_response_command(params, ph, 0.0, None) == 0.0
+    assert proper_response_command(params, ph, 0.0, params.a_max) == 0.0
     assert advance_phase(params, ph, 1.0, 0.0).kind == HALTED
 
 
@@ -70,7 +69,5 @@ def test_rejects_bad_dt(params):
 
 
 def test_full_throttle_window_holds_a_max(params):
-    # the worst admissible window behavior, as an explicit policy
-    worst = hold_command_window(params.a_max)
-    assert worst(params, 3.0) == params.a_max
-    assert proper_response_command(params, begin_response(), 3.0, worst) == params.a_max
+    # the worst admissible window behavior: holding a_max
+    assert proper_response_command(params, begin_response(), 3.0, params.a_max) == params.a_max
