@@ -232,10 +232,10 @@ def audit(
     )
     compliant, violations = check_compliance(traj, accel_tol, time_tol)
     _, score = safety_metric(traj)
-    if find_collision_index(traj) is None:
-        liability = LIABILITY_NONE
-    else:
+    try:
         liability = attribute_liability(traj, accel_tol, time_tol)
+    except NoCollision:
+        liability = LIABILITY_NONE
     return AuditReport(
         per_sample=per_sample,
         compliant=compliant,

@@ -10,20 +10,15 @@ identical outcomes.
 from __future__ import annotations
 
 import sys
+from math import isnan
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .audit import check_compliance
 from .core import RssParams, ScenarioState
-from .dynamics import (
-    ALL_CASES,
-    analyze_gap,
-    build_profile,
-    classify_worst_case,
-    worst_case_gap_analysis,
-    worst_case_pov,
-)
+from .batch import analyze_gaps, build_profiles
+from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
@@ -37,6 +32,9 @@ CASE_COVERAGE_PAIRS = ((20.0, 10.0), (10.0, 12.0), (10.0, 14.0), (5.0, 30.0))
 # Each random trial draws up to this many POV segments and sorts their cut
 # times; a larger count is refused rather than allocated per trial.
 MAX_POV_SEGMENTS = 1000
+# Random trials per batch-kernel call at up to 8 POV segments, which keeps
+# its arrays near 1 MB; longer POV schedules run proportionally fewer.
+CHUNK = 256
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -125,31 +123,10 @@ def _state_key(ce: dict):
     return (ce["v_r"], ce["v_f"], ce["gap"], ce.get("behavior", ""))
 
 
-def _randomized_min_gap(params, cfg, rng, start, horizon):
-    """Exact min gap under one random admissible POV/SV behavior pair.
-
-    The SV follows the proper response with a random piecewise-constant
-    response-window policy; the POV runs a random piecewise-constant
-    acceleration within its bounds.  Piecewise-constant accelerations make
-    the motion closed-form, so no step error is involved.
-    """
-    n_seg = int(rng.integers(cfg.pov_segments_min, cfg.pov_segments_max + 1))
-    cuts = np.sort(rng.uniform(0.0, horizon, size=n_seg - 1)) if n_seg > 1 else []
-    accels = rng.uniform(-params.a_brake_max, cfg.a_fwd_max, size=n_seg)
-    sched_f = [(0.0, float(accels[0]))]
-    sched_f += [(float(t), float(a)) for t, a in zip(cuts, accels[1:])]
-
-    n_win = int(rng.integers(1, 4))
-    wcuts = np.sort(rng.uniform(0.0, params.rho, size=n_win - 1)) if n_win > 1 else []
-    waccels = rng.uniform(-params.a_brake_min, params.a_max, size=n_win)
-    sched_r = [(0.0, float(waccels[0]))]
-    sched_r += [(float(t), float(a)) for t, a in zip(wcuts, waccels[1:])]
-    sched_r.append((params.rho, -params.a_brake_min))
-
-    segs_r = build_profile(start.x_r, start.v_r, sched_r, horizon)
-    segs_f = build_profile(start.x_f, start.v_f, sched_f, horizon)
-    col_t, col_gap, min_gap, _ = analyze_gap(segs_r, segs_f, params.vehicle_length)
-    return col_t, min_gap
+def _sv_halt(params: RssParams, v_r: float) -> float:
+    """The SV halt time of the closed-form worst case from speed v_r."""
+    v_peak = v_r + params.a_max * params.rho
+    return params.rho + v_peak / params.a_brake_min if v_peak > 0.0 else 0.0
 
 
 def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOutcome:
@@ -158,7 +135,7 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     Every trial runs the closed-form worst case; random trials add one
     randomized admissible POV behavior paired with a randomized
     response-window policy.  Any collision is a counterexample; the
-    expected count is zero.
+    expected count is zero.  The batch kernel analyzes CHUNK trials at once.
     """
     if cfg.a_fwd_max < -params.a_brake_max:
         raise ConfigError(
@@ -168,46 +145,71 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     outcome = CampaignOutcome("safety_theorem")
     outcome.stats["randomized_trials"] = 0
     outcome.stats["randomized_min_gap_below_worst"] = 0
-
-    def worst_trial(v_r, v_f, gap, label):
-        start = ScenarioState(gap, v_f, 0.0, v_r)
-        col_t, _, min_gap, _, t_sv_halt, _ = worst_case_gap_analysis(params, start)
-        outcome.trials_run += 1
-        outcome.cases_seen[classify_worst_case(params, start)] += 1
-        if col_t is not None:
-            outcome.counterexamples.append(
-                {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "worst_case",
-                 "collision_t": col_t, "source": label}
-            )
-        return start, min_gap, t_sv_halt
-
     length = params.vehicle_length
+
+    def trials(rows, prof_r, prof_f, behavior, label):
+        col_t, min_gap = analyze_gaps(prof_r, prof_f, length)
+        for (v_r, v_f, gap, _), t in zip(rows, col_t.tolist()):
+            if not isnan(t):
+                outcome.counterexamples.append(
+                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": behavior,
+                     "collision_t": t, "source": label}
+                )
+        return min_gap
+
+    def worst_trials(rows, label):
+        for v_r, v_f, gap, _ in rows:
+            outcome.cases_seen[classify_worst_case(params, ScenarioState(gap, v_f, 0.0, v_r))] += 1
+        outcome.trials_run += len(rows)
+        v_r, v_f, gap, t_end = np.array(rows).T
+        prof_r = build_profiles(np.zeros(len(rows)), v_r, np.array([[0.0, params.rho]]),
+                                np.array([[params.a_max, -params.a_brake_min]]), t_end)
+        prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
+        return trials(rows, prof_r, prof_f, "worst_case", label)
+
     if cfg.include_grid:
-        for v_r in GRID_SPEEDS:
-            for v_f in GRID_SPEEDS:
-                d = safe_distance(params, v_r, v_f)
-                for m in GRID_MARGINS:
-                    worst_trial(v_r, v_f, d + length + m, "grid")
-        for v_r, v_f in CASE_COVERAGE_PAIRS:
-            worst_trial(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0, "grid")
+        pairs = [(v_r, v_f, safe_distance(params, v_r, v_f))
+                 for v_r in GRID_SPEEDS for v_f in GRID_SPEEDS]
+        grid = [(v_r, v_f, d + length + m) for v_r, v_f, d in pairs for m in GRID_MARGINS]
+        grid += [(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0)
+                 for v_r, v_f in CASE_COVERAGE_PAIRS]
+        worst_trials([(v_r, v_f, gap, _sv_halt(params, v_r)) for v_r, v_f, gap in grid], "grid")
 
-    for _ in range(cfg.n_trials):
-        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
-        margin = cfg.margin_max * (1.0 - float(rng.random()))  # in (0, margin_max]
-        gap = safe_distance(params, v_r, v_f) + length + margin
-        start, worst_min_gap, t_sv_halt = worst_trial(v_r, v_f, gap, "random")
+    n_f = cfg.pov_segments_max
+    chunk = max(16, CHUNK * 8 // max(8, n_f))
+    for lo in range(0, cfg.n_trials, chunk):
+        n = min(chunk, cfg.n_trials - lo)
+        rows = []
+        starts_f, accels_f = np.full((n, n_f), np.inf), np.zeros((n, n_f))
+        starts_r, accels_r = np.full((n, 4), np.inf), np.zeros((n, 4))
+        for i in range(n):
+            v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
+            v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+            margin = cfg.margin_max * (1.0 - float(rng.random()))  # in (0, margin_max]
+            t_sv_halt = _sv_halt(params, v_r)
+            rows.append((v_r, v_f, safe_distance(params, v_r, v_f) + length + margin, t_sv_halt))
+            n_seg = int(rng.integers(cfg.pov_segments_min, cfg.pov_segments_max + 1))
+            if n_seg > 1:
+                starts_f[i, 1:n_seg] = rng.uniform(0.0, t_sv_halt + 1.0, size=n_seg - 1)
+            accels_f[i, :n_seg] = rng.uniform(-params.a_brake_max, cfg.a_fwd_max, size=n_seg)
+            n_win = int(rng.integers(1, 4))
+            if n_win > 1:
+                starts_r[i, 1:n_win] = rng.uniform(0.0, params.rho, size=n_win - 1)
+            accels_r[i, :n_win] = rng.uniform(-params.a_brake_min, params.a_max, size=n_win)
+            starts_r[i, n_win], accels_r[i, n_win] = params.rho, -params.a_brake_min
+        # each row's cut times in order, its padding behind them
+        starts_f[:, 0] = starts_r[:, 0] = 0.0
+        starts_f[:, 1:].sort(axis=1)
+        starts_r[:, 1:].sort(axis=1)
 
-        horizon = t_sv_halt + 1.0
-        col_t, rand_min_gap = _randomized_min_gap(params, cfg, rng, start, horizon)
-        outcome.stats["randomized_trials"] += 1
-        if col_t is not None:
-            outcome.counterexamples.append(
-                {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "randomized",
-                 "collision_t": col_t, "source": "random"}
-            )
-        if rand_min_gap < worst_min_gap - 1e-9:
-            outcome.stats["randomized_min_gap_below_worst"] += 1
+        worst_min_gap = worst_trials(rows, "random")
+        v_r, v_f, gap, t_sv_halt = np.array(rows).T
+        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_sv_halt + 1.0)
+        prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_sv_halt + 1.0)
+        rand_min_gap = trials(rows, prof_r, prof_f, "randomized", "random")
+        outcome.stats["randomized_trials"] += n
+        below = rand_min_gap < worst_min_gap - 1e-9
+        outcome.stats["randomized_min_gap_below_worst"] += int(below.sum())
 
     outcome.counterexamples.sort(key=_state_key)
     return outcome

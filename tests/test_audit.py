@@ -278,17 +278,28 @@ def test_audit_attributes_liability_once(monkeypatch):
     # rsskit.audit is also the name of the audit function
     module = importlib.import_module("rsskit.audit")
     calls = []
+    scans = []
     original = module.attribute_liability
+    original_scan = module.find_collision_index
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
+    def counting_scan(*args, **kwargs):
+        scans.append(args[0])
+        return original_scan(*args, **kwargs)
+
     monkeypatch.setattr(module, "attribute_liability", counting)
+    monkeypatch.setattr(module, "find_collision_index", counting_scan)
     for record in (GOLDEN_COMPLIANT, LIAB_SV, LIAB_POV, LIAB_INCONSISTENT):
         calls.clear()
+        scans.clear()
         rep = audit(record)
-        assert len(calls) == (0 if record is GOLDEN_COMPLIANT else 1)
+        # one attribution and one collision scan, with or without a collision
+        assert len(calls) == 1
+        assert len(scans) == 1
+        assert (rep.liability == LIABILITY_NONE) == (record is GOLDEN_COMPLIANT)
         # the report's principles follow from its one liability verdict
         verdict = VIOLATED if rep.liability == SV_LIABLE else SATISFIED
         assert rep.principles == {1: verdict, 2: NOT_APPLICABLE, 3: NOT_APPLICABLE,
