@@ -1,12 +1,33 @@
-"""build_profile and analyze_gap over arrays with one row per trial: each
-branch is a mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value
-comes from the scalar code's float operations in its order, so each row is
-bit for bit the scalar kernel's result (tests/test_batch.py)."""
+"""The scalar kernels over arrays with one row per trial: build_profile and
+analyze_gap, and the supervised episode of the campaign.  Each branch is a
+mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value comes from
+the scalar code's float operations in its order, so each row is bit for bit
+the scalar result (tests/test_batch.py, tests/test_lockstep.py).  The one
+exception is the safety margin, whose squares differ (see margins)."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
+from .audit import DEFAULT_ACCEL_TOL
+from .core import ScenarioState
 from .dynamics import COLLISION_EPS
+from .rule import margin, travel_arithmetic
+from .supervisor import WINDOW_SLACK, decision_grid
+
+
+def advance_vehicles(x, v, a, dt):
+    """advance_vehicle for each row of the arrays x and v; a and dt may be
+    arrays or floats."""
+    held = (v <= 0.0) & (a <= 0.0)
+    v_end = v + a * dt
+    stops = v_end < 0.0  # so a < 0, as v >= 0 and dt > 0
+    # -a only where the row stops, so no lane divides by zero
+    moving = np.where(held, 0.0, np.where(stops, v / np.where(stops, -a, 1.0), dt))
+    x_end = np.where(held, x, x + v * moving + 0.5 * a * moving * moving)
+    # v_end <= 0 where held or stopping, so the velocity is 0 there
+    return x_end, np.where(v_end > 0.0, v_end, 0.0), moving
 
 
 def build_profiles(x0, v0, starts, accels, t_end):
@@ -28,13 +49,7 @@ def build_profiles(x0, v0, starts, accels, t_end):
             nxt = starts[:, i + 1] if i + 1 < pieces else np.inf
             t_next = np.where(t_end < nxt, t_end, nxt)
             span = t_next - t
-            # advance_vehicle(x, v, a, span): held, stops inside, moves through
-            held = (v <= 0.0) & (a <= 0.0)
-            stops = ~held & (a < 0.0) & (v + a * span < 0.0)
-            moving = np.where(held, 0.0, np.where(stops, v / (-a), span))
-            x_next = np.where(held, x, x + v * moving + 0.5 * a * moving * moving)
-            # v + a * span <= 0 where held or stopping, so this is 0 there
-            v_next = np.where(v + a * span > 0.0, v + a * span, 0.0)
+            x_next, v_next, moving = advance_vehicles(x, v, a, span)
             active, whole = t < t_end, moving == span
             seg = [t, np.where(whole, t_next, t + moving), x, v, a]
             out[:, :, 2 * i] = np.where(active & (whole | (moving > 0.0)), seg, np.inf)
@@ -105,3 +120,126 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
         col_t = np.where(at_start, u0[:, 0], np.where(hit, u0[rows, k] + s, np.nan))
         min_gap = np.where(at_start, g0[:, 0], np.where(hit, g_col, best)) + length
     return col_t, min_gap
+
+
+# |margins - rule.margin| <= 13 u (|gap - length| + the four travels), u =
+# 2**-53, when libm pow is within an ulp (README); this leaves 40 times that.
+BAND = 2.0 ** -44
+# The supervisor's phase codes; _AC is no response episode (AC mode).
+_AC, _WINDOW, _BRAKING, _HALTED = range(4)
+
+
+def margins(params, x, v, threshold=0.0):
+    """rule.margin of the states whose SV is row 2j and POV row 2j + 1 of
+    the positions x and velocities v, from travel_arithmetic, and whether
+    each is far from overflow (where the scalar margin raises).  A margin
+    within BAND of 0 or threshold is the scalar one, so comparisons with
+    them decide as the scalar ones do."""
+    x_r, x_f, v_r, v_f = x[0::2], x[1::2], v[0::2], v[1::2]
+    g = x_f - x_r - params.vehicle_length
+    with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows to inf
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
+        sv_travel = response_travel + response_gain + sv_brake
+        raw = sv_travel - pov_brake
+        size = np.abs(g) + sv_travel + pov_brake
+    m = g - np.where(raw > 0.0, raw, 0.0)
+    # squares of up to 2**1020: pow and x*x agree on overflowing, sums stay finite
+    ok = size < 2.0 ** 1020 / max(1.0, 2.0 * params.a_brake_max)
+    band = BAND * size
+    near = np.abs(m) <= band
+    if threshold:
+        near |= np.abs(m - threshold) <= band
+    if np.count_nonzero(near):
+        for j, c in zip(*np.nonzero(near & ok)):
+            state = (float(z[j, c]) for z in (x_f, v_f, x_r, v_r))
+            m[j, c] = margin(params, ScenarioState(*state))
+    return m, ok
+
+
+def supervised_lockstep(params, cfg, starts, dt, t_end):
+    """run_supervised of adversarial_ac (a_max) against worst_case_pov
+    (-a_brake_max), then check_compliance of its trace, for each row
+    (x_f, v_f, x_r, v_r) of starts, all rows one step at a time.
+
+    Returns (fallback, engagements, compliant) per row.  A row falls back
+    when the scalar run would collide or raise, when a margin nears
+    overflow, or when a BC sample brakes weakly late in its episode; only
+    its fallback flag is meaningful, and the scalar path must run it.
+    """
+    k, cfg = decision_grid(params, cfg, dt, t_end)
+    lo, hi = cfg.bounds(params)
+    a_ac = min(hi, max(lo, params.a_max))  # decide's clamped command
+    # proper_response_command for each phase code but braking
+    commands = np.array([a_ac, min(params.a_max, max(-params.a_brake_min, a_ac)), 0.0, 0.0])
+    rho, length, sb = params.rho, params.vehicle_length, cfg.switchback_margin
+    weak = -params.a_brake_min + DEFAULT_ACCEL_TOL
+    lookahead = np.array([[params.a_max], [-params.a_brake_max]])  # worst_case_successor
+    n = len(starts)
+    fallback, compliant, engagements = np.zeros(n, bool), np.ones(n, bool), np.zeros(n, int)
+    # row 0 the SV, row 1 the POV
+    x, v = starts[:, [2, 0]].T.copy(), starts[:, [3, 1]].T.copy()
+    accels = np.full((2, n), -params.a_brake_max)
+    rows, phase, elapsed, eng = np.arange(n), np.zeros(n, np.int8), np.zeros(n), np.zeros(n, int)
+    # check_compliance's scan: the last sample's mode, the episode start time
+    prev_bc, ep_t = np.zeros(n, bool), np.zeros(n)
+    n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
+    for i in range(n_steps + 1):
+        t, decision = i * dt, i % k == 0
+        # advance_phase: window -> braking -> halted; elapsed is read in the window
+        elapsed = elapsed + dt
+        phase += ((phase == _WINDOW) & (elapsed >= rho)) | ((phase == _BRAKING) & (v[0] <= 0.0))
+        if decision:
+            w, wv, _ = advance_vehicles(x, v, lookahead, cfg.period)
+            (m, m_w), (ok, ok_w) = margins(
+                params, np.concatenate((x, w)), np.concatenate((v, wv)), sb)
+        else:
+            (m,), (ok,) = margins(params, x, v)
+        fail = ~ok
+        if i == 0:  # later samples are the step ends checked below
+            fail |= x[1] - x[0] - length <= COLLISION_EPS
+        if decision:  # decide
+            ac, clear = phase == _AC, m_w > 0.0
+            release = (phase >= _BRAKING) & (m > sb)
+            # InvariantBreach, or a lookahead the scalar margin cannot give
+            fail |= (ac & ~(m > 0.0)) | ((ac | release) & ~ok_w)
+            engage = ac & ~clear
+            phase = np.where(engage, _WINDOW, np.where(release & clear, _AC, phase))
+            elapsed = np.where(engage, 0.0, elapsed)
+            eng += engage
+        # braking, and a window step that would end past rho, brake to a halt
+        braking = (phase == _BRAKING) | ((phase == _WINDOW) & (elapsed + dt > rho + WINDOW_SLACK))
+        moving = v[0] > 0.0
+        cmd = np.where(braking, np.where(moving, -params.a_brake_min, 0.0), commands[phase])
+
+        # check_compliance.  An episode starts at an engagement, where the
+        # margin is > 0 (else the row fell back), so no start is unsafe.  An
+        # AC sample violates the rule where its margin is <= 0, a BC one where
+        # it also brakes weakly later than rho plus the median step after the
+        # start: never seen under these commands, the scalar path decides it.
+        bc, holds = phase != _AC, m > 0.0
+        ep_t = np.where(bc & ~prev_bc, t, ep_t)
+        prev_bc = bc
+        no_response = ~(holds | bc)
+        if np.count_nonzero(no_response):
+            compliant[rows[no_response]] = False
+        fail |= bc & ~holds & moving & (cmd > weak) & (t - ep_t > rho)
+
+        settled = i == n_steps
+        if decision and not settled:  # a settled halt ends the run
+            settled = ((phase == _AC) | (phase == _HALTED)) & (v[0] <= 0.0) & (v[1] <= 0.0)
+        done = ~fail & settled
+        accels[0] = cmd
+        x, v, _ = advance_vehicles(x, v, accels, dt)
+        fail |= ~done & (x[1] - x[0] - length <= COLLISION_EPS)
+        ended = fail | done
+        if not np.count_nonzero(ended):
+            continue
+        engagements[rows[done]] = eng[done]
+        fallback[rows[fail]] = True
+        keep = ~ended
+        if not np.count_nonzero(keep):
+            break
+        x, v, accels = x[:, keep], v[:, keep], accels[:, keep]
+        rows, phase, elapsed, eng, prev_bc, ep_t = (
+            z[keep] for z in (rows, phase, elapsed, eng, prev_bc, ep_t))
+    return fallback, engagements, compliant

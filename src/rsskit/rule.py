@@ -19,27 +19,37 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     """The formula's four travels: (SV response travel, SV response
     acceleration gain, SV braking travel, POV braking travel).
 
-    This is the one definition of the formula; the breakdown, the raw
-    value and the two stopping distances in dynamics are sums of these
-    terms.
+    travel_arithmetic is the one definition of the formula; the
+    breakdown, the raw value and the two stopping distances in dynamics
+    are sums of these terms.  Speeds outside [0, inf) and terms that
+    overflow raise DomainError.
     """
     # written so that NaN fails too
     if not (0 <= v_r < inf and 0 <= v_f < inf):
         raise DomainError(
             f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
         )
-    v_peak = v_r + params.a_max * params.rho
     try:
-        response_travel = v_r * params.rho
-        response_gain = 0.5 * params.a_max * params.rho ** 2
-        sv_brake = v_peak ** 2 / (2.0 * params.a_brake_min)
-        pov_brake = v_f ** 2 / (2.0 * params.a_brake_max)
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
     except OverflowError:  # ** raises where * and / give inf
-        pov_brake = inf  # fails the test below before the unset terms are read
+        response_travel = response_gain = sv_brake = pov_brake = inf
     # an overflowing term makes d_min inf or, as inf - inf, NaN
     if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
         raise DomainError(f"the safe distance overflows at v_r={v_r!r}, v_f={v_f!r}")
     return response_travel, response_gain, sv_brake, pov_brake
+
+
+def travel_arithmetic(params: RssParams, v_r, v_f):
+    """travel_terms' arithmetic without its checks, on floats or numpy
+    arrays.  On an array ** squares by x*x where a float calls libm pow,
+    so an array term can differ from the float one by an ulp."""
+    v_peak = v_r + params.a_max * params.rho
+    return (
+        v_r * params.rho,
+        0.5 * params.a_max * params.rho ** 2,
+        v_peak ** 2 / (2.0 * params.a_brake_min),
+        v_f ** 2 / (2.0 * params.a_brake_max),
+    )
 
 
 def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:

@@ -145,6 +145,22 @@ def benign_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
     return policy
 
 
+def decision_grid(
+    params: RssParams, cfg: SupervisorConfig, dt: float, t_end: Optional[float]
+) -> Tuple[int, SupervisorConfig]:
+    """(k, cfg with period k * dt) for a run at step dt: decisions every
+    k = round(period / dt) steps look ahead over the realized interval.
+    Raises StepError or ConfigError where run_supervised refuses dt,
+    t_end or cfg."""
+    check_step(dt, 0.0 if t_end is None else t_end)
+    cfg.validate_against(params)
+    steps_per_period = max(1, int(round(cfg.period / dt)))
+    # when dt divides rho, k * dt may land a few ulps above it
+    cfg = replace(cfg, period=steps_per_period * dt)
+    cfg.validate_against(params, WINDOW_SLACK)
+    return steps_per_period, cfg
+
+
 def run_supervised(
     params: RssParams,
     cfg: SupervisorConfig,
@@ -168,14 +184,7 @@ def run_supervised(
     vehicles have halted, at a decision step with no response episode
     mid-flight.
     """
-    check_step(dt, 0.0 if t_end is None else t_end)
-    cfg.validate_against(params)
-    steps_per_period = max(1, int(round(cfg.period / dt)))
-    # decisions land on the step grid: look ahead over the realized
-    # interval; when dt divides rho, k * dt may land a few ulps above it
-    cfg = replace(cfg, period=steps_per_period * dt)
-    cfg.validate_against(params, WINDOW_SLACK)
-
+    steps_per_period, cfg = decision_grid(params, cfg, dt, t_end)
     start_ev = evaluate(params, start)
     if not start_ev.condition_holds:
         raise InvariantBreach(

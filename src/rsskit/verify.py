@@ -17,9 +17,9 @@ import numpy as np
 
 from .audit import check_compliance
 from .core import RssParams, ScenarioState
-from .batch import analyze_gaps, build_profiles
+from .batch import analyze_gaps, build_profiles, supervised_lockstep
 from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
 
@@ -276,6 +276,11 @@ def verify_supervised_safety(
     controller against the worst-case POV; expect zero collisions and
     full audit compliance.  With supervised=False this is the negative
     control and collisions are expected.
+
+    Supervised episodes run in lockstep (batch.supervised_lockstep); one
+    it cannot finish as the scalar path would, and every negative-control
+    episode, runs through run_supervised and check_compliance, in trial
+    order, so errors and counterexamples are the scalar path's.
     """
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("supervised_negative" if not supervised else "supervised")
@@ -285,34 +290,51 @@ def verify_supervised_safety(
     noncompliant = 0
     engagements = 0
 
+    starts, setup_error = [], None
     for _ in range(cfg.n_trials):
         v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
         v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
         margin = cfg.margin_max * (1.0 - float(rng.random()))
-        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin
-        start = ScenarioState(gap, v_f, 0.0, v_r)
-        trace = run_supervised(
-            params, sup_cfg, start, ac, pov,
-            dt=cfg.sim_dt, t_end=60.0, supervised=supervised,
-        )
+        try:
+            gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin
+            starts.append(ScenarioState(gap, v_f, 0.0, v_r))
+        except DomainError as exc:  # raised once the trials before it have run
+            setup_error = exc
+            break
+    fallback = [True] * len(starts)
+    if supervised and starts:
+        fallback, lock_eng, lock_ok = (z.tolist() for z in supervised_lockstep(
+            params, sup_cfg, np.array(starts), cfg.sim_dt, 60.0))
+
+    for j, start in enumerate(starts):
+        gap, v_f, _, v_r = start
+        if fallback[j]:  # the scalar path: the negative control, and oracle
+            trace = run_supervised(
+                params, sup_cfg, start, ac, pov,
+                dt=cfg.sim_dt, t_end=60.0, supervised=supervised,
+            )
+            eng, collision = trace.bc_engagements, trace.collision
+            compliant = not supervised or check_compliance(trace.to_trajectory())[0]
+        else:
+            eng, collision, compliant = lock_eng[j], None, lock_ok[j]
         outcome.trials_run += 1
-        engagements += trace.bc_engagements
-        if trace.collision is not None:
+        engagements += eng
+        if collision is not None:
             collisions += 1
             if supervised:
                 outcome.counterexamples.append(
                     {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
-                     "collision_t": trace.collision.t, "source": "random"}
+                     "collision_t": collision.t, "source": "random"}
                 )
-        if supervised:
-            compliant, _ = check_compliance(trace.to_trajectory())
-            if not compliant:
-                noncompliant += 1
-                outcome.counterexamples.append(
-                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
-                     "collision_t": None, "source": "noncompliant"}
-                )
+        if not compliant:
+            noncompliant += 1
+            outcome.counterexamples.append(
+                {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
+                 "collision_t": None, "source": "noncompliant"}
+            )
 
+    if setup_error is not None:
+        raise setup_error
     outcome.stats["collisions"] = collisions
     outcome.stats["noncompliant"] = noncompliant
     outcome.stats["bc_engagements"] = engagements

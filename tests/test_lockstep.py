@@ -1,0 +1,262 @@
+"""The lockstep supervised campaign against the scalar loop.
+
+verify_supervised_safety runs its supervised episodes through
+rsskit.batch.supervised_lockstep.  Its outcome must equal, with ==, that of
+a test-local copy of the scalar campaign (run_supervised plus
+check_compliance per episode), and where the scalar campaign raises, the
+lockstep one must raise the same error type with the same message.  The
+config matrix covers at least 10,000 episodes.  The safety margin is the
+one value the lockstep computes differently (its squares are x*x where the
+scalar path calls pow); the near-threshold tests pin the band in which it
+takes the scalar margin instead.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from rsskit.audit import check_compliance
+from rsskit.batch import margins, supervised_lockstep
+from rsskit.core import RssParams, ScenarioState
+from rsskit.dynamics import worst_case_pov
+from rsskit.errors import RssError
+from rsskit.rule import margin, safe_distance, travel_arithmetic
+from rsskit.supervisor import SupervisorConfig, adversarial_ac, run_supervised, worst_case_successor
+from rsskit.verify import CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety
+
+PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
+LONG = RssParams(0.3, 2.0, 4.0, 8.0, vehicle_length=4.5)
+COASTING = RssParams(0.5, 0.0, 3.0, 6.0)  # a_max 0: the SV holds its speed or brakes
+
+
+def scalar_campaign(params, sup_cfg, cfg, supervised=True):
+    """verify_supervised_safety as it was before the lockstep engine."""
+    rng = np.random.default_rng(cfg.seed)
+    outcome = CampaignOutcome("supervised_negative" if not supervised else "supervised")
+    pov = worst_case_pov(params)
+    ac = adversarial_ac(params)
+    collisions = 0
+    noncompliant = 0
+    engagements = 0
+
+    for _ in range(cfg.n_trials):
+        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
+        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+        margin_ = cfg.margin_max * (1.0 - float(rng.random()))
+        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin_
+        start = ScenarioState(gap, v_f, 0.0, v_r)
+        trace = run_supervised(
+            params, sup_cfg, start, ac, pov,
+            dt=cfg.sim_dt, t_end=60.0, supervised=supervised,
+        )
+        outcome.trials_run += 1
+        engagements += trace.bc_engagements
+        if trace.collision is not None:
+            collisions += 1
+            if supervised:
+                outcome.counterexamples.append(
+                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
+                     "collision_t": trace.collision.t, "source": "random"}
+                )
+        if supervised:
+            compliant, _ = check_compliance(trace.to_trajectory())
+            if not compliant:
+                noncompliant += 1
+                outcome.counterexamples.append(
+                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
+                     "collision_t": None, "source": "noncompliant"}
+                )
+
+    outcome.stats["collisions"] = collisions
+    outcome.stats["noncompliant"] = noncompliant
+    outcome.stats["bc_engagements"] = engagements
+    outcome.counterexamples.sort(key=_state_key)
+    return outcome
+
+
+def result(campaign, *args, **kwargs):
+    """The outcome dict, or the (type, message) of the error raised."""
+    try:
+        return campaign(*args, **kwargs).to_dict()
+    except RssError as exc:
+        return type(exc), str(exc)
+
+
+# (params, supervisor config fields, campaign config fields, episodes)
+MATRIX = {
+    "default": (PAPER, {}, {}, 3000),
+    "dt_not_dividing_period": (PAPER, {}, {"sim_dt": 0.03}, 1000),
+    "period_equals_rho": (PAPER, {"period": 0.3}, {}, 1000),
+    "vehicle_length": (LONG, {}, {}, 1000),
+    "command_bounds": (PAPER, {"sv_command_bounds": (-2.0, 1.0)}, {}, 1000),
+    "switchback_margin_0": (PAPER, {"switchback_margin": 0.0}, {}, 1000),
+    "a_max_0": (COASTING, {}, {}, 1000),
+    "dyadic_dt": (COASTING, {"period": 0.25}, {"sim_dt": 0.125}, 500),
+    "small_margins": (PAPER, {}, {"margin_max": 1e-3}, 1000),
+    "halted_starts": (PAPER, {}, {"v_min": 0.0, "v_max": 0.0}, 200),
+    "v_max_1e9": (PAPER, {}, {"v_max": 1e9}, 200),
+    "margin_max_1e-12": (PAPER, {}, {"margin_max": 1e-12}, 200),
+    "margin_max_1e-9": (PAPER, {}, {"margin_max": 1e-9}, 200),
+    "margin_max_1e-8": (PAPER, {}, {"margin_max": 1e-8}, 300),
+    "near_overflow": (PAPER, {}, {"v_min": 1.2e154, "v_max": 1.3e154}, 3),
+    "negative_speeds": (PAPER, {}, {"v_min": -1.0}, 200),
+    "period_above_rho": (PAPER, {"period": 0.5}, {}, 10),
+    "no_trials": (PAPER, {}, {}, 0),
+}
+
+
+def test_matrix_covers_10k_episodes():
+    assert sum(n for *_, n in MATRIX.values()) >= 10_000
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_campaign_matches_the_scalar_loop(name):
+    params, sup_fields, fields, n = MATRIX[name]
+    sup_cfg = SupervisorConfig(**sup_fields)
+    cfg = CampaignConfig(seed=len(name), n_trials=n, **fields)
+    want = result(scalar_campaign, params, sup_cfg, cfg)
+    assert result(verify_supervised_safety, params, sup_cfg, cfg) == want
+
+
+@pytest.mark.parametrize("name, want", [
+    ("v_max_1e9", "must start with the safety condition true"),
+    ("margin_max_1e-12", "must start with the safety condition true"),
+    ("negative_speeds", "velocities must be finite and >= 0"),
+    ("period_above_rho", "must not exceed rho"),
+])
+def test_error_configs_raise(name, want):
+    # the matrix compares errors too; these configs must reach one
+    params, sup_fields, fields, n = MATRIX[name]
+    got = result(verify_supervised_safety, params, SupervisorConfig(**sup_fields),
+                 CampaignConfig(seed=len(name), n_trials=n, **fields))
+    assert isinstance(got, tuple) and want in got[1]
+
+
+def test_margin_max_1e_9_collides_through_the_fallback():
+    out = verify_supervised_safety(PAPER, SupervisorConfig(),
+                                   CampaignConfig(seed=0, n_trials=200, margin_max=1e-9))
+    assert out.stats["collisions"] == 200
+
+
+def test_negative_control_stays_scalar(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the negative control ran in lockstep")
+
+    monkeypatch.setattr("rsskit.verify.supervised_lockstep", refuse)
+    cfg = CampaignConfig(seed=1, n_trials=20)
+    assert (verify_supervised_safety(PAPER, SupervisorConfig(), cfg, supervised=False).to_dict()
+            == scalar_campaign(PAPER, SupervisorConfig(), cfg, supervised=False).to_dict())
+
+
+# ---------------------------------------------------------------------------
+# near the thresholds
+
+def pow_differs(params, rng, count):
+    """Seeded (v_r, v_f) where x*x and pow give a different v_peak or v_f
+    square, so the lockstep margin can differ from the scalar one."""
+    found = []
+    v_peak = params.a_max * params.rho
+    while len(found) < count:
+        v_r, v_f = (float(v) for v in rng.uniform(0.0, 60.0, 2))
+        if (v_r + v_peak) ** 2 != np.float64(v_r + v_peak) * (v_r + v_peak) or (
+            v_f ** 2 != np.float64(v_f) * v_f
+        ):
+            found.append((v_r, v_f))
+    return found
+
+
+def gaps_straddling(f, target, gap):
+    """Gaps next to gap where the scalar f(gap) is target or its
+    neighbours: the last gap below target, and the first ones at and
+    above it, walking gap one ulp at a time."""
+    for _ in range(4):  # Newton steps: f(gap) moves about one for one with gap
+        gap += target - f(gap)
+    while f(gap) >= target:
+        gap = math.nextafter(gap, -math.inf)
+    out = [gap]
+    while f(gap) <= target or len(out) < 3:
+        gap = math.nextafter(gap, math.inf)
+        out.append(gap)
+    return out
+
+
+def naive_margin(params, s):
+    """The array margin without the band: x*x squares throughout."""
+    terms = travel_arithmetic(params, np.array([s.v_r]), np.array([s.v_f]))
+    raw = terms[0] + terms[1] + terms[2] - terms[3]
+    return float((s.x_f - s.x_r - params.vehicle_length - np.maximum(raw, 0.0))[0])
+
+
+@pytest.mark.parametrize("params", [PAPER, LONG], ids=["length0", "length4.5"])
+def test_margin_comparisons_match_the_scalar_ones(params):
+    sb = SupervisorConfig().switchback_margin
+    states = []
+    for v_r, v_f in pow_differs(params, np.random.default_rng(11), 150):
+        for target in (0.0, sb):
+            def f(gap):
+                return margin(params, ScenarioState(gap, v_f, 0.0, v_r))
+            gap0 = safe_distance(params, v_r, v_f) + params.vehicle_length + target
+            states += [ScenarioState(g, v_f, 0.0, v_r) for g in gaps_straddling(f, target, gap0)]
+    x = np.array([[s.x_r for s in states], [s.x_f for s in states]])
+    v = np.array([[s.v_r for s in states], [s.v_f for s in states]])
+    m, ok = margins(params, x, v, sb)
+    assert ok.all()
+    want = [margin(params, s) for s in states]
+    for c in (0.0, sb):
+        assert ((m[0] > c) == [w > c for w in want]).all()
+    # without the band, x*x squares flip some of these comparisons
+    naive = [naive_margin(params, s) for s in states]
+    assert sum((n > c) != (w > c) for n, w in zip(naive, want) for c in (0.0, sb)) > 0
+
+
+def test_margins_far_from_overflow_only():
+    # 1e200 overflows x*x, 1e154 comes within 2**-4 of it; neither warns
+    x = np.zeros((2, 4))
+    v = np.array([[0.0, 30.0, 1e154, 1e200], [0.0, 30.0, 0.0, 0.0]])
+    x[1] = [1.0, 100.0, 1e300, 1e300]
+    _, ok = margins(PAPER, x, v)
+    assert ok.tolist() == [[True, True, False, False]]
+
+
+def lockstep_or_scalar(params, starts, sup_cfg=SupervisorConfig(), dt=0.05):
+    """(engagements, compliant) of each start the lockstep finishes, from
+    the lockstep and from the scalar run; a start it hands back must be
+    one the scalar run raises on or collides in."""
+    fallback, eng, ok = supervised_lockstep(params, sup_cfg, np.array(starts), dt, 60.0)
+    got, want = [], []
+    for j, start in enumerate(starts):
+        try:
+            trace = run_supervised(params, sup_cfg, start, adversarial_ac(params),
+                                   worst_case_pov(params), dt=dt, t_end=60.0)
+        except RssError:
+            assert fallback[j]
+            continue
+        if fallback[j]:
+            # only a collision is left to send a finished run to the scalar path
+            assert trace.collision is not None
+            continue
+        got.append((int(eng[j]), bool(ok[j])))
+        want.append((trace.bc_engagements, check_compliance(trace.to_trajectory())[0]))
+    return got, want
+
+
+@pytest.mark.parametrize("params", [PAPER, LONG], ids=["length0", "length4.5"])
+def test_first_decision_at_the_threshold(params):
+    """Starts whose start margin or first lookahead margin is 0 or next to
+    it: the lockstep breaks, engages or keeps AC as decide does."""
+    period = SupervisorConfig().period
+    at_start, at_lookahead = [], []
+    for v_r, v_f in pow_differs(params, np.random.default_rng(12), 60):
+        def start_margin(gap):
+            return margin(params, ScenarioState(gap, v_f, 0.0, v_r))
+
+        def lookahead(gap):
+            return margin(params, worst_case_successor(params, ScenarioState(gap, v_f, 0.0, v_r), period))
+
+        gap0 = safe_distance(params, v_r, v_f) + params.vehicle_length
+        at_start += [ScenarioState(g, v_f, 0.0, v_r) for g in gaps_straddling(start_margin, 0.0, gap0)]
+        at_lookahead += [ScenarioState(g, v_f, 0.0, v_r) for g in gaps_straddling(lookahead, 0.0, gap0)]
+    # a start at margin 0 raises or collides within COLLISION_EPS: the scalar path runs it
+    assert lockstep_or_scalar(params, at_start) == ([], [])
+    got, want = lockstep_or_scalar(params, at_lookahead)
+    assert got == want and len(got) >= len(at_lookahead) // 5
