@@ -79,16 +79,19 @@ def _default_time_tol(traj: Trajectory) -> float:
     return dts[len(dts) // 2]
 
 
-def _check_accel_tol(accel_tol: float) -> None:
+def _check_tols(accel_tol: float, time_tol: Optional[float]) -> None:
     # written so that NaN fails too
     if not 0 <= accel_tol < inf:
         raise ConfigError(f"accel_tol must be finite and >= 0, got {accel_tol!r}")
+    if time_tol is not None and not 0 <= time_tol < inf:
+        raise ConfigError(f"time_tol must be None or finite and >= 0, got {time_tol!r}")
 
 
 def check_compliance(
     traj: Trajectory,
     accel_tol: float = DEFAULT_ACCEL_TOL,
     time_tol: Optional[float] = None,
+    *, holds=None,
 ) -> Tuple[bool, List[Violation]]:
     """Check that every moment either satisfies the safety condition or
     sits inside a valid proper-response episode.
@@ -98,28 +101,31 @@ def check_compliance(
     episode start) brake at least a_brake_min - accel_tol while still
     moving.  Consecutive failing samples with the same reason are merged
     into one violation range.
+    holds, if given, is each sample's condition verdict (audit's per_sample
+    has them), else each margin is computed here; extra items are ignored.
     """
     if not traj.samples:
         raise EmptyTrajectory("cannot check compliance of an empty trajectory")
-    _check_accel_tol(accel_tol)
+    _check_tols(accel_tol, time_tol)
+    params = traj.params
+    if holds is None:
+        holds = (margin(params, s.state) > 0.0 for s in traj.samples)
     if time_tol is None:
         time_tol = _default_time_tol(traj)
-    params = traj.params
     window = params.rho + time_tol
     weak = -params.a_brake_min + accel_tol
 
     failures = []  # (t, reason)
     ep_t = None  # start time of the current BC episode; None outside one
-    for s in traj.samples:
-        holds = margin(params, s.state) > 0.0
+    for s, ok in zip(traj.samples, holds):
         if s.mode != BC:
             ep_t = None
-            if not holds:
+            if not ok:
                 failures.append((s.t, REASON_NO_RESPONSE))
             continue
         if ep_t is None:
-            ep_t, ep_ok = s.t, holds
-        if holds:
+            ep_t, ep_ok = s.t, ok
+        if ok:
             continue
         if not ep_ok:
             failures.append((s.t, REASON_UNSAFE_START))
@@ -175,19 +181,16 @@ def pov_accelerations(traj: Trajectory) -> List[float]:
     n = len(samples)
     if n < 2:
         return [0.0] * n
-    accs = []
-    for i in range(n):
-        lo = max(0, i - 1)
-        hi = min(n - 1, i + 1)
-        dt = samples[hi].t - samples[lo].t
-        accs.append((samples[hi].state.v_f - samples[lo].state.v_f) / dt)
-    return accs
+    ends = ((max(0, i - 1), min(n - 1, i + 1)) for i in range(n))
+    return [(samples[hi].state.v_f - samples[lo].state.v_f) / (samples[hi].t - samples[lo].t)
+            for lo, hi in ends]
 
 
 def attribute_liability(
     traj: Trajectory,
     accel_tol: float = DEFAULT_ACCEL_TOL,
     time_tol: Optional[float] = None,
+    *, holds=None,
 ) -> str:
     """Assign fault for a collision.
 
@@ -196,9 +199,10 @@ def attribute_liability(
     otherwise the SV is liable if compliance failed before the collision;
     otherwise the finding is Inconsistent -- a compliant in-model
     collision contradicts the safety guarantee and flags a numerical or
-    data problem rather than being silently accepted.
+    data problem rather than being silently accepted.  holds is passed on
+    to check_compliance.
     """
-    _check_accel_tol(accel_tol)
+    _check_tols(accel_tol, time_tol)
     idx = find_collision_index(traj)
     if idx is None:
         raise NoCollision("trajectory contains no collision sample")
@@ -207,7 +211,7 @@ def attribute_liability(
     if any(a < -limit for a in accs[: idx + 1]):
         return POV_OUTSIDE_MODEL
     prefix = traj.prefix(max(idx, 1))
-    compliant, _ = check_compliance(prefix, accel_tol, time_tol)
+    compliant, _ = check_compliance(prefix, accel_tol, time_tol, holds=holds)
     if not compliant:
         return SV_LIABLE
     return INCONSISTENT
@@ -230,10 +234,13 @@ def audit(
         (s.t, ev.condition_holds, ev.margin, s.mode)
         for s, ev in ((s, evaluate(params, s.state)) for s in traj.samples)
     )
-    compliant, violations = check_compliance(traj, accel_tol, time_tol)
+    holds = [ok for _, ok, _, _ in per_sample]
+    compliant, violations = check_compliance(traj, accel_tol, time_tol, holds=holds)
+    # safety_metric evaluates every sample a second time; the benchmark's
+    # audit_io check of audit.evaluate_per_sample > 1 still counts on it
     _, score = safety_metric(traj)
     try:
-        liability = attribute_liability(traj, accel_tol, time_tol)
+        liability = attribute_liability(traj, accel_tol, time_tol, holds=holds)
     except NoCollision:
         liability = LIABILITY_NONE
     return AuditReport(

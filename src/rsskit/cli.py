@@ -16,8 +16,8 @@ import numpy as np
 from .audit import audit as run_audit
 from .core import ScenarioState, as_float, load_json, load_params
 from .dynamics import gentle_pov, piecewise_pov, worst_case_pov
-from .errors import ConfigError, InvariantBreach, RssError
-from .report import make_report, write_report
+from .errors import ConfigError, DomainError, InvariantBreach, RssError
+from .report import make_report, report_text, write_report
 from .rule import evaluate, safe_distance_terms
 from .supervisor import (
     SupervisorConfig,
@@ -141,15 +141,16 @@ def cmd_audit(args) -> int:
     params = _load_params_arg(args)
     traj = read_trajectory(args.trajectory, params)
     report = run_audit(traj, accel_tol=args.accel_tol)
-    out = make_report(
-        "audit", params,
-        {"trajectory": os.path.basename(args.trajectory), "accel_tol": args.accel_tol},
-        report.to_dict(),
-    )
+    config = {"trajectory": os.path.basename(args.trajectory), "accel_tol": args.accel_tol}
+    try:
+        text = report_text("audit", params, config, report.to_dict())
+    except ValueError as exc:  # a margin that overflowed to +-inf
+        raise DomainError(f"cannot write the audit report: {exc}") from exc
     if args.out:
-        write_report(out, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.metric_csv:
-        write_metric_csv(traj, args.metric_csv)
+        write_metric_csv(traj, args.metric_csv, [m for _, _, m, _ in report.per_sample])
     print(f"compliant: {report.compliant}")
     print(f"metric score: {report.metric_score:.9g} m")
     print(f"liability: {report.liability}")

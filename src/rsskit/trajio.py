@@ -6,7 +6,7 @@ human-inspectable and diffable.
 """
 from __future__ import annotations
 
-import math
+from math import inf, isfinite
 
 from .core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from .errors import TrajectoryFormatError
@@ -31,6 +31,7 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
     """Parse a trajectory CSV; rejects NaN/Inf, negative velocities,
     unknown modes, and non-increasing timestamps."""
     samples = []
+    prev_t = -inf
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -39,7 +40,7 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
         header_seen = False
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             if not header_seen:
                 if line != HEADER:
@@ -49,35 +50,19 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
                 header_seen = True
                 continue
             fields = line.split(",")
-            if len(fields) != 7:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: expected 7 fields, got {len(fields)}"
-                )
             try:
-                t, x_f, v_f, x_r, v_r, a_r = (float(f) for f in fields[:6])
-            except ValueError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from exc
-            for val in (t, x_f, v_f, x_r, v_r, a_r):
-                if not math.isfinite(val):
-                    raise TrajectoryFormatError(
-                        f"{path}:{lineno}: non-finite value {val!r}"
-                    )
-            if v_f < 0 or v_r < 0:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: negative velocity"
-                )
-            mode = fields[6].strip()
-            if mode not in _MODES:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: unknown mode {mode!r}"
-                )
-            if samples and t <= samples[-1].t:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: timestamps must be strictly increasing"
-                )
-            samples.append(
-                TrajectorySample(t, ScenarioState(x_f, v_f, x_r, v_r), a_r, mode)
-            )
+                t, x_f, v_f, x_r, v_r, a_r = map(float, fields[:6])
+                mode = fields[6].strip()
+            except (ValueError, IndexError):
+                mode = None
+            # one range test per row, written so that NaN fails too
+            if not (mode in _MODES and len(fields) == 7 and prev_t < t < inf
+                    and -inf < x_f < inf and -inf < x_r < inf and -inf < a_r < inf
+                    and 0 <= v_f < inf and 0 <= v_r < inf):
+                raise TrajectoryFormatError(f"{path}:{lineno}: {_row_error(fields)}")
+            prev_t = t  # the row passed every check ScenarioState would repeat
+            state = tuple.__new__(ScenarioState, (x_f, v_f, x_r, v_r))
+            samples.append(tuple.__new__(TrajectorySample, (t, state, a_r, mode)))
     if not header_seen:
         raise TrajectoryFormatError(f"{path}: missing header")
     if not samples:
@@ -85,15 +70,31 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
     return Trajectory(tuple(samples), params)
 
 
-def write_metric_csv(traj: Trajectory, path) -> None:
+def _row_error(fields) -> str:
+    """The first fault of a row that failed read_trajectory's range test."""
+    if len(fields) != 7:
+        return f"expected 7 fields, got {len(fields)}"
+    try:
+        values = [float(f) for f in fields[:6]]
+    except ValueError as exc:
+        return str(exc)
+    bad, mode = [v for v in values if not isfinite(v)], fields[6].strip()
+    return (f"non-finite value {bad[0]!r}" if bad
+            else "negative velocity" if values[2] < 0 or values[4] < 0
+            else f"unknown mode {mode!r}" if mode not in _MODES
+            else "timestamps must be strictly increasing")
+
+
+def write_metric_csv(traj: Trajectory, path, margins=None) -> None:
     """Plot data: per-sample margin, gap, and velocities (rendering is up
-    to the caller)."""
-    params = traj.params
+    to the caller).  margins, one per sample, are taken as given when
+    passed, e.g. from an audit's per_sample."""
+    if margins is None:
+        margins = [margin(traj.params, s.state) for s in traj.samples]
     rows = [
-        "%.9g,%.9g,%.9g,%.9g,%.9g\n"
-        % (s.t, margin(params, st), st.gap, st.v_r, st.v_f)
-        for s in traj.samples
-        for st in (s.state,)
+        "%.9g,%.9g,%.9g,%.9g,%.9g\n" % (s.t, m, x_f - x_r, v_r, v_f)
+        for s, m in zip(traj.samples, margins)
+        for x_f, v_f, x_r, v_r in (s.state,)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,margin,gap,v_r,v_f\n" + "".join(rows))

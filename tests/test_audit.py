@@ -28,7 +28,10 @@ from rsskit.audit import (
     safety_metric,
 )
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from rsskit.dynamics import worst_case_pov
 from rsskit.errors import ConfigError, NoCollision
+from rsskit.rule import safe_distance
+from rsskit.supervisor import SupervisorConfig, adversarial_ac, run_supervised
 from rsskit.trajio import read_trajectory, write_trajectory
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
@@ -267,6 +270,31 @@ def test_bad_accel_tol_is_rejected(tol):
                        (attribute_liability, LIAB_SV), (attribute_liability, LIAB_POV)):
         with pytest.raises(ConfigError, match="accel_tol"):
             fn(record, accel_tol=tol)
+
+
+def _adversarial_run_at_dt_005():
+    start = ScenarioState(safe_distance(PAPER, 25.0, 20.0) + 2.0, 20.0, 0.0, 25.0)
+    return run_supervised(PAPER, SupervisorConfig(), start, adversarial_ac(PAPER),
+                          worst_case_pov(PAPER), dt=0.05).to_trajectory()
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_bad_time_tol_is_rejected(tol):
+    # NaN and -1 turned this compliant supervised run into 9
+    # InsufficientBraking violations; inf never flagged weak braking
+    record = _adversarial_run_at_dt_005()
+    for fn, arg in ((check_compliance, record), (audit, record),
+                    (attribute_liability, LIAB_SV), (attribute_liability, LIAB_POV)):
+        with pytest.raises(ConfigError, match="time_tol"):
+            fn(arg, time_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 0.05])
+def test_finite_time_tol_is_accepted(tol):
+    record = _adversarial_run_at_dt_005()
+    assert check_compliance(record, time_tol=tol) == (True, [])
+    assert audit(record, time_tol=tol).compliant
+    assert attribute_liability(LIAB_SV, time_tol=tol) == SV_LIABLE
 
 
 def test_zero_accel_tol_is_accepted():

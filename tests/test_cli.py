@@ -412,3 +412,19 @@ def test_overflowing_speed_is_usage_error(tmp_path, capsys, params, v):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("overflows") == 2
+
+
+@pytest.mark.parametrize("x_f, x_r", [(1e308, -1e308), (-1e308, 1e308)])
+@pytest.mark.parametrize("out", [True, False])
+def test_audit_of_overflowing_gap_is_usage_error(params_file, tmp_path, capsys, x_f, x_r, out):
+    # finite positions whose gap overflows to +-inf gave an infinite margin,
+    # which the report hash refused with a ValueError traceback and exit 1
+    path = tmp_path / "t.csv"
+    path.write_text(f"t,x_f,v_f,x_r,v_r,a_r,mode\n0,{x_f},20,{x_r},20,0,AC\n")
+    argv = ["audit", "--params", params_file, "--trajectory", str(path)]
+    report = tmp_path / "audit.json"
+    assert main(argv + (["--out", str(report)] if out else [])) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cannot write the audit report: Out of range float values" in err
+    assert not report.exists()

@@ -1,20 +1,25 @@
 """The audit's three output writers produce the bytes of their plain forms.
 
-report.dump_report walks containers in Python and hands flat ones to the
-C JSON encoder; trajio writes one format string per row.  Each is
-compared here with the plain form it replaced, kept in this file as the
-reference: the output must be identical, byte for byte.
+report's walker visits containers in Python and hands flat ones to the C
+JSON encoder, once per container for both the hash and the file; trajio
+writes one format string per row.  Each is compared here with the plain
+form it replaced, kept in this file as the reference: the output must be
+identical, byte for byte, and config_hash must be the sha256 of
+canonical_json.
 """
+import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
+from rsskit import __version__
 from rsskit.audit import audit
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import gentle_pov, worst_case_pov
-from rsskit.report import dump_report, make_report
+from rsskit.report import canonical_json, dump_report, make_report, report_text
 from rsskit.rule import evaluate
 from rsskit.supervisor import SupervisorConfig, adversarial_ac, benign_ac, run_supervised
 from rsskit.trajio import HEADER, write_metric_csv, write_trajectory
@@ -106,13 +111,49 @@ def _value(rng, depth):
     return rows
 
 
-def test_dump_report_matches_json_dumps_on_random_payloads():
+def _payloads():
     rng = random.Random(20261018)
     for _ in range(10_000):
-        obj = _value(rng, 0) if rng.random() < 0.2 else {
+        yield _value(rng, 0) if rng.random() < 0.2 else {
             k: _value(rng, 1) for k in _keys(rng, rng.randrange(0, 6))
         }
+
+
+def test_dump_report_matches_json_dumps_on_random_payloads():
+    for obj in _payloads():
         assert dump_report(obj) == reference_dump(obj), repr(obj)
+
+
+def check_sealed(params, config, outcome):
+    """make_report's hash and report_text's file equal the plain forms, or
+    all three raise the same error."""
+    body = {"kind": "audit", "tool_version": __version__, "params": params.to_dict(),
+            "config": config, "outcome": outcome}
+    try:
+        want = hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    except (ValueError, TypeError) as exc:
+        for fn in (make_report, report_text):
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                fn("audit", params, config, outcome)
+        return type(exc)
+    assert make_report("audit", params, config, outcome)["config_hash"] == want
+    text = report_text("audit", params, config, outcome)
+    stamp = json.loads(text)["generated_at"]
+    assert text == reference_dump(dict(body, config_hash=want, generated_at=stamp))
+    return None
+
+
+def test_one_walk_gives_the_plain_hash_and_file_on_random_payloads():
+    rng = random.Random(5)
+    raised = set()
+    for i, obj in enumerate(_payloads()):
+        if i % 4 == 0:  # the walk costs three encodings here; a quarter suffices
+            config = _value(rng, 1) if rng.random() < 0.3 else {"accel_tol": 0.2}
+            raised.add(check_sealed(rng.choice([PAPER, LONG]), config, obj))
+    assert raised == {None, ValueError}
+    # keys that cannot be sorted, or that json cannot take
+    for outcome in ({None: [1], 1: [2]}, {"a": {(1, 2): [3]}}, {"a": [{"b": {1, 2}}]}):
+        assert check_sealed(PAPER, {}, outcome) is TypeError
 
 
 @pytest.mark.parametrize(
@@ -162,6 +203,32 @@ def test_dump_report_matches_json_dumps_on_audit_reports(i):
     traj = TRAJECTORIES[i]
     report = make_report("audit", traj.params, {"trajectory": "t.csv", "accel_tol": 0.05},
                          audit(traj).to_dict())
+    assert dump_report(report) == reference_dump(report)
+
+
+# mode strings that would fool a textual replace of the separators, if the
+# walker's separators could occur inside an encoded string
+_FOOLS = ['","t":', "},{", '":', "x,", '\\"', '\\', '"', "},\n{", ":\n", ",\n", '": ',
+          '"},\n  {', "\\n", "{", "}", "[", "]"]
+
+
+@pytest.mark.parametrize("i", range(len(TRAJECTORIES)))
+def test_walk_is_not_fooled_by_mode_strings_numeric_keys_or_nan(i):
+    traj = TRAJECTORIES[i]
+    outcome = audit(traj).to_dict()
+    rng = random.Random(i)
+    for row in outcome["per_sample"]:
+        row["mode"] = rng.choice(_FOOLS) + rng.choice(["", ",", "x"])
+    outcome["violations"].append({"t_start": 0.0, "t_end": 1.0, "reason": _FOOLS[0]})
+    outcome["numeric"] = {1: {"a": [1, 2]}, 2.5: [{"b": 1}, {3: "c"}], -1: {}, False: [[]]}
+    config = {"trajectory": '"},\n{".csv', "accel_tol": 0.2}
+    report = make_report("audit", traj.params, config, outcome)
+    assert dump_report(report) == reference_dump(report)
+    assert check_sealed(traj.params, config, outcome) is None
+    # NaN: the hash refuses it as canonical_json does; the file takes it
+    outcome["per_sample"][len(outcome["per_sample"]) // 2]["margin"] = math.nan
+    assert check_sealed(traj.params, config, outcome) is ValueError
+    report["outcome"] = outcome
     assert dump_report(report) == reference_dump(report)
 
 
