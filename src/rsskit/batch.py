@@ -1,9 +1,9 @@
-"""The scalar kernels over arrays with one row per trial: build_profile and
-analyze_gap, and the supervised episode of the campaign.  Each branch is a
-mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value comes from
-the scalar code's float operations in its order, so each row is bit for bit
-the scalar result (tests/test_batch.py, tests/test_lockstep.py).  The one
-exception is the safety margin, whose squares differ (see margins)."""
+"""The scalar kernels over arrays with one row per trial: build_profile,
+analyze_gap and the supervised and unsupervised campaign episodes.  Each
+branch is a mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value
+comes from the scalar code's float operations in its order, so each row is
+bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py).
+The one exception is the safety margin, whose squares differ (see margins)."""
 from __future__ import annotations
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 
 from .audit import DEFAULT_ACCEL_TOL
 from .core import ScenarioState
-from .dynamics import COLLISION_EPS
+from .dynamics import COLLISION_EPS, CollisionEvent, crossing
 from .rule import margin, travel_arithmetic
 from .supervisor import WINDOW_SLACK, decision_grid
 
@@ -28,6 +28,25 @@ def advance_vehicles(x, v, a, dt):
     x_end = np.where(held, x, x + v * moving + 0.5 * a * moving * moving)
     # v_end <= 0 where held or stopping, so the velocity is 0 there
     return x_end, np.where(v_end > 0.0, v_end, 0.0), moving
+
+
+def constant_runs(x0, v0, a, dt, n):
+    """The positions and velocities after 0..n advance_vehicle calls at
+    constant commands, (rows, n + 1) arrays for the rows of x0, v0 and a.
+    cumsum (np.add.accumulate) sums in order, so the running sums of
+    [v0, a*dt, ...] and [x0, v0*dt, C, v1*dt, C, ...], C = 0.5*a*dt*dt, are
+    the scalar v + a*dt and (x + v*dt) + C up to the first step that holds
+    or stops, which advance_vehicles takes; the vehicle rests after it."""
+    rows, a = len(x0), a[:, None]
+    v = np.concatenate((v0[:, None], np.repeat(a * dt, n, axis=1)), axis=1).cumsum(axis=1)
+    terms = np.empty((rows, 2 * n + 1))
+    terms[:, 0], terms[:, 1::2], terms[:, 2::2] = x0, v[:, :-1] * dt, 0.5 * a * dt * dt
+    x = terms.cumsum(axis=1)[:, ::2]
+    odd = ((v[:, :-1] <= 0.0) & (a <= 0.0)) | ((a < 0.0) & (v[:, 1:] < 0.0))
+    s = np.concatenate((odd, np.ones((rows, 1), bool)), axis=1).argmax(axis=1)  # n if none
+    x_end, _, _ = advance_vehicles(x[np.arange(rows), s], v[np.arange(rows), s], a[:, 0], dt)
+    after = np.arange(n + 1) > s[:, None]
+    return np.where(after, x_end[:, None], x), np.where(after, 0.0, v)
 
 
 def build_profiles(x0, v0, starts, accels, t_end):
@@ -243,3 +262,41 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
         rows, phase, elapsed, eng, prev_bc, ep_t = (
             z[keep] for z in (rows, phase, elapsed, eng, prev_bc, ep_t))
     return fallback, engagements, compliant
+
+
+def unsupervised_runs(params, cfg, starts, dt, t_end):
+    """run_supervised(..., supervised=False) of adversarial_ac against
+    worst_case_pov for each row (x_f, v_f, x_r, v_r) of starts, as
+    (fallback, collision) lists.  Both commands are constant, so
+    constant_runs gives every step end; the first in contact before a
+    settled decision step or the last step is located by dynamics.crossing.
+    A row falls back, for the scalar path to run, where its start margin is
+    not decided > 0, where it starts in contact or where a value overflows."""
+    k, cfg = decision_grid(params, cfg, dt, t_end)
+    lo, hi = cfg.bounds(params)
+    a_r, a_f, length = min(hi, max(lo, params.a_max)), -params.a_brake_max, params.vehicle_length
+    n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
+    x, v = starts[:, [2, 0]].T, starts[:, [3, 1]].T
+    (m,), (ok,) = margins(params, x, v)
+    fallback = ~(ok & (m > 0.0)) | (x[1] - x[0] - length <= COLLISION_EPS)
+    collision = [None] * len(starts)
+    rows, x, v, i0 = np.flatnonzero(~fallback), x[:, ~fallback], v[:, ~fallback], 0
+    while len(rows):
+        n = min(n_steps + 1 - i0, max(8, 2 ** 13 // len(rows)))  # 2**13 episode steps a call
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, vs = (z.reshape(2, len(rows), n + 1) for z in constant_runs(
+                x.ravel(), v.ravel(), np.repeat([a_r, a_f], len(rows)), dt, n))
+            bad = ~np.isfinite(xs + vs).all(axis=(0, 2))
+            hit = xs[1, :, 1:] - xs[0, :, 1:] - length <= COLLISION_EPS
+        i = np.arange(i0, i0 + n)
+        end = (i == n_steps) | ((i % k == 0) & (vs[0, :, :-1] <= 0.0) & (vs[1, :, :-1] <= 0.0))
+        first, decided = (end | hit).argmax(axis=1), (end | hit).any(axis=1)
+        fallback[rows[bad]] = True
+        for r in np.flatnonzero(decided & ~bad & ~end[np.arange(len(rows)), first]):
+            j = int(first[r])
+            (x_r, x_f), (v_r, v_f) = xs[:, r, j].tolist(), vs[:, r, j].tolist()
+            t_c, state = crossing((i0 + j) * dt, x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
+            collision[rows[r]] = CollisionEvent(t_c, state.gap)
+        keep = ~(decided | bad)
+        rows, x, v, i0 = rows[keep], xs[:, keep, -1], vs[:, keep, -1], i0 + n
+    return fallback.tolist(), collision

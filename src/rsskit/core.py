@@ -182,8 +182,17 @@ class Trajectory:
                     f"timestamps must be strictly increasing: {prev.t!r} -> {cur.t!r}"
                 )
 
+    @classmethod
+    def _trusted(cls, samples: tuple, params: RssParams) -> "Trajectory":
+        """A Trajectory of samples known non-empty and in strictly increasing time."""
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "samples", samples)
+        object.__setattr__(traj, "params", params)
+        return traj
+
     def __len__(self) -> int:
         return len(self.samples)
 
     def prefix(self, n: int) -> "Trajectory":
-        return Trajectory(self.samples[:n], self.params)
+        samples = self.samples[:n]  # in order; the check refuses it only when empty
+        return (Trajectory._trusted if samples else Trajectory)(samples, self.params)

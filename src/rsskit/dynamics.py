@@ -422,6 +422,14 @@ def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     return tau
 
 
+def crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, step, length):
+    """(time, state) where the step from time t crosses into collision."""
+    tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length)
+    cx_r, cv_r, _ = advance_vehicle(x_r, v_r, a_r, tau)
+    cx_f, cv_f, _ = advance_vehicle(x_f, v_f, a_f, tau)
+    return t + tau, ScenarioState(cx_f, cv_f, cx_r, cv_r)
+
+
 def run_fixed_step(
     params: RssParams,
     start: ScenarioState,
@@ -472,11 +480,7 @@ def run_fixed_step(
         nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
         nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:
-            tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
-            t_c = t + tau
-            cx_r, cv_r, _ = advance_vehicle(x_r, v_r, a_r, tau)
-            cx_f, cv_f, _ = advance_vehicle(x_f, v_f, a_f, tau)
-            cstate = ScenarioState(cx_f, cv_f, cx_r, cv_r)
+            t_c, cstate = crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
             samples.append(TrajectorySample(t_c, cstate, a_r, mode))
             collision = CollisionEvent(t_c, cstate.gap)
             if cstate.gap - length < min_gap:

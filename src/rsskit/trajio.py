@@ -67,7 +67,7 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
         raise TrajectoryFormatError(f"{path}: missing header")
     if not samples:
         raise TrajectoryFormatError(f"{path}: no samples")
-    return Trajectory(tuple(samples), params)
+    return Trajectory._trusted(tuple(samples), params)
 
 
 def _row_error(fields) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .audit import check_compliance
 from .core import RssParams, ScenarioState
-from .batch import analyze_gaps, build_profiles, supervised_lockstep
+from .batch import analyze_gaps, build_profiles, supervised_lockstep, unsupervised_runs
 from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError, DomainError
 from .rule import safe_distance
@@ -277,10 +277,10 @@ def verify_supervised_safety(
     full audit compliance.  With supervised=False this is the negative
     control and collisions are expected.
 
-    Supervised episodes run in lockstep (batch.supervised_lockstep); one
-    it cannot finish as the scalar path would, and every negative-control
-    episode, runs through run_supervised and check_compliance, in trial
-    order, so errors and counterexamples are the scalar path's.
+    Supervised episodes run in lockstep (batch.supervised_lockstep) and
+    negative-control ones in batch.unsupervised_runs; those they hand back
+    run through run_supervised and check_compliance, in trial order, so
+    errors and counterexamples are the scalar path's.
     """
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("supervised_negative" if not supervised else "supervised")
@@ -305,18 +305,22 @@ def verify_supervised_safety(
     if supervised and starts:
         fallback, lock_eng, lock_ok = (z.tolist() for z in supervised_lockstep(
             params, sup_cfg, np.array(starts), cfg.sim_dt, 60.0))
+    elif starts:
+        fallback, events = unsupervised_runs(params, sup_cfg, np.array(starts), cfg.sim_dt, 60.0)
 
     for j, start in enumerate(starts):
         gap, v_f, _, v_r = start
-        if fallback[j]:  # the scalar path: the negative control, and oracle
+        if fallback[j]:  # the scalar path, and oracle
             trace = run_supervised(
                 params, sup_cfg, start, ac, pov,
                 dt=cfg.sim_dt, t_end=60.0, supervised=supervised,
             )
             eng, collision = trace.bc_engagements, trace.collision
             compliant = not supervised or check_compliance(trace.to_trajectory())[0]
-        else:
+        elif supervised:
             eng, collision, compliant = lock_eng[j], None, lock_ok[j]
+        else:
+            eng, collision, compliant = 0, events[j], True
         outcome.trials_run += 1
         engagements += eng
         if collision is not None:

@@ -2,7 +2,8 @@
 
 rsskit.batch.build_profiles and analyze_gaps must give, row by row, the
 segments, verdict, collision time and min gap that dynamics.build_profile
-and analyze_gap give, compared with ==.  Each family below has at least
+and analyze_gap give, compared with ==, and constant_runs the states of
+chained advance_vehicle calls.  Each family below has at least
 10,000 rows from a fixed seed, half of them with vehicle_length 0 and
 half with 4.5.  verify_safety_theorem, which runs on the batch kernel,
 must give the outcome of a test-local copy of its former scalar form.
@@ -12,11 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rsskit.batch import analyze_gaps, build_profiles
+from rsskit.batch import analyze_gaps, build_profiles, constant_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import (
     COLLISION_EPS,
+    advance_vehicle,
     analyze_gap,
     build_profile,
     classify_worst_case,
@@ -228,6 +231,54 @@ def test_quadratic_root_at_the_horizon():
 
     rows, times = check_family(make_row, seed=16)
     assert sum(t == row[6] for row, t in zip(rows, times)) > ROWS // 10
+
+
+# ---------------------------------------------------------------------------
+# constant-command runs
+
+def chained(x, v, a, dt, n):
+    """The start and the states after each of n advance_vehicle calls."""
+    xs, vs = [x], [v]
+    for _ in range(n):
+        x, v, _ = advance_vehicle(x, v, a, dt)
+        xs.append(x)
+        vs.append(v)
+    return xs, vs
+
+
+def check_runs(x0, v0, a, dt, n):
+    """constant_runs == chained, row by row; a is one command per row."""
+    xs, vs = constant_runs(np.array(x0), np.array(v0), np.array(a), dt, n)
+    assert xs.shape == vs.shape == (len(x0), n + 1)
+    for i, row in enumerate(zip(x0, v0, a)):
+        assert (xs[i].tolist(), vs[i].tolist()) == chained(*row, dt, n), row
+
+
+speeds = st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+commands = st.one_of(st.just(0.0), st.floats(-10.0, -1e-3), st.floats(1e-3, 10.0))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), speeds, commands), min_size=1, max_size=4),
+       st.floats(1e-3, 0.5), st.integers(0, 200))
+def test_constant_runs_chain_advance_vehicle(rows, dt, n):
+    check_runs(*zip(*rows), dt, n)
+
+
+@pytest.mark.parametrize("v0, a, dt", [
+    # v + a*dt == 0 exactly: a full step that ends at rest; in the second,
+    # v / -a is not dt, so the stop formula would move x by an ulp
+    (0.4, -8.0, 0.05),
+    (1.673, -7.0, 0.239),
+    (0.0, 0.0, 0.05),  # held from the start
+    (0.0, -4.0, 0.05),
+    (7.0, 0.0, 0.05),  # a == 0
+    (0.1, -8.0, 0.05),  # stops inside the first step
+    (0.0, 2.0, 0.05),  # pulls away from rest
+])
+def test_constant_runs_edges(v0, a, dt):
+    assert 0.4 + -8.0 * 0.05 == 0.0 and 1.673 + -7.0 * 0.239 == 0.0
+    check_runs([3.0], [v0], [a], dt, 20)
 
 
 # ---------------------------------------------------------------------------

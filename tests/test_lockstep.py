@@ -1,10 +1,12 @@
-"""The lockstep supervised campaign against the scalar loop.
+"""The lockstep supervised campaign and the array negative control against
+the scalar loop.
 
 verify_supervised_safety runs its supervised episodes through
-rsskit.batch.supervised_lockstep.  Its outcome must equal, with ==, that of
+rsskit.batch.supervised_lockstep, and its negative control through
+rsskit.batch.unsupervised_runs.  Its outcome must equal, with ==, that of
 a test-local copy of the scalar campaign (run_supervised plus
 check_compliance per episode), and where the scalar campaign raises, the
-lockstep one must raise the same error type with the same message.  The
+array one must raise the same error type with the same message.  The
 config matrix covers at least 10,000 episodes.  The safety margin is the
 one value the lockstep computes differently (its squares are x*x where the
 scalar path calls pow); the near-threshold tests pin the band in which it
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from rsskit.audit import check_compliance
-from rsskit.batch import margins, supervised_lockstep
+from rsskit import dynamics
+from rsskit.batch import margins, supervised_lockstep, unsupervised_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import worst_case_pov
 from rsskit.errors import RssError
@@ -138,14 +141,70 @@ def test_margin_max_1e_9_collides_through_the_fallback():
     assert out.stats["collisions"] == 200
 
 
-def test_negative_control_stays_scalar(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the negative control ran in lockstep")
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_negative_control_matches_the_scalar_loop(name):
+    params, sup_fields, fields, n = MATRIX[name]
+    sup_cfg = SupervisorConfig(**sup_fields)
+    cfg = CampaignConfig(seed=len(name), n_trials=min(n, 500), **fields)
+    want = result(scalar_campaign, params, sup_cfg, cfg, supervised=False)
+    assert result(verify_supervised_safety, params, sup_cfg, cfg, supervised=False) == want
 
-    monkeypatch.setattr("rsskit.verify.supervised_lockstep", refuse)
-    cfg = CampaignConfig(seed=1, n_trials=20)
-    assert (verify_supervised_safety(PAPER, SupervisorConfig(), cfg, supervised=False).to_dict()
-            == scalar_campaign(PAPER, SupervisorConfig(), cfg, supervised=False).to_dict())
+
+def scalar_collision(params, sup_cfg, start, dt, t_end=60.0):
+    """The CollisionEvent of the scalar negative-control episode, or None."""
+    return run_supervised(params, sup_cfg, start, adversarial_ac(params), worst_case_pov(params),
+                          dt=dt, t_end=t_end, supervised=False).collision
+
+
+@pytest.mark.parametrize("params, sup_fields, dt", [
+    (LONG, {}, 0.01),
+    (PAPER, {}, 0.03),
+    (PAPER, {"sv_command_bounds": (-4.0, 0.0)}, 0.05),  # the SV coasts
+    (LONG, {"sv_command_bounds": (-4.0, -1.0)}, 0.03),  # the SV brakes to a halt
+    (COASTING, {"period": 0.25}, 0.125),
+], ids=["length4.5", "dt0.03", "coasting_sv", "braking_sv", "dyadic_dt"])
+def test_negative_control_collisions_match_the_scalar_ones(params, sup_fields, dt, monkeypatch):
+    """Each episode's CollisionEvent, or None where it settles, equals the
+    scalar run's, and refine_crossing runs once per collision."""
+    rng = np.random.default_rng(int(dt * 1000))
+    starts = []
+    for v_r, v_f, m in rng.uniform([0.0, 0.0, 0.0], [40.0, 40.0, 50.0], (80, 3)).tolist():
+        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + m + 1e-3
+        starts.append(ScenarioState(gap, v_f, 0.0, v_r))
+    sup_cfg = SupervisorConfig(**sup_fields)
+    want = [scalar_collision(params, sup_cfg, s, dt) for s in starts]
+    calls = []
+    refine = dynamics.refine_crossing
+    monkeypatch.setattr(dynamics, "refine_crossing", lambda *args: calls.append(args) or refine(*args))
+    fallback, got = unsupervised_runs(params, sup_cfg, np.array(starts), dt, 60.0)
+    assert not any(fallback)
+    assert got == want
+    assert len(calls) == sum(c is not None for c in want) > 0
+    if "sv_command_bounds" in sup_fields:  # a slow SV halts or runs out of time
+        assert None in want
+
+
+def test_negative_control_hands_back_starts_in_contact():
+    # a margin > 0 with free space <= COLLISION_EPS: the scalar run collides at 0
+    start = ScenarioState(1e-10, 30.0, 0.0, 0.0)
+    assert scalar_collision(PAPER, SupervisorConfig(), start, 0.05).t == 0.0
+    fallback, _ = unsupervised_runs(PAPER, SupervisorConfig(), np.array([start]), 0.05, 60.0)
+    assert fallback == [True]
+
+
+def test_negative_control_ends_at_the_horizon():
+    # the scalar loop takes no step from its last sample, so a crossing in
+    # the step after it is no collision
+    start, dt = ScenarioState(60.0, 10.0, 0.0, 20.0), 0.05
+
+    def scalar(t_end):
+        return scalar_collision(PAPER, SupervisorConfig(), start, dt, t_end)
+
+    last = int(scalar(60.0).t / dt)  # the step that crosses
+    assert scalar(last * dt) is None and scalar((last + 1) * dt) is not None
+    for t_end in (last * dt, (last + 1) * dt):
+        fallback, got = unsupervised_runs(PAPER, SupervisorConfig(), np.array([start]), dt, t_end)
+        assert fallback == [False] and got == [scalar(t_end)]
 
 
 # ---------------------------------------------------------------------------

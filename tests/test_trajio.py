@@ -3,7 +3,7 @@ import pytest
 from rsskit.cli import main
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import worst_case_execution
-from rsskit.errors import TrajectoryFormatError
+from rsskit.errors import DomainError, TrajectoryFormatError
 from rsskit.report import dump_report, make_report
 from rsskit.trajio import HEADER, read_trajectory, write_metric_csv, write_trajectory
 
@@ -88,6 +88,18 @@ def test_rejects_non_finite_field(tmp_path, column, value):
     path.write_text(f"{HEADER}\n0,40,20,0,20,0.5,AC\n" + ",".join(fields) + ",BC\n")
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:3: non-finite"):
         read_trajectory(path, PAPER)
+
+
+def test_equal_timestamps_are_refused(tmp_path):
+    # the reader checks the order itself and builds the Trajectory unchecked
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\n0.1,40,20,0,20,0.5,AC\n0.1,41,19,2,20,-4,BC\n")
+    with pytest.raises(TrajectoryFormatError,
+                       match=r"bad\.csv:3: timestamps must be strictly increasing"):
+        read_trajectory(path, PAPER)
+    first = small_traj().samples[0]
+    with pytest.raises(DomainError, match="strictly increasing"):
+        Trajectory((first, first), PAPER)
 
 
 @pytest.mark.parametrize("column", [0, 5])
