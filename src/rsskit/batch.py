@@ -2,8 +2,7 @@
 analyze_gap and the supervised and unsupervised campaign episodes.  Each
 branch is a mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value
 comes from the scalar code's float operations in its order, so each row is
-bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py).
-The one exception is the safety margin, whose squares differ (see margins)."""
+bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py)."""
 from __future__ import annotations
 
 import math
@@ -11,9 +10,8 @@ import math
 import numpy as np
 
 from .audit import DEFAULT_ACCEL_TOL
-from .core import ScenarioState
 from .dynamics import COLLISION_EPS, CollisionEvent, crossing
-from .rule import margin, travel_arithmetic
+from .rule import travel_arithmetic
 from .supervisor import WINDOW_SLACK, decision_grid
 
 
@@ -141,38 +139,24 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
     return col_t, min_gap
 
 
-# |margins - rule.margin| <= 13 u (|gap - length| + the four travels), u =
-# 2**-53, when libm pow is within an ulp (README); this leaves 40 times that.
-BAND = 2.0 ** -44
 # The supervisor's phase codes; _AC is no response episode (AC mode).
 _AC, _WINDOW, _BRAKING, _HALTED = range(4)
 
 
-def margins(params, x, v, threshold=0.0):
+def margins(params, x, v):
     """rule.margin of the states whose SV is row 2j and POV row 2j + 1 of
-    the positions x and velocities v, from travel_arithmetic, and whether
-    each is far from overflow (where the scalar margin raises).  A margin
-    within BAND of 0 or threshold is the scalar one, so comparisons with
-    them decide as the scalar ones do."""
+    the positions x and velocities v, bit for bit, and whether each is
+    defined: the position difference is finite and no travel overflows,
+    where the scalar margin raises."""
     x_r, x_f, v_r, v_f = x[0::2], x[1::2], v[0::2], v[1::2]
-    g = x_f - x_r - params.vehicle_length
-    with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows to inf
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
+    with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
+        g = x_f - x_r - params.vehicle_length
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
+            params, v_r, v_f, np.float_power)
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
-        size = np.abs(g) + sv_travel + pov_brake
-    m = g - np.where(raw > 0.0, raw, 0.0)
-    # squares of up to 2**1020: pow and x*x agree on overflowing, sums stay finite
-    ok = size < 2.0 ** 1020 / max(1.0, 2.0 * params.a_brake_max)
-    band = BAND * size
-    near = np.abs(m) <= band
-    if threshold:
-        near |= np.abs(m - threshold) <= band
-    if np.count_nonzero(near):
-        for j, c in zip(*np.nonzero(near & ok)):
-            state = (float(z[j, c]) for z in (x_f, v_f, x_r, v_r))
-            m[j, c] = margin(params, ScenarioState(*state))
-    return m, ok
+        m = g - np.where(raw > 0.0, raw, 0.0)
+    return m, np.isfinite(g) & (sv_travel < np.inf) & (pov_brake < np.inf)
 
 
 def supervised_lockstep(params, cfg, starts, dt, t_end):
@@ -181,8 +165,8 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     (x_f, v_f, x_r, v_r) of starts, all rows one step at a time.
 
     Returns (fallback, engagements, compliant) per row.  A row falls back
-    when the scalar run would collide or raise, when a margin nears
-    overflow, or when a BC sample brakes weakly late in its episode; only
+    when the scalar run would collide or raise (a margin it reads is not
+    defined), or when a BC sample brakes weakly late in its episode; only
     its fallback flag is meaningful, and the scalar path must run it.
     """
     k, cfg = decision_grid(params, cfg, dt, t_end)
@@ -209,8 +193,7 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
         phase += ((phase == _WINDOW) & (elapsed >= rho)) | ((phase == _BRAKING) & (v[0] <= 0.0))
         if decision:
             w, wv, _ = advance_vehicles(x, v, lookahead, cfg.period)
-            (m, m_w), (ok, ok_w) = margins(
-                params, np.concatenate((x, w)), np.concatenate((v, wv)), sb)
+            (m, m_w), (ok, ok_w) = margins(params, np.concatenate((x, w)), np.concatenate((v, wv)))
         else:
             (m,), (ok,) = margins(params, x, v)
         fail = ~ok
@@ -271,7 +254,8 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
     constant_runs gives every step end; the first in contact before a
     settled decision step or the last step is located by dynamics.crossing.
     A row falls back, for the scalar path to run, where its start margin is
-    not decided > 0, where it starts in contact or where a value overflows."""
+    not defined or not > 0, where it starts in contact or where a value
+    overflows."""
     k, cfg = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_r, a_f, length = min(hi, max(lo, params.a_max)), -params.a_brake_max, params.vehicle_length

@@ -26,6 +26,7 @@ AC = "AC"
 BC = "BC"
 
 _REQUIRED_PARAM_KEYS = ("rho", "a_max", "a_brake_min", "a_brake_max")
+_PARAM_KEYS = _REQUIRED_PARAM_KEYS + ("vehicle_length",)
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,22 @@ class RssParams:
 def validate_params(raw: dict) -> RssParams:
     """Build RssParams from a raw record (e.g. parsed JSON).
 
-    Missing vehicle_length defaults to 0.  Malformed records raise
-    ConfigError; records violating the parameter invariants raise the
-    corresponding ParamError subclass.
+    Missing vehicle_length defaults to 0.  Malformed records, unknown keys
+    included, raise ConfigError; records violating the parameter
+    invariants raise the corresponding ParamError subclass.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"parameter record must be a mapping, got {type(raw).__name__}")
     missing = [k for k in _REQUIRED_PARAM_KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing parameter keys: {', '.join(missing)}")
+    # a misspelled vehicle_length would otherwise check a point vehicle
+    unknown = set(raw).difference(_PARAM_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown parameter keys: {', '.join(sorted(map(str, unknown)))}")
     values = {}
     # a missing vehicle_length takes the RssParams default
-    for key in [k for k in _REQUIRED_PARAM_KEYS + ("vehicle_length",) if k in raw]:
+    for key in [k for k in _PARAM_KEYS if k in raw]:
         try:
             v = as_float(raw[key])
         except (TypeError, ValueError, OverflowError) as exc:

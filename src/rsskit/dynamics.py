@@ -199,16 +199,18 @@ class ExecutionTrace:
         return Trajectory(self.samples, self.params)
 
 
+def worst_case_sv_halt(params: RssParams, v_r: float) -> float:
+    """The SV halt time of the closed-form worst case from speed v_r."""
+    v_peak = v_r + params.a_max * params.rho
+    return params.rho + v_peak / params.a_brake_min if v_peak > 0.0 else 0.0
+
+
 def _worst_case_run(params: RssParams, start: ScenarioState):
     """Closed-form worst case up to the SV halt.
 
     Returns (segs_r, segs_f, analyze_gap result, t_sv_halt, t_pov_halt).
     """
-    v_peak = start.v_r + params.a_max * params.rho
-    if v_peak <= 0.0:
-        t_sv_halt = 0.0
-    else:
-        t_sv_halt = params.rho + v_peak / params.a_brake_min
+    t_sv_halt = worst_case_sv_halt(params, start.v_r)
     t_pov_halt = start.v_f / params.a_brake_max
     sched_r = [(0.0, params.a_max), (params.rho, -params.a_brake_min)]
     segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
@@ -283,8 +285,7 @@ def classify_worst_case(params: RssParams, start: ScenarioState) -> str:
     if w >= 0.0:
         return CASE_1
 
-    v_peak = start.v_r + params.a_max * params.rho
-    t_s = params.rho + v_peak / params.a_brake_min if v_peak > 0 else 0.0
+    t_s = worst_case_sv_halt(params, start.v_r)
     t_p = start.v_f / params.a_brake_max
 
     breakpoints = sorted({min(params.rho, t_s), min(t_p, t_s), t_s})

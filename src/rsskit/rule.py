@@ -31,7 +31,7 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
         )
     try:
         response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
-    except OverflowError:  # ** raises where * and / give inf
+    except OverflowError:  # pow raises where * and / give inf
         response_travel = response_gain = sv_brake = pov_brake = inf
     # an overflowing term makes d_min inf or, as inf - inf, NaN
     if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
@@ -39,16 +39,17 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     return response_travel, response_gain, sv_brake, pov_brake
 
 
-def travel_arithmetic(params: RssParams, v_r, v_f):
-    """travel_terms' arithmetic without its checks, on floats or numpy
-    arrays.  On an array ** squares by x*x where a float calls libm pow,
-    so an array term can differ from the float one by an ulp."""
+def travel_arithmetic(params: RssParams, v_r, v_f, power=pow):
+    """travel_terms' arithmetic without its checks, on floats or, with
+    power=np.float_power, on numpy arrays: both square with libm pow, so
+    the terms agree bit for bit (an overflowing square raises
+    OverflowError on a float and is inf on an array)."""
     v_peak = v_r + params.a_max * params.rho
     return (
         v_r * params.rho,
-        0.5 * params.a_max * params.rho ** 2,
-        v_peak ** 2 / (2.0 * params.a_brake_min),
-        v_f ** 2 / (2.0 * params.a_brake_max),
+        0.5 * params.a_max * power(params.rho, 2),
+        power(v_peak, 2) / (2.0 * params.a_brake_min),
+        power(v_f, 2) / (2.0 * params.a_brake_max),
     )
 
 

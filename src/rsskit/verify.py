@@ -18,7 +18,9 @@ import numpy as np
 from .audit import check_compliance
 from .core import RssParams, ScenarioState
 from .batch import analyze_gaps, build_profiles, supervised_lockstep, unsupervised_runs
-from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
+from .dynamics import (
+    ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov, worst_case_sv_halt,
+)
 from .errors import ConfigError, DomainError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
@@ -123,12 +125,6 @@ def _state_key(ce: dict):
     return (ce["v_r"], ce["v_f"], ce["gap"], ce.get("behavior", ""))
 
 
-def _sv_halt(params: RssParams, v_r: float) -> float:
-    """The SV halt time of the closed-form worst case from speed v_r."""
-    v_peak = v_r + params.a_max * params.rho
-    return params.rho + v_peak / params.a_brake_min if v_peak > 0.0 else 0.0
-
-
 def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOutcome:
     """Check that condition-satisfying starts never collide.
 
@@ -173,7 +169,8 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         grid = [(v_r, v_f, d + length + m) for v_r, v_f, d in pairs for m in GRID_MARGINS]
         grid += [(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0)
                  for v_r, v_f in CASE_COVERAGE_PAIRS]
-        worst_trials([(v_r, v_f, gap, _sv_halt(params, v_r)) for v_r, v_f, gap in grid], "grid")
+        worst_trials([(v_r, v_f, gap, worst_case_sv_halt(params, v_r))
+                      for v_r, v_f, gap in grid], "grid")
 
     n_f = cfg.pov_segments_max
     chunk = max(16, CHUNK * 8 // max(8, n_f))
@@ -186,7 +183,7 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
             v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
             v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
             margin = cfg.margin_max * (1.0 - float(rng.random()))  # in (0, margin_max]
-            t_sv_halt = _sv_halt(params, v_r)
+            t_sv_halt = worst_case_sv_halt(params, v_r)
             rows.append((v_r, v_f, safe_distance(params, v_r, v_f) + length + margin, t_sv_halt))
             n_seg = int(rng.integers(cfg.pov_segments_min, cfg.pov_segments_max + 1))
             if n_seg > 1:

@@ -336,6 +336,17 @@ def test_boolean_parameter_is_usage_error(tmp_path, capsys):
     assert "parameter 'rho' is not a number: True" in captured.err
 
 
+def test_misspelled_parameter_is_usage_error(tmp_path, capsys):
+    # {"vehicle_lenght": 4.5} was ignored, so the rule checked a point
+    # vehicle and printed a d_min for vehicle_length 0
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(PARAMS, vehicle_lenght=4.5)))
+    assert main(["safe-distance", "--params", str(params), "--v-r", "20", "--v-f", "20"]) == 2
+    captured = capsys.readouterr()
+    assert "d_min" not in captured.out
+    assert "unknown parameter keys: vehicle_lenght" in captured.err
+
+
 @pytest.mark.parametrize("kind", ["safety", "supervised"])
 def test_verify_non_positive_margin_max_is_usage_error(params_file, tmp_path, capsys, kind):
     # verify reported 67 false counterexamples (exit 1); the supervised kind exited 3

@@ -1,14 +1,16 @@
-"""Fuzz of `rsskit audit`: generated argv, parameter files and trajectory
-files, valid and not.
+"""Fuzz of `rsskit audit` and `rsskit safe-distance`: generated argv,
+parameter files and trajectory files, valid and not.
 
 Whatever the input, the exit code is one of 0/1/2/3, nothing escapes as a
 traceback, and the verdict exits (0 and 1) agree with the evaluate-based
 reference compliance check on the same file: exit 1 only for a trajectory
-that really is non-compliant.
+that really is non-compliant.  safe-distance exits 0 or 2, and on 0 prints
+the d_min of rule.safe_distance.
 """
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from rsskit.cli import main
 from rsskit.core import AC, BC, load_params
+from rsskit.rule import safe_distance
 from rsskit.trajio import HEADER
 
 from test_audit_differential import reference_read_trajectory
@@ -39,7 +42,7 @@ _TEXT = st.sampled_from(["", "abc", "1e999", "-0", "0x1", " 1 ", "1_0", "nan", "
 
 @st.composite
 def params_text(draw):
-    kind = draw(st.sampled_from(["paper"] * 5 + ["random"] * 3 + ["broken", "text"]))
+    kind = draw(st.sampled_from(["paper"] * 5 + ["random"] * 3 + ["broken", "misspelled", "text"]))
     if kind == "paper":
         record = dict(PAPER, vehicle_length=draw(st.sampled_from([0.0, 4.5])))
     elif kind == "random":
@@ -50,6 +53,9 @@ def params_text(draw):
         record = dict(PAPER)
         key = draw(st.sampled_from(sorted(PAPER) + ["vehicle_length"]))
         record[key] = draw(st.one_of(st.none(), st.booleans(), _TEXT, st.floats(), st.integers()))
+    elif kind == "misspelled":  # an unknown key next to valid ones
+        record = dict(PAPER)
+        record[draw(st.sampled_from(["vehicle_lenght", "a_brake", "Rho", ""]))] = 4.5
     else:
         return draw(st.sampled_from([b"", b"{", b"[]", b"null", b'{"rho": 0.3}', b"\xff\xfe"]))
     return json.dumps(record).encode()
@@ -131,17 +137,44 @@ def test_audit_cli_exits_0_to_3_without_traceback(params, trajectory, options):
             argv += ["--metric-csv", os.path.join(tmp, "metric.csv")]
         if stray:
             argv.append(stray)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        event(f"exit {code}")
-        assert code in (0, 1, 2, 3), (code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2, 3), (code, err)
         if code in (0, 1):
             traj = reference_read_trajectory(traj_path, load_params(params_path))
             compliant, _ = reference_check_compliance(traj, 0.2 if tol is None else float(tol))
             assert code == (0 if compliant else 1)
-            assert f"compliant: {compliant}" in out.getvalue()
+            assert f"compliant: {compliant}" in out
+
+
+_SPEED = st.one_of(st.floats(0.0, 60.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e200, 1e154, -1.0, -0.0, -30.0]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(params_text(), _SPEED, _SPEED)
+def test_safe_distance_cli_exits_0_or_2_without_traceback(params, v_r, v_f):
+    with tempfile.TemporaryDirectory() as tmp:
+        params_path = os.path.join(tmp, "params.json")
+        with open(params_path, "wb") as fh:
+            fh.write(params)
+        # "--v-r=-inf": a separate "-inf" would read as an option
+        code, out, err = _run(["safe-distance", "--params", params_path,
+                               f"--v-r={v_r!r}", f"--v-f={v_f!r}"])
+        assert code in (0, 2), (code, err)
+        if code == 0:  # a misspelled key must not pass as vehicle_length 0
+            assert set(json.loads(params)) <= {*PAPER, "vehicle_length"}
+            d_min = safe_distance(load_params(params_path), v_r, v_f)
+            assert out.splitlines()[0] == f"d_min = {d_min:.9g} m"
+
+
+def _run(argv):
+    """main(argv) as (exit code, stdout, stderr), with no traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    event(f"exit {code}")
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()

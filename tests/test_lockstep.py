@@ -7,12 +7,13 @@ rsskit.batch.unsupervised_runs.  Its outcome must equal, with ==, that of
 a test-local copy of the scalar campaign (run_supervised plus
 check_compliance per episode), and where the scalar campaign raises, the
 array one must raise the same error type with the same message.  The
-config matrix covers at least 10,000 episodes.  The safety margin is the
-one value the lockstep computes differently (its squares are x*x where the
-scalar path calls pow); the near-threshold tests pin the band in which it
-takes the scalar margin instead.
+config matrix covers at least 10,000 episodes.  The array safety margin
+squares with np.float_power, which calls libm pow as Python's ** does, so
+it is the scalar margin bit for bit; the near-threshold tests pin that
+premise and the margins where x*x would differ.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from rsskit import dynamics
 from rsskit.batch import margins, supervised_lockstep, unsupervised_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import worst_case_pov
-from rsskit.errors import RssError
-from rsskit.rule import margin, safe_distance, travel_arithmetic
+from rsskit.errors import DomainError, RssError
+from rsskit.rule import margin, safe_distance
 from rsskit.supervisor import SupervisorConfig, adversarial_ac, run_supervised, worst_case_successor
 from rsskit.verify import CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety
 
@@ -212,7 +213,7 @@ def test_negative_control_ends_at_the_horizon():
 
 def pow_differs(params, rng, count):
     """Seeded (v_r, v_f) where x*x and pow give a different v_peak or v_f
-    square, so the lockstep margin can differ from the scalar one."""
+    square, so a margin squared by x*x would differ from the scalar one."""
     found = []
     v_peak = params.a_max * params.rho
     while len(found) < count:
@@ -239,11 +240,38 @@ def gaps_straddling(f, target, gap):
     return out
 
 
-def naive_margin(params, s):
-    """The array margin without the band: x*x squares throughout."""
-    terms = travel_arithmetic(params, np.array([s.v_r]), np.array([s.v_f]))
-    raw = terms[0] + terms[1] + terms[2] - terms[3]
-    return float((s.x_f - s.x_r - params.vehicle_length - np.maximum(raw, 0.0))[0])
+def pow_square(x):
+    """Python's x ** 2, inf where it overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def first_overflowing_square():
+    """The least float whose ** 2 overflows; sqrt(max) squares to a float."""
+    v = math.sqrt(sys.float_info.max)
+    while pow_square(v) < math.inf:
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+def test_float_power_squares_as_pow():
+    # batch.margins passes np.float_power where the scalar travel terms
+    # square with pow; x*x and np.power differ from pow on some of these
+    rng = np.random.default_rng(13)
+    edge = first_overflowing_square()
+    families = {
+        "speeds": rng.uniform(0.0, 60.0, 200_000),
+        "v_peak": rng.uniform(0.0, 60.0, 200_000) + PAPER.a_max * PAPER.rho,
+        "log_uniform": np.exp2(rng.uniform(-1074.0, 1024.0, 200_000)),
+        "overflow_edge": edge * rng.uniform(0.999, 1.001, 100_000),
+        "subnormal": rng.uniform(0.0, 2.0 ** -1022, 100_000),
+    }
+    for name, v in families.items():
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.float_power(v, 2)
+        assert (got == [pow_square(x) for x in v.tolist()]).all(), name
 
 
 @pytest.mark.parametrize("params", [PAPER, LONG], ids=["length0", "length4.5"])
@@ -258,23 +286,34 @@ def test_margin_comparisons_match_the_scalar_ones(params):
             states += [ScenarioState(g, v_f, 0.0, v_r) for g in gaps_straddling(f, target, gap0)]
     x = np.array([[s.x_r for s in states], [s.x_f for s in states]])
     v = np.array([[s.v_r for s in states], [s.v_f for s in states]])
-    m, ok = margins(params, x, v, sb)
+    m, ok = margins(params, x, v)
     assert ok.all()
-    want = [margin(params, s) for s in states]
-    for c in (0.0, sb):
-        assert ((m[0] > c) == [w > c for w in want]).all()
-    # without the band, x*x squares flip some of these comparisons
-    naive = [naive_margin(params, s) for s in states]
-    assert sum((n > c) != (w > c) for n, w in zip(naive, want) for c in (0.0, sb)) > 0
+    assert m[0].tolist() == [margin(params, s) for s in states]
 
 
-def test_margins_far_from_overflow_only():
-    # 1e200 overflows x*x, 1e154 comes within 2**-4 of it; neither warns
-    x = np.zeros((2, 4))
-    v = np.array([[0.0, 30.0, 1e154, 1e200], [0.0, 30.0, 0.0, 0.0]])
-    x[1] = [1.0, 100.0, 1e300, 1e300]
-    _, ok = margins(PAPER, x, v)
-    assert ok.tolist() == [[True, True, False, False]]
+def test_margins_defined_exactly_where_the_scalar_is():
+    # the scalar margin raises where a travel overflows: at the first speed
+    # whose square does, not at 1e154 just below it
+    edge = first_overflowing_square()
+    below = math.nextafter(edge, 0.0)
+    speeds = [(0.0, 0.0), (30.0, 30.0), (1e154, 0.0), (below, 0.0), (edge, 0.0),
+              (1e200, 0.0), (0.0, below), (0.0, edge), (0.0, 1e200), (below, below)]
+    states = [ScenarioState(1e300, v_f, 0.0, v_r) for v_r, v_f in speeds]
+    states.append(ScenarioState(1e308, 0.0, -1e308, 0.0))  # the positions' difference overflows
+    x = np.array([[s.x_r for s in states], [s.x_f for s in states]])
+    v = np.array([[s.v_r for s in states], [s.v_f for s in states]])
+    m, ok = margins(PAPER, x, v)
+    assert ok[0].tolist() == [True, True, True, True, False, False,
+                              True, False, False, True, False]
+    for j, s in enumerate(states):
+        try:
+            want = margin(PAPER, s)
+        except DomainError:
+            assert not ok[0, j]
+            continue
+        assert ok[0, j] == math.isfinite(s.x_f - s.x_r)
+        if ok[0, j]:
+            assert m[0, j] == want
 
 
 def lockstep_or_scalar(params, starts, sup_cfg=SupervisorConfig(), dt=0.05):

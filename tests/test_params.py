@@ -66,6 +66,9 @@ def test_validate_params_defaults_length():
         {"rho": 0.3, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8, "vehicle_length": True},
         # an int too large for a float raised OverflowError
         {"rho": 10 ** 400, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
+        # a misspelled vehicle_length was ignored: a point vehicle, whose
+        # margins came out 4.5 m too generous
+        {"rho": 0.3, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8, "vehicle_lenght": 4.5},
     ],
 )
 def test_validate_params_rejects_malformed(raw):
