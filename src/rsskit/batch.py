@@ -151,8 +151,9 @@ def margins(params, x, v):
     x_r, x_f, v_r, v_f = x[0::2], x[1::2], v[0::2], v[1::2]
     with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
         g = x_f - x_r - params.vehicle_length
+        v_peak = v_r + params.a_max * params.rho
         response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-            params, v_r, v_f, np.float_power)
+            params, v_r, np.float_power(v_peak, 2), np.float_power(v_f, 2))
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
         m = g - np.where(raw > 0.0, raw, 0.0)

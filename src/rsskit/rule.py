@@ -30,8 +30,9 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
             f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
         )
     try:
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
-    except OverflowError:  # pow raises where * and / give inf
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
+            params, v_r, (v_r + params.a_max * params.rho) ** 2, v_f ** 2)
+    except OverflowError:  # ** raises where * and / give inf
         response_travel = response_gain = sv_brake = pov_brake = inf
     # an overflowing term makes d_min inf or, as inf - inf, NaN
     if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
@@ -39,17 +40,19 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     return response_travel, response_gain, sv_brake, pov_brake
 
 
-def travel_arithmetic(params: RssParams, v_r, v_f, power=pow):
-    """travel_terms' arithmetic without its checks, on floats or, with
-    power=np.float_power, on numpy arrays: both square with libm pow, so
-    the terms agree bit for bit (an overflowing square raises
-    OverflowError on a float and is inf on an array)."""
-    v_peak = v_r + params.a_max * params.rho
+def travel_arithmetic(params: RssParams, v_r, v_peak_sq, v_f_sq):
+    """travel_terms' arithmetic without its checks, on floats or numpy
+    arrays, from v_r and the squares of the SV's peak speed v_r + a_max*rho
+    and of v_f.  Both callers square with libm pow, so the terms agree bit
+    for bit: ** on a float, np.float_power on an array (x*x and np.power
+    can differ by an ulp).  This holds while numpy has no vectorised
+    float64 loop for float_power, as in numpy 2.4.6;
+    tests/test_lockstep.py::test_float_power_squares_as_pow guards it."""
     return (
         v_r * params.rho,
-        0.5 * params.a_max * power(params.rho, 2),
-        power(v_peak, 2) / (2.0 * params.a_brake_min),
-        power(v_f, 2) / (2.0 * params.a_brake_max),
+        0.5 * params.a_max * params.rho ** 2,
+        v_peak_sq / (2.0 * params.a_brake_min),
+        v_f_sq / (2.0 * params.a_brake_max),
     )
 
 

@@ -257,8 +257,8 @@ def first_overflowing_square():
 
 
 def test_float_power_squares_as_pow():
-    # batch.margins passes np.float_power where the scalar travel terms
-    # square with pow; x*x and np.power differ from pow on some of these
+    # batch.margins squares with np.float_power where the scalar travel
+    # terms square with **; x*x and np.power differ from ** on some of these
     rng = np.random.default_rng(13)
     edge = first_overflowing_square()
     families = {
