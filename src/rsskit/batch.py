@@ -34,17 +34,26 @@ def constant_runs(x0, v0, a, dt, n):
     cumsum (np.add.accumulate) sums in order, so the running sums of
     [v0, a*dt, ...] and [x0, v0*dt, C, v1*dt, C, ...], C = 0.5*a*dt*dt, are
     the scalar v + a*dt and (x + v*dt) + C up to the first step that holds
-    or stops, which advance_vehicles takes; the vehicle rests after it."""
-    rows, a = len(x0), a[:, None]
-    v = np.concatenate((v0[:, None], np.repeat(a * dt, n, axis=1)), axis=1).cumsum(axis=1)
-    terms = np.empty((rows, 2 * n + 1))
-    terms[:, 0], terms[:, 1::2], terms[:, 2::2] = x0, v[:, :-1] * dt, 0.5 * a * dt * dt
-    x = terms.cumsum(axis=1)[:, ::2]
-    odd = ((v[:, :-1] <= 0.0) & (a <= 0.0)) | ((a < 0.0) & (v[:, 1:] < 0.0))
-    s = np.concatenate((odd, np.ones((rows, 1), bool)), axis=1).argmax(axis=1)  # n if none
-    x_end, _, _ = advance_vehicles(x[np.arange(rows), s], v[np.arange(rows), s], a[:, 0], dt)
+    or stops, which advance_vehicles takes; the vehicle rests after it.
+    A row at rest (v0 <= 0, a <= 0) holds from step 0 and skips the sums."""
+    x, v = np.repeat(x0[:, None], n + 1, axis=1), np.zeros((len(x0), n + 1))
+    v[:, 0] = v0
+    go = np.flatnonzero(~((v0 <= 0.0) & (a <= 0.0)))
+    a = a[go, None]
+    vg = np.concatenate((v0[go, None], np.repeat(a * dt, n, axis=1)), axis=1).cumsum(axis=1)
+    terms = np.empty((len(go), 2 * n + 1))
+    terms[:, 0], terms[:, 1::2], terms[:, 2::2] = x0[go], vg[:, :-1] * dt, 0.5 * a * dt * dt
+    xg = terms.cumsum(axis=1)[:, ::2]
+    # v is monotone, so a run that holds or stops has v[n] <= 0 and a <= 0
+    r = np.flatnonzero((vg[:, -1] <= 0.0) & (a[:, 0] <= 0.0))
+    vr, a = vg[r], a[r]
+    odd = ((vr[:, :-1] <= 0.0) & (a <= 0.0)) | ((a < 0.0) & (vr[:, 1:] < 0.0))
+    s = np.concatenate((odd, np.ones((len(r), 1), bool)), axis=1).argmax(axis=1)  # n if none
+    x_end, _, _ = advance_vehicles(xg[r, s], vr[np.arange(len(r)), s], a[:, 0], dt)
     after = np.arange(n + 1) > s[:, None]
-    return np.where(after, x_end[:, None], x), np.where(after, 0.0, v)
+    xg[r], vg[r] = np.where(after, x_end[:, None], xg[r]), np.where(after, 0.0, vr)
+    x[go], v[go] = xg, vg
+    return x, v
 
 
 def build_profiles(x0, v0, starts, accels, t_end):
@@ -160,16 +169,38 @@ def margins(params, x, v):
     return m, np.isfinite(g) & (sv_travel < np.inf) & (pov_brake < np.inf)
 
 
+def _block(x, v, a, dt, left):
+    """Both vehicles' states over the next n = min(left, max(8, 2**13 //
+    rows)) steps at constant commands, as (2, rows, n + 1) positions and
+    velocities from the (2, rows) x and v and the commands a broadcast to
+    them: about 2**13 episode steps a call."""
+    n = min(left, max(8, 2 ** 13 // x.shape[1]))
+    a = np.broadcast_to(a, x.shape).ravel()
+    return (z.reshape(2, -1, n + 1) for z in constant_runs(x.ravel(), v.ravel(), a, dt, n))
+
+
 def supervised_lockstep(params, cfg, starts, dt, t_end):
     """run_supervised of adversarial_ac (a_max) against worst_case_pov
     (-a_brake_max), then check_compliance of its trace, for each row
-    (x_f, v_f, x_r, v_r) of starts, all rows one step at a time.
+    (x_f, v_f, x_r, v_r) of starts, each row from event to event.
 
-    Returns (fallback, engagements, compliant) per row.  A row falls back
-    when the scalar run would collide or raise (a margin it reads is not
-    defined), or when a BC sample brakes weakly late in its episode; only
-    its fallback flag is meaningful, and the scalar path must run it.
+    Between events both commands are constant.  A round takes each row's
+    next block of at most 32 steps from constant_runs and runs the scalar
+    step on every sample of it as if the row's phase and command held; the
+    first sample where they do not (an engagement, the window's end, a
+    halt, a release), that is unsafe, or where the row ends is its event,
+    and the row restarts from the state and supervisor there.  Returns
+    (fallback, engagements, compliant) per row.  A row falls back when the
+    scalar run would collide or raise (a margin it reads is not defined),
+    or when a BC sample brakes weakly late in its episode; only its
+    fallback flag is meaningful, and the scalar path must run it.
     """
+    # 2**11 rows at a time bound the blocks' arrays: a 10k-episode call
+    # peaks at 45 MB this way and at 64 MB in one piece
+    if len(starts) > 2 ** 11:
+        parts = [supervised_lockstep(params, cfg, starts[j:j + 2 ** 11], dt, t_end)
+                 for j in range(0, len(starts), 2 ** 11)]
+        return tuple(np.concatenate(z) for z in zip(*parts))
     k, cfg = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_ac = min(hi, max(lo, params.a_max))  # decide's clamped command
@@ -180,71 +211,80 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     lookahead = np.array([[params.a_max], [-params.a_brake_max]])  # worst_case_successor
     n = len(starts)
     fallback, compliant, engagements = np.zeros(n, bool), np.ones(n, bool), np.zeros(n, int)
-    # row 0 the SV, row 1 the POV
-    x, v = starts[:, [2, 0]].T.copy(), starts[:, [3, 1]].T.copy()
-    accels = np.full((2, n), -params.a_brake_max)
-    rows, phase, elapsed, eng = np.arange(n), np.zeros(n, np.int8), np.zeros(n), np.zeros(n, int)
-    # check_compliance's scan: the last sample's mode, the episode start time
-    prev_bc, ep_t = np.zeros(n, bool), np.zeros(n)
     n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
-    for i in range(n_steps + 1):
-        t, decision = i * dt, i % k == 0
-        # advance_phase: window -> braking -> halted; elapsed is read in the window
-        elapsed = elapsed + dt
-        phase += ((phase == _WINDOW) & (elapsed >= rho)) | ((phase == _BRAKING) & (v[0] <= 0.0))
-        if decision:
-            w, wv, _ = advance_vehicles(x, v, lookahead, cfg.period)
-            (m, m_w), (ok, ok_w) = margins(params, np.concatenate((x, w)), np.concatenate((v, wv)))
-        else:
-            (m,), (ok,) = margins(params, x, v)
-        fail = ~ok
-        if i == 0:  # later samples are the step ends checked below
-            fail |= x[1] - x[0] - length <= COLLISION_EPS
-        if decision:  # decide
-            ac, clear = phase == _AC, m_w > 0.0
-            release = (phase >= _BRAKING) & (m > sb)
+    # each row's sample s, its state (row 0 the SV, row 1 the POV), and the
+    # supervisor after step s: phase, window clock, engagements, episode
+    # start time and SV command, held over the row's block
+    rows, s, x, v = np.arange(n), np.zeros(n, int), starts[:, [2, 0]].T, starts[:, [3, 1]].T
+    phase, elapsed, eng = np.zeros(n, np.int8), np.zeros(n), np.zeros(n, int)
+    ep_t, cmd = np.zeros(n), np.full(n, a_ac)
+    j0 = 0  # the first round also takes step 0, from the start
+    while len(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.stack((cmd, np.full(len(rows), -params.a_brake_max)))
+            xs, vs = _block(x, v, a, dt, min(n_steps - s.min(), 32))
+            X, V = xs[:, :, j0:], vs[:, :, j0:]
+            i = s[:, None] + np.arange(j0, xs.shape[2])
+            t, decision = i * dt, i % k == 0
+            # advance_phase: window -> braking -> halted.  Only a window row
+            # reads its clock; cumsum sums in order, so it is the scalar
+            # elapsed + dt at each step
+            el, win = np.zeros(i.shape), phase == _WINDOW
+            clock = np.concatenate((elapsed[win, None], np.full(el[win].shape, dt)), axis=1)
+            el[win] = clock.cumsum(axis=1)[:, 1:]
+            p = phase[:, None]
+            pa = p + (((p == _WINDOW) & (el >= rho)) | ((p == _BRAKING) & (V[0] <= 0.0)))
+            (m,), (ok,) = margins(params, X, V)
+            # the start in contact, or a step end that collides
+            fail = ~ok | (X[1] - X[0] - length <= COLLISION_EPS)
+            # decide, with the lookahead only where it reads it
+            ac = decision & (pa == _AC)
+            release = decision & (pa >= _BRAKING) & (m > sb)
+            lr, lc = np.divmod(np.flatnonzero(ac | release), i.shape[1])
+            w, wv, _ = advance_vehicles(X[:, lr, lc], V[:, lr, lc], lookahead, cfg.period)
+            (m_w,), (ok_w,) = margins(params, w, wv)
+            clear, blind = np.zeros(i.shape, bool), np.zeros(i.shape, bool)
+            clear[lr, lc], blind[lr, lc] = m_w > 0.0, ~ok_w
             # InvariantBreach, or a lookahead the scalar margin cannot give
-            fail |= (ac & ~(m > 0.0)) | ((ac | release) & ~ok_w)
+            fail |= (ac & ~(m > 0.0)) | blind
             engage = ac & ~clear
-            phase = np.where(engage, _WINDOW, np.where(release & clear, _AC, phase))
-            elapsed = np.where(engage, 0.0, elapsed)
-            eng += engage
-        # braking, and a window step that would end past rho, brake to a halt
-        braking = (phase == _BRAKING) | ((phase == _WINDOW) & (elapsed + dt > rho + WINDOW_SLACK))
-        moving = v[0] > 0.0
-        cmd = np.where(braking, np.where(moving, -params.a_brake_min, 0.0), commands[phase])
+            pd = np.where(engage, _WINDOW, np.where(release & clear, _AC, pa))
+            el = np.where(engage, 0.0, el)
+            # braking, and a window step that would end past rho, brake to a halt
+            braking = (pd == _BRAKING) | ((pd == _WINDOW) & (el + dt > rho + WINDOW_SLACK))
+            moving = V[0] > 0.0
+            c = np.where(braking, np.where(moving, -params.a_brake_min, 0.0), commands[pd])
 
-        # check_compliance.  An episode starts at an engagement, where the
-        # margin is > 0 (else the row fell back), so no start is unsafe.  An
-        # AC sample violates the rule where its margin is <= 0, a BC one where
-        # it also brakes weakly later than rho plus the median step after the
-        # start: never seen under these commands, the scalar path decides it.
-        bc, holds = phase != _AC, m > 0.0
-        ep_t = np.where(bc & ~prev_bc, t, ep_t)
-        prev_bc = bc
-        no_response = ~(holds | bc)
-        if np.count_nonzero(no_response):
-            compliant[rows[no_response]] = False
-        fail |= bc & ~holds & moving & (cmd > weak) & (t - ep_t > rho)
-
-        settled = i == n_steps
-        if decision and not settled:  # a settled halt ends the run
-            settled = ((phase == _AC) | (phase == _HALTED)) & (v[0] <= 0.0) & (v[1] <= 0.0)
-        done = ~fail & settled
-        accels[0] = cmd
-        x, v, _ = advance_vehicles(x, v, accels, dt)
-        fail |= ~done & (x[1] - x[0] - length <= COLLISION_EPS)
-        ended = fail | done
-        if not np.count_nonzero(ended):
-            continue
+            # check_compliance.  An episode starts at an engagement, where the
+            # margin is > 0 (else the row fell back), so no start is unsafe.  An
+            # AC sample violates the rule where its margin is <= 0, a BC one where
+            # it also brakes weakly later than rho plus the median step after the
+            # start: never seen under these commands, the scalar path decides it.
+            # An unsafe sample is an event, so the verdict is read at events.
+            bc, holds = pd != _AC, m > 0.0
+            fail |= bc & ~holds & moving & (c > weak) & (t - ep_t[:, None] > rho)
+            # a settled halt, or the last step, ends the run
+            settled = (i == n_steps) | (
+                decision & ((pd == _AC) | (pd == _HALTED)) & (V[0] <= 0.0) & (V[1] <= 0.0))
+            unsafe = ~(holds | bc)
+            event = fail | settled | unsafe | (pd != p) | (c != cmd[:, None])
+        # each row's first event, else its block's last sample
+        event[:, -1] = True
+        j = event.argmax(axis=1)
+        at = np.arange(len(rows)), j
+        compliant[rows[unsafe[at]]] = False
+        failed = fail[at]
+        done = ~failed & settled[at]
+        eng = eng + engage[at]
+        ep_t = np.where(engage[at], t[at], ep_t)
         engagements[rows[done]] = eng[done]
-        fallback[rows[fail]] = True
-        keep = ~ended
-        if not np.count_nonzero(keep):
-            break
-        x, v, accels = x[:, keep], v[:, keep], accels[:, keep]
-        rows, phase, elapsed, eng, prev_bc, ep_t = (
-            z[keep] for z in (rows, phase, elapsed, eng, prev_bc, ep_t))
+        fallback[rows[failed]] = True
+        kept = np.flatnonzero(~(failed | done))
+        j = j[kept]
+        rows, s, eng = rows[kept], s[kept] + j0 + j, eng[kept]
+        x, v = xs[:, kept, j0 + j], vs[:, kept, j0 + j]
+        ep_t, (phase, elapsed, cmd) = ep_t[kept], (z[kept, j] for z in (pd, el, c))
+        j0 = 1
     return fallback, engagements, compliant
 
 
@@ -267,10 +307,9 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
     collision = [None] * len(starts)
     rows, x, v, i0 = np.flatnonzero(~fallback), x[:, ~fallback], v[:, ~fallback], 0
     while len(rows):
-        n = min(n_steps + 1 - i0, max(8, 2 ** 13 // len(rows)))  # 2**13 episode steps a call
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, vs = (z.reshape(2, len(rows), n + 1) for z in constant_runs(
-                x.ravel(), v.ravel(), np.repeat([a_r, a_f], len(rows)), dt, n))
+            xs, vs = _block(x, v, [[a_r], [a_f]], dt, n_steps + 1 - i0)
+            n = xs.shape[2] - 1
             bad = ~np.isfinite(xs + vs).all(axis=(0, 2))
             hit = xs[1, :, 1:] - xs[0, :, 1:] - length <= COLLISION_EPS
         i = np.arange(i0, i0 + n)

@@ -373,12 +373,12 @@ MAX_STEPS = 1_000_000
 
 
 def check_step(dt: float, t_end: float = 0.0) -> None:
-    """Reject a step that is not finite and positive, a non-finite t_end,
-    or a run of more than MAX_STEPS steps of dt up to t_end."""
+    """Reject a step that is not finite and positive, a t_end that is not
+    finite and >= 0, or a run of more than MAX_STEPS steps of dt up to t_end."""
     if not 0.0 < dt < math.inf:
         raise StepError(f"dt must be finite and > 0, got {dt!r}")
-    if not math.isfinite(t_end):
-        raise StepError(f"t_end must be finite, got {t_end!r}")
+    if not 0.0 <= t_end < math.inf:
+        raise StepError(f"t_end must be finite and >= 0, got {t_end!r}")
     if t_end / dt > MAX_STEPS:
         raise StepError(
             f"t_end {t_end!r} s at dt {dt!r} s takes more than {MAX_STEPS} steps"

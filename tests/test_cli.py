@@ -390,6 +390,29 @@ def test_input_file_not_utf8_is_usage_error(params_file, tmp_path, capsys, which
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("t_end", ["-1", "-1e-300", "-inf"])
+def test_simulate_negative_horizon_is_usage_error(params_file, tmp_path, capsys, t_end):
+    # --t-end -1 exited 0 and wrote a one-sample trajectory
+    out = tmp_path / "t.csv"
+    rc = main([
+        "simulate", "--params", params_file, "--gap", "60", "--v-r", "20", "--v-f", "20",
+        f"--t-end={t_end}", "--out", str(out),
+    ])
+    assert rc == 2
+    assert "t_end must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_zero_horizon_records_the_start(params_file, tmp_path):
+    out = tmp_path / "t.csv"
+    rc = main([
+        "simulate", "--params", params_file, "--gap", "60", "--v-r", "20", "--v-f", "20",
+        "--t-end", "0", "--out", str(out),
+    ])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2  # the header and the start
+
+
 @pytest.mark.parametrize("extra", [["--dt", "1e-300"], ["--t-end", "1e12"]])
 def test_simulate_too_many_steps_is_usage_error(params_file, tmp_path, capsys, extra):
     # --dt 1e-300 ran about 1e300 steps and never ended

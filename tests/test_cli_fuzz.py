@@ -1,11 +1,12 @@
-"""Fuzz of `rsskit audit` and `rsskit safe-distance`: generated argv,
-parameter files and trajectory files, valid and not.
+"""Fuzz of `rsskit audit`, `rsskit safe-distance` and `rsskit simulate`:
+generated argv, parameter files and trajectory files, valid and not.
 
 Whatever the input, the exit code is one of 0/1/2/3, nothing escapes as a
 traceback, and the verdict exits (0 and 1) agree with the evaluate-based
 reference compliance check on the same file: exit 1 only for a trajectory
 that really is non-compliant.  safe-distance exits 0 or 2, and on 0 prints
-the d_min of rule.safe_distance.
+the d_min of rule.safe_distance.  simulate exits 0, 2 or 3, and 0 only
+on a finite positive step and a finite horizon >= 0.
 """
 import contextlib
 import io
@@ -165,6 +166,55 @@ def test_safe_distance_cli_exits_0_or_2_without_traceback(params, v_r, v_f):
             assert set(json.loads(params)) <= {*PAPER, "vehicle_length"}
             d_min = safe_distance(load_params(params_path), v_r, v_f)
             assert out.splitlines()[0] == f"d_min = {d_min:.9g} m"
+
+
+_STEP_BAD = [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.05, -1e-300]
+_HORIZON_BAD = [math.nan, math.inf, -math.inf, -1.0, -1e-300, -20.0, -0.5, -5e-3]
+
+
+@st.composite
+def simulate_argv(draw):
+    """simulate's numbers and choices, with dt >= 0.01 and t_end <= 20 (or
+    the default horizon of slow runs) except for the invalid values, so
+    that no example runs a long loop: (argv tail, dt, t_end or None)."""
+    dt = draw(st.sampled_from(_STEP_BAD) if _rarely(draw, 8) else st.floats(0.01, 0.5))
+    if _rarely(draw, 4):
+        t_end = draw(st.sampled_from(_HORIZON_BAD))
+    else:
+        t_end = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 20.0)))
+    top = 10.0 if t_end is None else 40.0
+    v_r, v_f = (draw(_SPEED if _rarely(draw, 15) else st.floats(0.0, top)) for _ in range(2))
+    if _rarely(draw, 15):
+        gap = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+    else:  # d_min is at most 218 m at 40 m/s with the paper parameters
+        gap = draw(st.floats(-5.0, 250.0) if _rarely(draw, 4) else st.floats(250.0, 600.0))
+    ac = draw(st.sampled_from(["timid", ""]) if _rarely(draw, 15)
+              else st.sampled_from(["adversarial", "benign"]))
+    pov = draw(st.sampled_from(["random:x", "best", "random:-1"]) if _rarely(draw, 15)
+               else st.sampled_from(["worst", "gentle", "random:3", "random:12"]))
+    argv = [f"--gap={gap!r}", f"--v-r={v_r!r}", f"--v-f={v_f!r}", f"--dt={dt!r}",
+            "--ac", ac, "--pov", pov]
+    if t_end is not None:
+        argv.append(f"--t-end={t_end!r}")
+    if draw(st.booleans()):
+        argv.append("--no-supervisor")
+    return argv, dt, t_end
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(params_text(), simulate_argv())
+def test_simulate_cli_exits_0_2_or_3_without_traceback(params, drawn):
+    argv, dt, t_end = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        params_path, out = os.path.join(tmp, "params.json"), os.path.join(tmp, "t.csv")
+        with open(params_path, "wb") as fh:
+            fh.write(params)
+        code, stdout, err = _run(["simulate", "--params", params_path, "--out", out] + argv)
+        assert code in (0, 2, 3), (code, err)
+        if code == 0:  # a run only on a valid step and horizon
+            assert 0.0 < dt < math.inf and (t_end is None or 0.0 <= t_end < math.inf)
+            assert f"-> {out}" in stdout and os.path.exists(out)
 
 
 def _run(argv):

@@ -7,13 +7,18 @@ rsskit.batch.unsupervised_runs.  Its outcome must equal, with ==, that of
 a test-local copy of the scalar campaign (run_supervised plus
 check_compliance per episode), and where the scalar campaign raises, the
 array one must raise the same error type with the same message.  The
-config matrix covers at least 10,000 episodes.  The array safety margin
-squares with np.float_power, which calls libm pow as Python's ** does, so
-it is the scalar margin bit for bit; the near-threshold tests pin that
-premise and the margins where x*x would differ.
+config matrix covers at least 10,000 episodes.  Row by row, each episode
+the engine finishes must have the scalar run's engagement count and
+compliance verdict, and on campaign starts it must finish every episode
+itself, as a campaign that handed back every row would still compare
+equal.  The array safety margin squares with np.float_power, which calls
+libm pow as Python's ** does, so it is the scalar margin bit for bit; the
+near-threshold tests pin that premise and the margins where x*x would
+differ.
 """
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +30,9 @@ from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import worst_case_pov
 from rsskit.errors import DomainError, RssError
 from rsskit.rule import margin, safe_distance
-from rsskit.supervisor import SupervisorConfig, adversarial_ac, run_supervised, worst_case_successor
+from rsskit.supervisor import (
+    SupervisorConfig, adversarial_ac, decision_grid, run_supervised, worst_case_successor,
+)
 from rsskit.verify import CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
@@ -316,16 +323,16 @@ def test_margins_defined_exactly_where_the_scalar_is():
             assert m[0, j] == want
 
 
-def lockstep_or_scalar(params, starts, sup_cfg=SupervisorConfig(), dt=0.05):
+def lockstep_or_scalar(params, starts, sup_cfg=SupervisorConfig(), dt=0.05, t_end=60.0):
     """(engagements, compliant) of each start the lockstep finishes, from
     the lockstep and from the scalar run; a start it hands back must be
     one the scalar run raises on or collides in."""
-    fallback, eng, ok = supervised_lockstep(params, sup_cfg, np.array(starts), dt, 60.0)
+    fallback, eng, ok = supervised_lockstep(params, sup_cfg, np.array(starts), dt, t_end)
     got, want = [], []
     for j, start in enumerate(starts):
         try:
             trace = run_supervised(params, sup_cfg, start, adversarial_ac(params),
-                                   worst_case_pov(params), dt=dt, t_end=60.0)
+                                   worst_case_pov(params), dt=dt, t_end=t_end)
         except RssError:
             assert fallback[j]
             continue
@@ -358,3 +365,93 @@ def test_first_decision_at_the_threshold(params):
     assert lockstep_or_scalar(params, at_start) == ([], [])
     got, want = lockstep_or_scalar(params, at_lookahead)
     assert got == want and len(got) >= len(at_lookahead) // 5
+
+
+# ---------------------------------------------------------------------------
+# the event-to-event engine row by row
+
+def campaign_starts(params, cfg):
+    """The starts verify_supervised_safety draws for cfg."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = []
+    for _ in range(cfg.n_trials):
+        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
+        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+        margin_ = cfg.margin_max * (1.0 - float(rng.random()))
+        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin_
+        starts.append(ScenarioState(gap, v_f, 0.0, v_r))
+    return starts
+
+
+@pytest.mark.parametrize("params, sup_fields, dt", [
+    (PAPER, {}, 0.05),
+    (LONG, {}, 0.05),
+    (PAPER, {}, 0.03),
+    (PAPER, {"switchback_margin": 0.0}, 0.05),
+    (PAPER, {"sv_command_bounds": (-2.0, 1.0)}, 0.05),
+], ids=["default", "length4.5", "dt0.03", "switchback_margin_0", "command_bounds"])
+def test_lockstep_finishes_every_campaign_episode(params, sup_fields, dt):
+    """The campaign comparison would pass if every row went to the scalar
+    path; on campaign starts the engine must finish them all itself."""
+    starts = campaign_starts(params, CampaignConfig(seed=7, n_trials=2000))
+    fallback, _, _ = supervised_lockstep(params, SupervisorConfig(**sup_fields),
+                                         np.array(starts), dt, 60.0)
+    assert not fallback.any()
+
+
+def random_case(rng, i):
+    """A seeded valid (params, supervisor config, dt).  The first cases
+    pin the shapes the draws must cover: vehicle_length 4.5, a_max 0, a dt
+    that does not divide rho, and an AC command below -a_brake_min, so the
+    window command differs from it."""
+    while True:
+        a_brake_min = rng.uniform(2.0, 6.0)
+        params = RssParams(
+            rho=rng.uniform(0.1, 1.0),
+            a_max=[4.5 * rng.random(), 0.0][i == 1 or rng.random() < 0.1],
+            a_brake_min=a_brake_min,
+            a_brake_max=a_brake_min + rng.uniform(0.5, 6.0),
+            vehicle_length=4.5 if i == 0 or rng.random() < 0.3 else rng.uniform(0.0, 6.0),
+        )
+        dt = 0.07 if i == 2 else float(np.exp(rng.uniform(np.log(0.005), np.log(0.125))))
+        bounds = None
+        if i == 3 or rng.random() < 0.4:  # lo < -a_brake_min
+            lo = -a_brake_min - rng.uniform(0.1, 4.0)
+            hi = rng.uniform(lo, -a_brake_min) if i == 3 or rng.random() < 0.5 else \
+                rng.uniform(-a_brake_min, params.a_max)
+            bounds = (lo, hi)
+        sup_cfg = SupervisorConfig(period=rng.uniform(0.1, 1.0) * params.rho,
+                                   switchback_margin=rng.uniform(0.0, 5.0),
+                                   sv_command_bounds=bounds)
+        if i == 2:
+            params = RssParams(0.3, params.a_max, a_brake_min, params.a_brake_max,
+                               params.vehicle_length)
+            sup_cfg = replace(sup_cfg, period=0.3)
+        try:  # a realized period k * dt above rho: both engines refuse it
+            decision_grid(params, sup_cfg, dt, 60.0)
+        except RssError:
+            continue
+        return params, sup_cfg, dt
+
+
+def test_rows_match_the_scalar_run_on_random_configs():
+    """Each finished row's (engagements, compliant) equals the scalar
+    run_supervised + check_compliance; equal campaign totals could hide
+    errors that cancel out.  Every fourth config ends its runs early, at a
+    horizon of at most 3 s (0 included) that need not be a step end."""
+    rng = np.random.default_rng(14)
+    compared = total = 0
+    for i in range(24):
+        params, sup_cfg, dt = random_case(rng, i)
+        if i == 3:  # the window command differs from the AC command
+            lo, hi = sup_cfg.bounds(params)
+            assert hi < -params.a_brake_min
+        t_end = [60.0, 60.0, 60.0, 0.0 if i == 7 else rng.uniform(0.0, 3.0)][i % 4]
+        starts = []
+        for v_r, v_f, m in rng.uniform([0.0, 0.0, 0.0], [30.0, 30.0, 30.0], (20, 3)).tolist():
+            gap = safe_distance(params, v_r, v_f) + params.vehicle_length + m + 1e-3
+            starts.append(ScenarioState(gap, v_f, 0.0, v_r))
+        got, want = lockstep_or_scalar(params, starts, sup_cfg, dt, t_end)
+        assert got == want, (params, sup_cfg, dt, t_end)
+        compared, total = compared + len(got), total + len(starts)
+    assert compared >= 0.95 * total
