@@ -152,21 +152,27 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
 _AC, _WINDOW, _BRAKING, _HALTED = range(4)
 
 
-def margins(params, x, v):
-    """rule.margin of the states whose SV is row 2j and POV row 2j + 1 of
-    the positions x and velocities v, bit for bit, and whether each is
-    defined: the position difference is finite and no travel overflows,
-    where the scalar margin raises."""
-    x_r, x_f, v_r, v_f = x[0::2], x[1::2], v[0::2], v[1::2]
+def safe_distances(params, v_r, v_f):
+    """rule.safe_distance of each pair of speeds in [0, inf), bit for bit,
+    and whether it is defined: no travel overflows, where the scalar form
+    raises."""
     with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
-        g = x_f - x_r - params.vehicle_length
         v_peak = v_r + params.a_max * params.rho
         response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
             params, v_r, np.float_power(v_peak, 2), np.float_power(v_f, 2))
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
-        m = g - np.where(raw > 0.0, raw, 0.0)
-    return m, np.isfinite(g) & (sv_travel < np.inf) & (pov_brake < np.inf)
+    return np.where(raw > 0.0, raw, 0.0), (sv_travel < np.inf) & (pov_brake < np.inf)
+
+
+def margins(params, x, v):
+    """rule.margin of the states whose SV is row 2j and POV row 2j + 1 of
+    the positions x and velocities v, bit for bit, and whether each is
+    defined: its safe distance is, and its position difference is finite."""
+    d_min, defined = safe_distances(params, v[0::2], v[1::2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x[1::2] - x[0::2] - params.vehicle_length
+        return g - d_min, np.isfinite(g) & defined
 
 
 def _block(x, v, a, dt, left):

@@ -10,17 +10,17 @@ identical outcomes.
 from __future__ import annotations
 
 import sys
-from math import isnan
+from math import inf
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .audit import check_compliance
 from .core import RssParams, ScenarioState
-from .batch import analyze_gaps, build_profiles, supervised_lockstep, unsupervised_runs
-from .dynamics import (
-    ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov, worst_case_sv_halt,
+from .batch import (
+    analyze_gaps, build_profiles, safe_distances, supervised_lockstep, unsupervised_runs,
 )
+from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError, DomainError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
@@ -60,8 +60,9 @@ class CampaignConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_trials < 0:
             raise ConfigError(f"n_trials must be >= 0, got {self.n_trials!r}")
-        if not self.v_min <= self.v_max:
-            raise ConfigError("need v_min <= v_max")
+        # the speed draws' width v_max - v_min overflows past 1.8e308
+        if not (self.v_min <= self.v_max and float(self.v_max) - float(self.v_min) < inf):
+            raise ConfigError("need v_min <= v_max, and a finite v_max - v_min")
         # starts sit margin_max * (0, 1] above the threshold; at or below
         # it, condition-satisfying samples would read as counterexamples
         if not self.margin_max > 0:
@@ -125,6 +126,32 @@ def _state_key(ce: dict):
     return (ce["v_r"], ce["v_f"], ce["gap"], ce.get("behavior", ""))
 
 
+def _uniform(a, b, u):
+    """Generator.uniform(a, b) from the draw u of Generator.random(), bit
+    for bit; tests/test_batch.py::test_uniform_is_affine_in_random guards
+    the premise.  a is a float, as uniform converts it: int - int is exact."""
+    return float(a) + (b - float(a)) * u
+
+
+def _schedules(draws, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
+    """Padded (starts, accels) of n_cols columns from each row's 2k - 1 draws:
+    a piece from 0, k - 1 cut times uniform in [0, horizon) in order, then the
+    piece last, inf behind; k accelerations uniform in [a_lo, a_hi), then last's."""
+    k = (np.array([len(d) for d in draws])[:, None] + 1) // 2
+    u, lay, cols = np.concatenate(draws), np.arange(2 * n_cols - 1), np.arange(n_cols)
+    is_cut = (lay < k - 1)[lay < 2 * k - 1]
+    cuts = _uniform(0.0, np.repeat(horizon, k[:, 0] - 1), u[is_cut])
+    if not np.isfinite(cuts).all():  # where Generator.uniform raises OverflowError
+        raise ConfigError("the SV halt time overflows, so POV cut times cannot be drawn")
+    starts, accels = np.full((len(draws), n_cols), np.inf), np.zeros((len(draws), n_cols))
+    starts[(0 < cols) & (cols < k)] = cuts
+    accels[cols < k] = _uniform(a_lo, a_hi, u[~is_cut])
+    starts[cols == k], accels[cols == k] = last
+    starts[:, 0] = 0.0
+    starts[:, 1:].sort(axis=1)
+    return starts, accels
+
+
 def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOutcome:
     """Check that condition-satisfying starts never collide.
 
@@ -137,31 +164,37 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         raise ConfigError(
             f"a_fwd_max must be >= -a_brake_max {-params.a_brake_max!r}, got {cfg.a_fwd_max!r}"
         )
+    # the widths of the acceleration draws
+    if not (cfg.a_fwd_max + params.a_brake_max < inf and params.a_max + params.a_brake_min < inf):
+        raise ConfigError("a_fwd_max + a_brake_max and a_max + a_brake_min must be finite")
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("safety_theorem")
     outcome.stats["randomized_trials"] = 0
     outcome.stats["randomized_min_gap_below_worst"] = 0
     length = params.vehicle_length
 
-    def trials(rows, prof_r, prof_f, behavior, label):
+    def trials(cols, prof_r, prof_f, behavior, label):
         col_t, min_gap = analyze_gaps(prof_r, prof_f, length)
-        for (v_r, v_f, gap, _), t in zip(rows, col_t.tolist()):
-            if not isnan(t):
-                outcome.counterexamples.append(
-                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": behavior,
-                     "collision_t": t, "source": label}
-                )
+        for i in np.flatnonzero(~np.isnan(col_t)):
+            v_r, v_f, gap, t = (c[i].item() for c in (*cols, col_t))
+            outcome.counterexamples.append(
+                {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": behavior,
+                 "collision_t": t, "source": label}
+            )
         return min_gap
 
-    def worst_trials(rows, label):
-        for v_r, v_f, gap, _ in rows:
-            outcome.cases_seen[classify_worst_case(params, ScenarioState(gap, v_f, 0.0, v_r))] += 1
-        outcome.trials_run += len(rows)
-        v_r, v_f, gap, t_end = np.array(rows).T
-        prof_r = build_profiles(np.zeros(len(rows)), v_r, np.array([[0.0, params.rho]]),
+    def worst_trials(v_r, v_f, gap, label):
+        """The worst case from each start: its min gaps and SV halt times."""
+        for state in zip(gap.tolist(), v_f.tolist(), [0.0] * len(gap), v_r.tolist()):
+            outcome.cases_seen[classify_worst_case(params, ScenarioState(*state))] += 1
+        outcome.trials_run += len(gap)
+        with np.errstate(over="ignore"):  # to inf, as in dynamics.worst_case_sv_halt
+            v_peak = v_r + params.a_max * params.rho
+            t_end = np.where(v_peak > 0.0, params.rho + v_peak / params.a_brake_min, 0.0)
+        prof_r = build_profiles(np.zeros(len(gap)), v_r, np.array([[0.0, params.rho]]),
                                 np.array([[params.a_max, -params.a_brake_min]]), t_end)
         prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
-        return trials(rows, prof_r, prof_f, "worst_case", label)
+        return trials((v_r, v_f, gap), prof_r, prof_f, "worst_case", label), t_end
 
     if cfg.include_grid:
         pairs = [(v_r, v_f, safe_distance(params, v_r, v_f))
@@ -169,41 +202,34 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         grid = [(v_r, v_f, d + length + m) for v_r, v_f, d in pairs for m in GRID_MARGINS]
         grid += [(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0)
                  for v_r, v_f in CASE_COVERAGE_PAIRS]
-        worst_trials([(v_r, v_f, gap, worst_case_sv_halt(params, v_r))
-                      for v_r, v_f, gap in grid], "grid")
+        worst_trials(*np.array(grid).T, "grid")
 
     n_f = cfg.pov_segments_max
     chunk = max(16, CHUNK * 8 // max(8, n_f))
     for lo in range(0, cfg.n_trials, chunk):
         n = min(chunk, cfg.n_trials - lo)
-        rows = []
-        starts_f, accels_f = np.full((n, n_f), np.inf), np.zeros((n, n_f))
-        starts_r, accels_r = np.full((n, 4), np.inf), np.zeros((n, 4))
-        for i in range(n):
-            v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-            v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
-            margin = cfg.margin_max * (1.0 - float(rng.random()))  # in (0, margin_max]
-            t_sv_halt = worst_case_sv_halt(params, v_r)
-            rows.append((v_r, v_f, safe_distance(params, v_r, v_f) + length + margin, t_sv_halt))
-            n_seg = int(rng.integers(cfg.pov_segments_min, cfg.pov_segments_max + 1))
-            if n_seg > 1:
-                starts_f[i, 1:n_seg] = rng.uniform(0.0, t_sv_halt + 1.0, size=n_seg - 1)
-            accels_f[i, :n_seg] = rng.uniform(-params.a_brake_max, cfg.a_fwd_max, size=n_seg)
-            n_win = int(rng.integers(1, 4))
-            if n_win > 1:
-                starts_r[i, 1:n_win] = rng.uniform(0.0, params.rho, size=n_win - 1)
-            accels_r[i, :n_win] = rng.uniform(-params.a_brake_min, params.a_max, size=n_win)
-            starts_r[i, n_win], accels_r[i, n_win] = params.rho, -params.a_brake_min
-        # each row's cut times in order, its padding behind them
-        starts_f[:, 0] = starts_r[:, 0] = 0.0
-        starts_f[:, 1:].sort(axis=1)
-        starts_r[:, 1:].sort(axis=1)
-
-        worst_min_gap = worst_trials(rows, "random")
-        v_r, v_f, gap, t_sv_halt = np.array(rows).T
-        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_sv_halt + 1.0)
-        prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_sv_halt + 1.0)
-        rand_min_gap = trials(rows, prof_r, prof_f, "randomized", "random")
+        # each trial's Generator calls in order, one random() per run of float draws
+        heads, pov, win = [], [], []
+        for _ in range(n):
+            heads.append(rng.random(3))
+            pov.append(rng.random(2 * int(rng.integers(cfg.pov_segments_min, n_f + 1)) - 1))
+            win.append(rng.random(2 * int(rng.integers(1, 4)) - 1))
+        u = np.array(heads)
+        v_r, v_f = _uniform(cfg.v_min, cfg.v_max, u[:, :2].T)
+        d_min, defined = safe_distances(params, v_r, v_f)
+        # rule.travel_terms' checks; the first trial that fails them raises there
+        defined &= (0 <= v_r) & (v_r < inf) & (0 <= v_f) & (v_f < inf)
+        for i in np.flatnonzero(~defined)[:1]:
+            safe_distance(params, v_r[i].item(), v_f[i].item())
+        with np.errstate(over="ignore"):  # to inf, as the scalar sum
+            gap = d_min + length + cfg.margin_max * (1.0 - u[:, 2])  # margin in (0, margin_max]
+        worst_min_gap, t_halt = worst_trials(v_r, v_f, gap, "random")
+        starts_f, accels_f = _schedules(pov, n_f, t_halt + 1.0, -params.a_brake_max, cfg.a_fwd_max)
+        starts_r, accels_r = _schedules(win, 4, np.full(n, params.rho), -params.a_brake_min,
+                                        params.a_max, (params.rho, -params.a_brake_min))
+        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_halt + 1.0)
+        prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_halt + 1.0)
+        rand_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "randomized", "random")
         outcome.stats["randomized_trials"] += n
         below = rand_min_gap < worst_min_gap - 1e-9
         outcome.stats["randomized_min_gap_below_worst"] += int(below.sum())
@@ -248,8 +274,7 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 "sampled velocity ranges never produce a positive safe distance; "
                 "nothing to falsify"
             )
-        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+        v_r, v_f = (_uniform(cfg.v_min, cfg.v_max, u) for u in rng.random(2).tolist())
         d = safe_distance(params, v_r, v_f)
         if d <= 0.0:
             continue
@@ -288,10 +313,9 @@ def verify_supervised_safety(
     engagements = 0
 
     starts, setup_error = [], None
-    for _ in range(cfg.n_trials):
-        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
-        margin = cfg.margin_max * (1.0 - float(rng.random()))
+    u = rng.random((cfg.n_trials, 3))  # (v_r, v_f, margin) draws of each trial
+    speeds = _uniform(cfg.v_min, cfg.v_max, u[:, :2]).tolist()
+    for (v_r, v_f), margin in zip(speeds, (cfg.margin_max * (1.0 - u[:, 2])).tolist()):
         try:
             gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin
             starts.append(ScenarioState(gap, v_f, 0.0, v_r))

@@ -6,10 +6,13 @@ and analyze_gap give, compared with ==, and constant_runs the states of
 chained advance_vehicle calls.  Each family below has at least
 10,000 rows from a fixed seed, half of them with vehicle_length 0 and
 half with 4.5.  verify_safety_theorem, which runs on the batch kernel,
-must give the outcome of a test-local copy of its former scalar form.
+must give the outcome, or the error, of a test-local copy of its former
+scalar form, and falsify_below_threshold those of a copy of its former
+draws.  Both draw through verify._uniform, whose premise is tested here.
 """
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from rsskit.dynamics import (
     classify_worst_case,
     worst_case_gap_analysis,
 )
+from rsskit.errors import ConfigError, DomainError, RssError
 from rsskit.rule import safe_distance
 from rsskit import verify
 from rsskit.verify import (
@@ -35,6 +39,7 @@ from rsskit.verify import (
     CampaignConfig,
     CampaignOutcome,
     _state_key,
+    falsify_below_threshold,
     verify_safety_theorem,
 )
 
@@ -378,6 +383,23 @@ CAMPAIGNS = [
     # threshold, so the worst case reports counterexamples here
     (3, 0.0, {"n_trials": 300, "margin_max": 1e-12}),
 ]
+# a random trial whose safe distance is not defined: both forms raise
+# rule.travel_terms' DomainError for the first such trial in order
+UNDEFINED = [
+    (0, 0.0, {"n_trials": 100, "v_min": -1.0}),
+    (1, 4.5, {"n_trials": 100, "v_min": 1e154, "v_max": 1e155}),  # terms overflow
+    # no trial of the first chunk is undefined, two of the second are
+    (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.04, "include_grid": False}),
+]
+CAMPAIGNS += UNDEFINED
+
+
+def outcome_or_error(run, *args):
+    """The outcome dict of run(*args), or the type and message of its error."""
+    try:
+        return run(*args).to_dict()
+    except RssError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("seed,length,fields", CAMPAIGNS)
@@ -393,11 +415,114 @@ def test_campaign_matches_the_scalar_form(seed, length, fields, monkeypatch):
     monkeypatch.setattr(verify, "analyze_gaps", recording)
     params = RssParams(0.3, 2.0, 4.0, 8.0, length)
     cfg = CampaignConfig(seed=seed, **fields)
-    got = verify_safety_theorem(params, cfg).to_dict()
+    got = outcome_or_error(verify_safety_theorem, params, cfg)
     ref_gaps = []
-    want = reference_verify_safety_theorem(params, cfg, ref_gaps).to_dict()
+    want = outcome_or_error(reference_verify_safety_theorem, params, cfg, ref_gaps)
     assert got == want
+    if (seed, length, fields) in UNDEFINED:
+        assert want[0] is DomainError
+        if cfg.n_trials > CHUNK:
+            verify_safety_theorem(params, replace(cfg, n_trials=CHUNK))
+        return
     assert json.dumps(got) == json.dumps(want)
     assert sorted(batch_gaps) == sorted(ref_gaps)
     if fields.get("margin_max") == 1e-12:
         assert got["n_counterexamples"] > 0
+
+
+def reference_falsify_below_threshold(params, cfg):
+    """falsify_below_threshold with its former draws: two uniform calls."""
+    rng = np.random.default_rng(cfg.seed)
+    outcome = CampaignOutcome("falsification")
+
+    def trial(v_r, v_f, gap, label):
+        start = ScenarioState(gap, v_f, 0.0, v_r)
+        col_t, _, min_gap, _, _, _ = worst_case_gap_analysis(params, start)
+        outcome.trials_run += 1
+        if col_t is None:
+            outcome.counterexamples.append(
+                {"v_r": v_r, "v_f": v_f, "gap": gap, "min_gap": min_gap, "source": label}
+            )
+
+    if cfg.include_grid:
+        for v_r in GRID_SPEEDS:
+            for v_f in GRID_SPEEDS:
+                d = safe_distance(params, v_r, v_f)
+                if d > 0.0:
+                    trial(v_r, v_f, d + params.vehicle_length, "grid_boundary")
+
+    attempts = done = 0
+    while done < cfg.n_trials:
+        attempts += 1
+        if attempts > 100 * max(1, cfg.n_trials):
+            raise ConfigError(
+                "sampled velocity ranges never produce a positive safe distance; "
+                "nothing to falsify"
+            )
+        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
+        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+        d = safe_distance(params, v_r, v_f)
+        if d <= 0.0:
+            continue
+        done += 1
+        gap = d if done % 10 == 0 else d * (1.0 - float(rng.random()))
+        if gap <= 0.0:
+            gap = d
+        trial(v_r, v_f, gap + params.vehicle_length, "random")
+
+    outcome.counterexamples.sort(key=lambda ce: (ce["v_r"], ce["v_f"], ce["gap"]))
+    return outcome
+
+
+FALSIFICATIONS = [
+    # (params, config fields)
+    (PAPER, {"n_trials": 300}),
+    (RssParams(0.3, 2.0, 4.0, 8.0, 4.5), {"n_trials": 300}),
+    (PAPER, {"n_trials": 500, "include_grid": False, "seed": 3}),
+    (RssParams(0.8, 0.5, 3.0, 9.0, 4.5), {"n_trials": 200, "include_grid": False, "v_max": 5.0}),
+    # at a_max 0 some pairs have d_min 0 and are drawn again
+    (RssParams(0.3, 0.0, 4.0, 8.0), {"n_trials": 300, "seed": 7}),
+    # every pair has d_min 0: the 100-attempt ConfigError
+    (RssParams(0.3, 0.0, 4.0, 8.0), {"n_trials": 5, "v_min": 0.0, "v_max": 0.0}),
+    (PAPER, {"n_trials": 100, "v_min": -1.0, "include_grid": False}),  # DomainError
+]
+
+
+@pytest.mark.parametrize("params,fields", FALSIFICATIONS)
+def test_falsification_matches_its_former_draws(params, fields):
+    cfg = CampaignConfig(**fields)
+    got = outcome_or_error(falsify_below_threshold, params, cfg)
+    want = outcome_or_error(reference_falsify_below_threshold, params, cfg)
+    assert got == want
+    assert repr(got) == repr(want)  # -0.0 == 0.0, but their reprs differ
+
+
+# the campaigns' draw ranges: speeds, POV cut times up to t_sv_halt + 1,
+# window cut times up to rho, the acceleration ranges; then extreme widths
+DRAW_RANGES = [
+    (0.0, 40.0), (-1.0, 40.0), (5.0, 5.0), (0.0, sv_halt(PAPER, 40.0) + 1.0), (0.0, 0.3),
+    (-8.0, 2.0), (-8.0, -8.0), (-4.0, 2.0), (-9.0, 0.5), (1e154, 1e155), (0.0, 1.7e308),
+    (-1.7e308, 0.0), (-8.9e307, 8.9e307), (5e-324, 1e-323), (-1e-300, 1e300),
+]
+
+
+def test_uniform_is_affine_in_random():
+    # Generator.uniform(a, b) is a + (b - a) * random(), and one random(j + k)
+    # call draws what random(j) and random(k) draw, so each run of float
+    # draws is one random() call in the campaigns
+    for seed in range(200):
+        for a, b in DRAW_RANGES:
+            r, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [float(r.uniform(a, b))] + r.uniform(a, b, size=6).tolist()
+            u = r2.random(7)
+            assert verify._uniform(a, b, u).tolist() == want, (seed, a, b)
+            assert [verify._uniform(a, b, x) for x in u.tolist()] == want, (seed, a, b)
+        r, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        horizons = r.uniform(0.0, 12.0, 5)
+        want = [float(r.uniform(0.0, h)) for h in horizons]
+        r2.random(5)
+        assert verify._uniform(0.0, horizons, r2.random(5)).tolist() == want
+        j, k = (int(n) for n in r.integers(0, 20, 2))
+        r, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = [float(r.random())] + r.random(j).tolist() + r.random(k).tolist()
+        assert r2.random(1 + j + k).tolist() == parts

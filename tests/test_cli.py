@@ -158,6 +158,44 @@ def test_verify_runs_with_pov_acceleration_down_to_its_braking(params_file, tmp_
     assert json.loads(out.read_text())["outcome"]["n_counterexamples"] == 0
 
 
+# Generator.uniform raised OverflowError when its width high - low
+# overflowed: each of these ended in that traceback and exit 1
+@pytest.mark.parametrize("command", [["verify"], ["falsify"], ["verify", "--kind", "supervised"]])
+def test_overflowing_speed_width_is_usage_error(params_file, tmp_path, capsys, command):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"v_min": -1.7e308, "v_max": 1.7e308, "n_trials": 10}))
+    assert main([*command, "--params", params_file, "--campaign", str(campaign)]) == 2
+    err = capsys.readouterr().err
+    assert "finite v_max - v_min" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params,fields", [
+    ({**PARAMS, "a_brake_max": 1.7e308}, {"a_fwd_max": 1.7e308}),  # POV accelerations
+    ({"rho": 1e-300, "a_max": 1.7e308, "a_brake_min": 1e308, "a_brake_max": 1.5e308}, {}),
+], ids=["pov", "window"])
+def test_overflowing_acceleration_width_is_usage_error(tmp_path, capsys, params, fields):
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    (tmp_path / "campaign.json").write_text(json.dumps({"n_trials": 10, **fields}))
+    assert main(["verify", "--params", str(tmp_path / "params.json"),
+                 "--campaign", str(tmp_path / "campaign.json")]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("segments,rc", [(3, 2), (1, 0)])
+def test_overflowing_halt_time_is_usage_error(tmp_path, capsys, segments, rc):
+    # v_r / a_brake_min overflows while v_r**2 / a_brake_min does not, so
+    # POV cut times would be drawn from [0, inf); one segment draws none
+    params = {"rho": 0.3, "a_max": 0.0, "a_brake_min": 5e-324, "a_brake_max": 1.0}
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    (tmp_path / "campaign.json").write_text(json.dumps({
+        "n_trials": 5, "include_grid": False, "v_min": 1e-10, "v_max": 1e-10,
+        "pov_segments_min": 1, "pov_segments_max": segments}))
+    assert main(["verify", "--params", str(tmp_path / "params.json"),
+                 "--campaign", str(tmp_path / "campaign.json")]) == rc
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_report_files_byte_identical_modulo_timestamp(params_file, tmp_path):
     campaign = tmp_path / "campaign.json"
     campaign.write_text(json.dumps({"seed": 5, "n_trials": 30}))
