@@ -5,12 +5,10 @@ comes from the scalar code's float operations in its order, so each row is
 bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py)."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .audit import DEFAULT_ACCEL_TOL
-from .dynamics import COLLISION_EPS, CollisionEvent, crossing
+from .dynamics import COLLISION_EPS, CollisionEvent, _overflow, check_step, crossing
 from .rule import travel_arithmetic
 from .supervisor import WINDOW_SLACK, decision_grid
 
@@ -118,8 +116,9 @@ def _first_roots(g0, gv, ga, tau):
 
 def analyze_gaps(prof_r, prof_f, length: float = 0.0):
     """analyze_gap for each row of two build_profiles results: (collision
-    time, NaN where none; min gap).  Repeated breakpoints move behind each
-    row's sorted ones, as in the scalar set."""
+    time, NaN where none; min gap), or its DomainError for the first row
+    whose walk reads a gap that is not finite.  Repeated breakpoints move
+    behind each row's sorted ones, as in the scalar set."""
     times = np.sort(np.concatenate((prof_r[0], prof_r[1], prof_f[0], prof_f[1]), axis=1))
     times[:, 1:][times[:, 1:] == times[:, :-1]] = np.inf
     times.sort(axis=1)
@@ -145,6 +144,14 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
         at_start, hit = g0[:, 0] <= COLLISION_EPS, found.any(axis=1)
         col_t = np.where(at_start, u0[:, 0], np.where(hit, u0[rows, k] + s, np.nan))
         min_gap = np.where(at_start, g0[:, 0], np.where(hit, g_col, best)) + length
+        # the scalar walk reads g0 up to the interval it stops in, g1 before it
+        stop = np.where(at_start, 0, np.where(hit, k, u0.shape[1]))[:, None]
+        cols = np.arange(u0.shape[1])
+        bad = ((cols <= stop) & np.isfinite(u0) & ~np.isfinite(g0)) | (
+            (cols < stop) & valid & ~np.isfinite(g1))
+    if bad.any():
+        r = bad.any(axis=1).argmax()
+        raise _overflow(u0[r, bad[r].argmax()].item())
     return col_t, min_gap
 
 
@@ -217,7 +224,7 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     lookahead = np.array([[params.a_max], [-params.a_brake_max]])  # worst_case_successor
     n = len(starts)
     fallback, compliant, engagements = np.zeros(n, bool), np.ones(n, bool), np.zeros(n, int)
-    n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
+    n_steps = check_step(dt, t_end)
     # each row's sample s, its state (row 0 the SV, row 1 the POV), and the
     # supervisor after step s: phase, window clock, engagements, episode
     # start time and SV command, held over the row's block
@@ -306,7 +313,7 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
     k, cfg = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_r, a_f, length = min(hi, max(lo, params.a_max)), -params.a_brake_max, params.vehicle_length
-    n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
+    n_steps = check_step(dt, t_end)
     x, v = starts[:, [2, 0]].T, starts[:, [3, 1]].T
     (m,), (ok,) = margins(params, x, v)
     fallback = ~(ok & (m > 0.0)) | (x[1] - x[0] - length <= COLLISION_EPS)

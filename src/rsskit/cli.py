@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from .audit import audit as run_audit
+from .audit import DEFAULT_ACCEL_TOL, audit as run_audit
 from .core import ScenarioState, as_float, load_json, load_params
-from .dynamics import gentle_pov, piecewise_pov, worst_case_pov
+from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
 from .errors import ConfigError, DomainError, InvariantBreach, RssError
-from .report import make_report, report_text, write_report
+from .report import report_text
 from .rule import evaluate, safe_distance_terms
 from .supervisor import (
     SupervisorConfig,
@@ -103,7 +103,7 @@ def _make_pov(params, spec):
             raise RssError(f"POV seed must be a nonnegative integer, got {seed!r}")
         rng = np.random.default_rng(int(seed))
         cuts = np.sort(rng.uniform(0.0, 20.0, size=5))
-        accels = rng.uniform(-params.a_brake_max, 2.0, size=6)
+        accels = rng.uniform(-params.a_brake_max, POV_A_FWD_MAX, size=6)
         sched = [(0.0, float(accels[0]))] + [
             (float(t), float(a)) for t, a in zip(cuts, accels[1:])
         ]
@@ -137,18 +137,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _write_report(path, kind, params, config, outcome) -> None:
+    try:
+        text = report_text(kind, params, config, outcome)
+    except ValueError as exc:  # NaN, or a value that overflowed to +-inf
+        raise DomainError(f"cannot write the {kind} report: {exc}") from exc
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def cmd_audit(args) -> int:
     params = _load_params_arg(args)
     traj = read_trajectory(args.trajectory, params)
     report = run_audit(traj, accel_tol=args.accel_tol)
     config = {"trajectory": os.path.basename(args.trajectory), "accel_tol": args.accel_tol}
-    try:
-        text = report_text("audit", params, config, report.to_dict())
-    except ValueError as exc:  # a margin that overflowed to +-inf
-        raise DomainError(f"cannot write the audit report: {exc}") from exc
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_report(args.out, "audit", params, config, report.to_dict())
     if args.metric_csv:
         write_metric_csv(traj, args.metric_csv, [m for _, _, m, _ in report.per_sample])
     print(f"compliant: {report.compliant}")
@@ -170,9 +174,7 @@ def cmd_campaign(args) -> int:
         outcome = verify_supervised_safety(params, sup_cfg, campaign)
     else:
         outcome = verify_safety_theorem(params, campaign)
-    out = make_report(args.command, params, campaign.to_dict(), outcome.to_dict())
-    if args.out:
-        write_report(out, args.out)
+    _write_report(args.out, args.command, params, campaign.to_dict(), outcome.to_dict())
     print(f"trials: {outcome.trials_run}")
     label = "collision-free survivors" if args.command == "falsify" else "counterexamples"
     print(f"{label}: {len(outcome.counterexamples)}")
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit a recorded trajectory")
     add_params(p)
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--accel-tol", type=float, default=0.2)
+    p.add_argument("--accel-tol", type=float, default=DEFAULT_ACCEL_TOL)
     p.add_argument("--out", help="report JSON output")
     p.add_argument("--metric-csv", help="per-sample metric timeline CSV")
     p.set_defaults(func=cmd_audit)

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import BC, AC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from .errors import StepError
+from .errors import DomainError, StepError
 from .rule import travel_terms
 
 # Touching counts as collision (strict inequality reading of the safety
@@ -117,12 +117,18 @@ def _first_root(g0, gv, ga, tau):
     return None
 
 
+def _overflow(t):
+    return DomainError(f"the gap is not finite on the interval from t = {t!r} s: "
+                       "the positions overflow")
+
+
 def analyze_gap(segs_r, segs_f, length: float = 0.0):
     """Earliest collision and minimum gap between two motion profiles.
 
     Returns (collision_t, gap_at_collision, min_gap, min_gap_t); the
     first two are None when the gap never falls to length + COLLISION_EPS.  The
-    minimum is tracked only up to the collision, if any.
+    minimum is tracked only up to the collision, if any.  A gap the walk
+    reads that is not finite (positions that overflowed) raises DomainError.
 
     One forward walk: each profile's index moves on while its next
     segment starts at or before u0, the segment profile_state picks.
@@ -145,6 +151,8 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
         xr, vr, ar = segment_state(segs_r[ir], u0)
         xf, vf, af = segment_state(segs_f[jf], u0)
         g0 = xf - xr - length
+        if not math.isfinite(g0):
+            raise _overflow(u0)
         if best_gap is None:
             if g0 <= COLLISION_EPS:
                 return u0, g0 + length, g0 + length, u0
@@ -163,6 +171,8 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
         if g0 < best_gap:
             best_gap, best_t = g0, u0
         g1 = g0 + gv * tau + 0.5 * ga * tau * tau
+        if not math.isfinite(g1):
+            raise _overflow(u0)
         if g1 < best_gap:
             best_gap, best_t = g1, u0 + tau
         if ga > 0.0:
@@ -309,21 +319,24 @@ def classify_worst_case(params: RssParams, start: ScenarioState) -> str:
 # ---------------------------------------------------------------------------
 # POV behavior models
 
+# The largest forward acceleration of every POV behavior [m/s^2].
+POV_A_FWD_MAX = 2.0
+
+
 @dataclass(frozen=True)
 class PovBehavior:
-    """Front-vehicle behavior: an acceleration policy plus its bounds.
+    """Front-vehicle behavior: an acceleration policy plus its braking bound.
 
     The policy maps (t, position, velocity) to an acceleration, which is
-    clamped to [-brake_limit, a_fwd_max].  brake_limit is normally the
+    clamped to [-brake_limit, POV_A_FWD_MAX].  brake_limit is normally the
     scenario's a_brake_max; exceeding it puts the POV outside the model.
     """
 
     policy: Callable[[float, float, float], float]
     brake_limit: float
-    a_fwd_max: float = 2.0
 
     def command(self, t: float, x: float, v: float) -> float:
-        return min(self.a_fwd_max, max(-self.brake_limit, self.policy(t, x, v)))
+        return min(POV_A_FWD_MAX, max(-self.brake_limit, self.policy(t, x, v)))
 
 
 def worst_case_pov(params: RssParams) -> PovBehavior:
@@ -331,11 +344,11 @@ def worst_case_pov(params: RssParams) -> PovBehavior:
     return PovBehavior(lambda t, x, v: -params.a_brake_max, params.a_brake_max)
 
 
-def gentle_pov(params: RssParams, rate: float = 1.0) -> PovBehavior:
-    return PovBehavior(lambda t, x, v: -rate, params.a_brake_max)
+def gentle_pov(params: RssParams) -> PovBehavior:
+    return PovBehavior(lambda t, x, v: -1.0, params.a_brake_max)
 
 
-def piecewise_pov(params: RssParams, schedule, a_fwd_max: float = 2.0) -> PovBehavior:
+def piecewise_pov(params: RssParams, schedule) -> PovBehavior:
     """Piecewise-constant acceleration schedule [(start time, accel), ...]."""
     starts = [t for t, _ in schedule]
     accels = [a for _, a in schedule]
@@ -344,7 +357,7 @@ def piecewise_pov(params: RssParams, schedule, a_fwd_max: float = 2.0) -> PovBeh
         i = max(0, bisect_right(starts, t) - 1)
         return accels[i]
 
-    return PovBehavior(policy, params.a_brake_max, a_fwd_max)
+    return PovBehavior(policy, params.a_brake_max)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +385,10 @@ def advance_vehicle(x: float, v: float, a: float, dt: float):
 MAX_STEPS = 1_000_000
 
 
-def check_step(dt: float, t_end: float = 0.0) -> None:
-    """Reject a step that is not finite and positive, a t_end that is not
-    finite and >= 0, or a run of more than MAX_STEPS steps of dt up to t_end."""
+def check_step(dt: float, t_end: float = 0.0) -> int:
+    """The number of dt steps a run to t_end takes, ceil(t_end / dt) with a
+    1e-9 allowance for rounding.  Rejects a step that is not finite and
+    positive, a t_end that is not finite and >= 0, or more than MAX_STEPS."""
     if not 0.0 < dt < math.inf:
         raise StepError(f"dt must be finite and > 0, got {dt!r}")
     if not 0.0 <= t_end < math.inf:
@@ -383,6 +397,7 @@ def check_step(dt: float, t_end: float = 0.0) -> None:
         raise StepError(
             f"t_end {t_end!r} s at dt {dt!r} s takes more than {MAX_STEPS} steps"
         )
+    return max(0, int(math.ceil(t_end / dt - 1e-9)))
 
 
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
@@ -451,7 +466,7 @@ def run_fixed_step(
     (gap falling to vehicle_length), which refine_crossing locates inside
     the step.
     """
-    check_step(dt, t_end)
+    n_steps = check_step(dt, t_end)
     length = params.vehicle_length
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []
@@ -460,7 +475,6 @@ def run_fixed_step(
     min_gap = math.inf
     min_gap_t = 0.0
 
-    n_steps = max(0, int(math.ceil(t_end / dt - 1e-9)))
     for i in range(n_steps + 1):
         t = i * dt
         state = ScenarioState(x_f, v_f, x_r, v_r)

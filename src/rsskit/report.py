@@ -23,12 +23,15 @@ def _sealed(kind: str, params, config: dict, outcome: dict):
     and generated_at are added): the hash and the text from one walk."""
     report = {"kind": kind, "tool_version": __version__, "params": params.to_dict(),
               "config": config, "outcome": outcome}
-    canonical, text = _walk(report, 0, _STRICT)
+    canonical, text = _walk(report, 0)
     report["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
     report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return report, text
 
 
+# make_report and dump_report are the plain forms of report_text, which
+# writes every report file; tests compare against them and the benchmark's
+# tracer wraps them by name, so they stay without a caller here.
 def make_report(kind: str, params, config: dict, outcome: dict) -> dict:
     return _sealed(kind, params, config, outcome)[0]
 
@@ -43,10 +46,9 @@ def report_text(kind: str, params, config: dict, outcome: dict) -> str:
 
 
 # With indent None, encode() runs in C.  Encoded strings never hold a raw
-# newline, so every newline these write is a separator: dropping them
+# newline, so every newline it writes is a separator: dropping them
 # gives canonical_json, and the indented layout puts its padding there.
 _STRICT = json.JSONEncoder(sort_keys=True, separators=(",\n", ":\n"), allow_nan=False).encode
-_LAX = json.JSONEncoder(sort_keys=True, separators=(",\n", ":\n")).encode
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -54,11 +56,11 @@ def _has_container(types) -> bool:
     return any(issubclass(t, _CONTAINERS) for t in types)
 
 
-def _walk(obj, depth: int, encode):
+def _walk(obj, depth: int):
     """(canonical_json(obj), json.dumps(obj, sort_keys=True, indent=2) as
     nested at `depth`), from one encode call per flat container."""
     if not isinstance(obj, _CONTAINERS) or not obj:
-        text = encode(obj)
+        text = _STRICT(obj)
         return text, text
     is_dict = isinstance(obj, dict)
     types = {type(v) for v in (obj.values() if is_dict else obj)}
@@ -68,15 +70,15 @@ def _walk(obj, depth: int, encode):
             and not _has_container({type(v) for r in obj for v in r.values()}))
     if not (flat or rows):
         if is_dict:  # {k: 0} encodes as {<key>:\n0}, with json's coercion of k
-            parts = [(encode({k: 0})[1:-4], *_walk(v, depth + 1, encode))
+            parts = [(_STRICT({k: 0})[1:-4], *_walk(v, depth + 1))
                      for k, v in sorted(obj.items())]
         else:
-            parts = [(None, *_walk(v, depth + 1, encode)) for v in obj]
+            parts = [(None, *_walk(v, depth + 1)) for v in obj]
         canonical = ",".join(c if k is None else f"{k}:{c}" for k, c, _ in parts)
         indented = ("," + pad).join(i if k is None else f"{k}: {i}" for k, _, i in parts)
         opener, closer = "{}" if is_dict else "[]"
         return opener + canonical + closer, opener + pad + indented + pad[:-2] + closer
-    text = encode(obj)
+    text = _STRICT(obj)
     # flat: one item per line; rows of flat dicts: also open each row
     # boundary, the only place "}," meets a newline
     inner = pad + "  " if rows else pad
@@ -88,10 +90,4 @@ def _walk(obj, depth: int, encode):
 
 
 def dump_report(report: dict) -> str:
-    """Exactly json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
-    return _walk(report, 0, _LAX)[1] + "\n"
-
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_report(report))
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -59,7 +59,7 @@ def travel_arithmetic(params: RssParams, v_r, v_peak_sq, v_f_sq):
 def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:
     """Term-by-term breakdown of the safe-distance formula (for diagnostics)."""
     terms = travel_terms(params, v_r, v_f)
-    raw = safe_distance_raw(params, v_r, v_f)
+    raw = terms[0] + terms[1] + terms[2] - terms[3]  # safe_distance_raw's sum
     return {
         "response_travel": terms[0],
         "response_gain": terms[1],

@@ -526,3 +526,23 @@ def test_uniform_is_affine_in_random():
         r, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
         parts = [float(r.random())] + r.random(j).tolist() + r.random(k).tolist()
         assert r2.random(1 + j + k).tolist() == parts
+
+
+WEAK = RssParams(0.3, 2.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("v_r, v_f, gap", [
+    # the exact boundary gap (7.8e307 m) touches at the SV halt, but the
+    # POV's halt position overflows: no collision, min gap 3.9e307 m
+    (1.25e154, 1.25e154, safe_distance(WEAK, 1.25e154, 1.25e154)),
+    # the free space at the SV halt is 7e307 m, but the gap extrapolated
+    # to it overflows: min gap 1.7e308 m
+    (1e154, 0.0, 1.7e308),
+], ids=["breakpoint", "interval_end"])
+def test_a_gap_that_overflows_raises_in_both_kernels(v_r, v_f, gap):
+    with pytest.raises(DomainError, match="not finite") as scalar:
+        worst_case_gap_analysis(WEAK, ScenarioState(gap, v_f, 0.0, v_r))
+    # the batch raises the scalar error for the first such row
+    with pytest.raises(DomainError) as batch:
+        check_rows([worst_row(WEAK, 10.0, 10.0, 100.0), worst_row(WEAK, v_r, v_f, gap)], 0.0)
+    assert str(batch.value) == str(scalar.value)

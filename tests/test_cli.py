@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
+from rsskit import cli
 from rsskit.cli import main
+from rsskit.verify import CampaignOutcome
 
 PARAMS = {"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}
 
@@ -499,4 +502,32 @@ def test_audit_of_overflowing_gap_is_usage_error(params_file, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "cannot write the audit report: Out of range float values" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "falsify"])
+def test_overflowing_gap_in_a_campaign_is_usage_error(tmp_path, capsys, command):
+    # positions near 1e308 m overflowed inside the gap kernels, which then
+    # found no collision: falsify reported a survivor and exit 1, verify exit 0
+    (tmp_path / "params.json").write_text(json.dumps(
+        {"rho": 0.3, "a_max": 2.0, "a_brake_min": 0.5, "a_brake_max": 1.0}))
+    (tmp_path / "campaign.json").write_text(json.dumps(
+        {"n_trials": 3, "v_min": 1.2e154, "v_max": 1.3e154, "include_grid": False}))
+    assert main([command, "--params", str(tmp_path / "params.json"),
+                 "--campaign", str(tmp_path / "campaign.json")]) == 2
+    err = capsys.readouterr().err
+    assert "the gap is not finite" in err and "Traceback" not in err
+
+
+def test_campaign_report_that_cannot_be_encoded_is_usage_error(
+        params_file, tmp_path, capsys, monkeypatch):
+    # campaigns wrote through make_report, whose hash refused a NaN with a
+    # ValueError traceback
+    monkeypatch.setattr(cli, "verify_safety_theorem", lambda params, cfg: CampaignOutcome(
+        "safety_theorem", stats={"x": math.nan}))
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--params", params_file, "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cannot write the verify report: Out of range float values" in err
     assert not report.exists()

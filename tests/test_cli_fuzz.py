@@ -1,12 +1,15 @@
-"""Fuzz of `rsskit audit`, `rsskit safe-distance` and `rsskit simulate`:
-generated argv, parameter files and trajectory files, valid and not.
+"""Fuzz of `rsskit audit`, `rsskit safe-distance`, `rsskit simulate`,
+`rsskit verify` and `rsskit falsify`: generated argv and parameter,
+trajectory, campaign and supervisor files, valid and not.
 
 Whatever the input, the exit code is one of 0/1/2/3, nothing escapes as a
 traceback, and the verdict exits (0 and 1) agree with the evaluate-based
 reference compliance check on the same file: exit 1 only for a trajectory
 that really is non-compliant.  safe-distance exits 0 or 2, and on 0 prints
 the d_min of rule.safe_distance.  simulate exits 0, 2 or 3, and 0 only
-on a finite positive step and a finite horizon >= 0.
+on a finite positive step and a finite horizon >= 0.  verify and falsify
+print "error:" on 2 and 3, and on 0 and 1 write a report that parses,
+with counterexamples exactly on 1.
 """
 import contextlib
 import io
@@ -228,3 +231,100 @@ def _run(argv):
     event(f"exit {code}")
     assert "Traceback" not in err.getvalue()
     return code, out.getvalue(), err.getvalue()
+
+
+_CAMPAIGN_BAD = st.one_of(st.none(), st.booleans(), _TEXT, st.lists(st.integers(), max_size=2),
+                          st.sampled_from([math.nan, math.inf, -math.inf, -1, 0.5]))
+
+
+@st.composite
+def campaign_text(draw):
+    """A campaign file: up to 20 trials at a sim_dt of at least 0.02 s,
+    speeds up to 1e300, margin_max from 1e-300 to 1e300, and rarely a bad
+    value or key or text that is not a mapping."""
+    if _rarely(draw, 25):
+        return draw(st.sampled_from([b"", b"[1]", b"null", b"{", b"\xff"]))
+    record = {}
+    if draw(st.booleans()):
+        record["seed"] = draw(st.integers(0, 2 ** 32))
+    record["n_trials"] = draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["paper"] * 4 + ["huge", "tiny"]))
+    if kind == "huge":
+        v = draw(st.sampled_from([1e9, 1e100, 1e154, 1.2e154, 1e200, 1e300]))
+        record["v_min"], record["v_max"] = v * draw(st.floats(0.0, 1.0)), v
+    elif kind == "tiny" or draw(st.booleans()):
+        lo = draw(st.floats(0.0, 60.0 if kind == "paper" else 1e-3))
+        record["v_min"], record["v_max"] = lo, lo + draw(st.floats(0.0, 60.0))
+    if draw(st.booleans()):
+        record["margin_max"] = draw(st.sampled_from([1e-300, 1e-12, 1e-9, 1e-3, 1.0, 50.0,
+                                                     1e10, 1e300]))
+    if draw(st.booleans()):
+        record["sim_dt"] = draw(st.floats(0.02, 0.3))
+    if _rarely(draw, 4):
+        record["a_fwd_max"] = draw(st.floats(-10.0, 5.0))
+    if _rarely(draw, 4):
+        lo = draw(st.integers(1, 6))
+        record["pov_segments_min"], record["pov_segments_max"] = lo, lo + draw(st.integers(0, 6))
+    record["include_grid"] = draw(st.booleans())
+    if _rarely(draw, 6):
+        record[draw(st.sampled_from(sorted(record)))] = draw(_CAMPAIGN_BAD)
+    if _rarely(draw, 20):  # an int too big for a float; never n_trials, whose loop it would run
+        record[draw(st.sampled_from(["seed", "v_max", "margin_max", "pov_segments_max"]))] = 10 ** 400
+    if _rarely(draw, 20):
+        record[draw(st.sampled_from(["bogus", "trials", "sim-dt", ""]))] = 1
+    return json.dumps(record).encode()
+
+
+@st.composite
+def supervisor_text(draw):
+    """None (no file) or a supervisor config file, rarely a bad one."""
+    if draw(st.booleans()):
+        return None
+    if _rarely(draw, 20):
+        return draw(st.sampled_from([b"", b"[]", b"{", b'{"periods": 0.1}']))
+    record = {}
+    if draw(st.booleans()):
+        record["period"] = draw(st.floats(0.01, 0.5))
+    if draw(st.booleans()):
+        record["switchback_margin"] = draw(st.floats(0.0, 5.0))
+    if _rarely(draw, 4):
+        lo = draw(st.floats(-10.0, 2.0))
+        record["sv_command_bounds"] = [lo, lo + draw(st.floats(0.0, 4.0))]
+    if _rarely(draw, 10):
+        record[draw(st.sampled_from(["period", "switchback_margin", "sv_command_bounds"]))] = (
+            draw(_CAMPAIGN_BAD))
+    return json.dumps(record).encode()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(params_text(), campaign_text(), supervisor_text(),
+       st.sampled_from(["falsify"] * 3 + ["safety"] * 3 + ["supervised"] * 3 + ["bad"]),
+       st.integers(0, 24))
+def test_campaign_cli_exits_0_to_3_without_traceback(params, campaign, supervisor, kind, stray):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("params", params), ("campaign", campaign), ("sup", supervisor)):
+            if text is not None:
+                paths[name] = os.path.join(tmp, f"{name}.json")
+                with open(paths[name], "wb") as fh:
+                    fh.write(text)
+        out = os.path.join(tmp, "report.json")
+        argv = ["falsify" if kind == "falsify" else "verify", "--params", paths["params"],
+                "--campaign", paths["campaign"], "--out", out]
+        if kind != "falsify":
+            argv += ["--kind", "chaos" if kind == "bad" else kind]
+        if "sup" in paths and kind != "falsify":
+            argv += ["--supervisor-config", paths["sup"]]
+        if stray == 0:  # an absent file, or an argument the command does not take
+            argv[4] = os.path.join(tmp, "absent.json")
+        elif stray == 1:
+            argv.append("--bogus")
+        code, _, err = _run(argv)
+        assert code in (0, 1, 2, 3), (code, err)
+        if code in (2, 3):
+            assert "error:" in err
+        else:
+            with open(out, encoding="utf-8") as fh:
+                outcome = json.load(fh)["outcome"]
+            assert (outcome["n_counterexamples"] > 0) == (code == 1)

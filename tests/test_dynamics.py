@@ -13,6 +13,7 @@ from rsskit.dynamics import (
     ALL_CASES,
     COLLISION_EPS,
     MAX_STEPS,
+    POV_A_FWD_MAX,
     analyze_gap,
     build_profile,
     check_step,
@@ -389,4 +390,4 @@ def test_pov_command_clamped_to_model():
     pov = piecewise_pov(PAPER, [(0.0, -100.0)])
     assert pov.command(0.0, 0.0, 10.0) == -PAPER.a_brake_max
     pov = piecewise_pov(PAPER, [(0.0, 100.0)])
-    assert pov.command(0.0, 0.0, 10.0) == pov.a_fwd_max
+    assert pov.command(0.0, 0.0, 10.0) == POV_A_FWD_MAX

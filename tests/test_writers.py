@@ -19,7 +19,7 @@ from rsskit import __version__
 from rsskit.audit import audit
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import gentle_pov, worst_case_pov
-from rsskit.report import canonical_json, dump_report, make_report, report_text
+from rsskit.report import _walk, canonical_json, dump_report, make_report, report_text
 from rsskit.rule import evaluate
 from rsskit.supervisor import SupervisorConfig, adversarial_ac, benign_ac, run_supervised
 from rsskit.trajio import HEADER, write_metric_csv, write_trajectory
@@ -119,9 +119,22 @@ def _payloads():
         }
 
 
+def check_walk(obj):
+    """_walk's texts are canonical_json's and the indented json.dumps, or it
+    raises what canonical_json raises."""
+    try:
+        want = canonical_json(obj), json.dumps(obj, sort_keys=True, indent=2)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _walk(obj, 0)
+        return
+    assert _walk(obj, 0) == want, repr(obj)
+
+
 def test_dump_report_matches_json_dumps_on_random_payloads():
     for obj in _payloads():
         assert dump_report(obj) == reference_dump(obj), repr(obj)
+        check_walk(obj)
 
 
 def check_sealed(params, config, outcome):
@@ -170,6 +183,7 @@ def test_one_walk_gives_the_plain_hash_and_file_on_random_payloads():
 )
 def test_dump_report_edge_cases(obj):
     assert dump_report(obj) == reference_dump(obj)
+    check_walk(obj)
 
 
 def test_dump_report_rejects_what_json_dumps_rejects():
@@ -178,6 +192,7 @@ def test_dump_report_rejects_what_json_dumps_rejects():
             reference_dump(bad)
         with pytest.raises(TypeError):
             dump_report(bad)
+        check_walk(bad)
 
 
 def _trajectories():
@@ -204,6 +219,7 @@ def test_dump_report_matches_json_dumps_on_audit_reports(i):
     report = make_report("audit", traj.params, {"trajectory": "t.csv", "accel_tol": 0.05},
                          audit(traj).to_dict())
     assert dump_report(report) == reference_dump(report)
+    check_walk(report)
 
 
 # mode strings that would fool a textual replace of the separators, if the
@@ -224,12 +240,14 @@ def test_walk_is_not_fooled_by_mode_strings_numeric_keys_or_nan(i):
     config = {"trajectory": '"},\n{".csv', "accel_tol": 0.2}
     report = make_report("audit", traj.params, config, outcome)
     assert dump_report(report) == reference_dump(report)
+    check_walk(report)
     assert check_sealed(traj.params, config, outcome) is None
     # NaN: the hash refuses it as canonical_json does; the file takes it
     outcome["per_sample"][len(outcome["per_sample"]) // 2]["margin"] = math.nan
     assert check_sealed(traj.params, config, outcome) is ValueError
     report["outcome"] = outcome
     assert dump_report(report) == reference_dump(report)
+    check_walk(report)  # raises as canonical_json does
 
 
 # --- trajectory and metric CSVs --------------------------------------------
