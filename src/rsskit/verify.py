@@ -37,6 +37,8 @@ MAX_POV_SEGMENTS = 1000
 # Random trials per batch-kernel call at up to 8 POV segments, which keeps
 # its arrays near 1 MB; longer POV schedules run proportionally fewer.
 CHUNK = 256
+# Random floats per Generator call of the falsification, whatever n_trials.
+FALSIFY_BLOCK = 2 ** 16
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -265,8 +267,11 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 if d > 0.0:
                     trial(v_r, v_f, d + params.vehicle_length, "grid_boundary")
 
-    attempts = 0
-    done = 0
+    # Blocks of random floats walked by index: an attempt reads v_r and v_f,
+    # an accepted one but every tenth its gap's draw too; d_min[k] is the
+    # safe distance of the speeds (v[k], v[k + 1]).
+    attempts = done = k = 0
+    u = []
     while done < cfg.n_trials:
         attempts += 1
         if attempts > 100 * max(1, cfg.n_trials):
@@ -274,12 +279,20 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 "sampled velocity ranges never produce a positive safe distance; "
                 "nothing to falsify"
             )
-        v_r, v_f = (_uniform(cfg.v_min, cfg.v_max, u) for u in rng.random(2).tolist())
-        d = safe_distance(params, v_r, v_f)
+        if k + 3 > len(u):  # the unread tail, then the next block
+            u = u[k:] + rng.random(min(3 * (cfg.n_trials - done) + 3, FALSIFY_BLOCK)).tolist()
+            v, k = _uniform(cfg.v_min, cfg.v_max, np.array(u)), 0
+            d_min, defined = safe_distances(params, v[:-1], v[1:])
+            ok = (0 <= v) & (v < inf)  # rule.travel_terms' checks
+            d_min, defined, v = d_min.tolist(), (defined & ok[:-1] & ok[1:]).tolist(), v.tolist()
+        v_r, v_f = v[k], v[k + 1]
+        # the scalar form raises an undefined pair's DomainError
+        d = d_min[k] if defined[k] else safe_distance(params, v_r, v_f)
+        k += 2
         if d <= 0.0:
             continue
         done += 1
-        gap = d if done % 10 == 0 else d * (1.0 - float(rng.random()))
+        gap, k = (d, k) if done % 10 == 0 else (d * (1.0 - u[k]), k + 1)
         if gap <= 0.0:
             gap = d
         trial(v_r, v_f, gap + params.vehicle_length, "random")

@@ -8,7 +8,8 @@ chained advance_vehicle calls.  Each family below has at least
 half with 4.5.  verify_safety_theorem, which runs on the batch kernel,
 must give the outcome, or the error, of a test-local copy of its former
 scalar form, and falsify_below_threshold those of a copy of its former
-draws.  Both draw through verify._uniform, whose premise is tested here.
+draws, handing the worst case the same starts in the same order.  Both
+draw through verify._uniform, whose premise is tested here.
 """
 import json
 import math
@@ -485,6 +486,12 @@ FALSIFICATIONS = [
     # every pair has d_min 0: the 100-attempt ConfigError
     (RssParams(0.3, 0.0, 4.0, 8.0), {"n_trials": 5, "v_min": 0.0, "v_max": 0.0}),
     (PAPER, {"n_trials": 100, "v_min": -1.0, "include_grid": False}),  # DomainError
+    # at a_max 0 and speeds up to 200 m/s about half the pairs are drawn again,
+    # so the walk crosses several refills of its random block
+    (RssParams(0.3, 0.0, 7.0, 8.0), {"n_trials": 300, "v_max": 200.0, "seed": 19}),
+    (RssParams(0.3, 2.0, 4.0, 8.0, 4.5), {"n_trials": 300, "include_grid": False, "seed": 23}),
+    # v_f above 1.3408e154 overflows the safe distance: DomainError after 39 trials
+    (PAPER, {"n_trials": 40, "v_max": 1.345e154, "include_grid": False, "seed": 4}),
 ]
 
 
@@ -495,6 +502,18 @@ def test_falsification_matches_its_former_draws(params, fields):
     want = outcome_or_error(reference_falsify_below_threshold, params, cfg)
     assert got == want
     assert repr(got) == repr(want)  # -0.0 == 0.0, but their reprs differ
+
+
+@pytest.mark.parametrize("params,fields", FALSIFICATIONS)
+def test_falsification_analyzes_the_former_starts(params, fields, monkeypatch):
+    # the outcome lists only the trials that did not collide, so the starts
+    # handed to the worst case are compared too, in order
+    cfg, real, got, want = CampaignConfig(**fields), worst_case_gap_analysis, [], []
+    monkeypatch.setattr(verify, "worst_case_gap_analysis", lambda p, s: got.append(s) or real(p, s))
+    outcome_or_error(falsify_below_threshold, params, cfg)
+    monkeypatch.setitem(globals(), "worst_case_gap_analysis", lambda p, s: want.append(s) or real(p, s))
+    outcome_or_error(reference_falsify_below_threshold, params, cfg)
+    assert repr(got) == repr(want)
 
 
 # the campaigns' draw ranges: speeds, POV cut times up to t_sv_halt + 1,

@@ -1,12 +1,17 @@
+import numpy as np
 import pytest
 
+from rsskit import verify
 from rsskit.core import RssParams
 from rsskit.errors import ConfigError
 from rsskit.dynamics import ALL_CASES
 from rsskit.report import dump_report, make_report
+from rsskit.rule import safe_distance
 from rsskit.supervisor import SupervisorConfig
 from rsskit.verify import (
     CASE_COVERAGE_PAIRS,
+    FALSIFY_BLOCK,
+    GRID_SPEEDS,
     MAX_POV_SEGMENTS,
     CampaignConfig,
     campaign_from_dict,
@@ -102,6 +107,44 @@ def test_falsification_needs_positive_threshold():
     p = RssParams(1e-6, 0.0, 4.0, 8.0)
     with pytest.raises(ConfigError):
         falsify_below_threshold(p, cfg)
+
+
+def test_every_falsification_trial_runs_through_the_seam(monkeypatch):
+    # with a worst case that never collides, every trial is a counterexample
+    starts = []
+
+    def never_collides(params, start):
+        starts.append(start)
+        return None, None, 1.0, 0.0, 1.0, 1.0
+
+    monkeypatch.setattr(verify, "worst_case_gap_analysis", never_collides)
+    out = falsify_below_threshold(PAPER, CampaignConfig(seed=6, n_trials=120))
+    grid = sum(safe_distance(PAPER, v_r, v_f) > 0.0 for v_r in GRID_SPEEDS for v_f in GRID_SPEEDS)
+    sources = [ce["source"] for ce in out.counterexamples]
+    assert sources.count("grid_boundary") == grid > 0
+    assert sources.count("random") == 120
+    assert len(sources) == out.trials_run == len(starts) == grid + 120
+
+
+def test_falsification_draws_a_bounded_block(monkeypatch):
+    # a huge n_trials must not size the first draw
+    sizes = []
+
+    class Stop(Exception):
+        pass
+
+    class Recording:
+        def __init__(self, seed):
+            pass
+
+        def random(self, size=None):
+            sizes.append(size)
+            raise Stop
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    with pytest.raises(Stop):
+        falsify_below_threshold(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
+    assert len(sizes) == 1 and sizes[0] <= FALSIFY_BLOCK
 
 
 def test_supervised_campaign_small():
