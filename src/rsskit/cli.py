@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from .audit import DEFAULT_ACCEL_TOL, audit as run_audit
-from .core import ScenarioState, as_float, load_json, load_params
+from .core import ScenarioState, load_json, load_params, read_record
 from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
-from .errors import ConfigError, DomainError, InvariantBreach, RssError
+from .errors import DomainError, InvariantBreach, RssError
 from .report import report_text
 from .rule import evaluate, safe_distance_terms
 from .supervisor import (
@@ -54,24 +54,9 @@ def _load_params_arg(args):
 def _load_supervisor_config(path):
     if not path:
         return SupervisorConfig()
+    kinds = {"period": float, "switchback_margin": float, "sv_command_bounds": tuple}
     raw = load_json(path, "supervisor config")
-    if not isinstance(raw, dict) or set(raw) - {"period", "switchback_margin", "sv_command_bounds"}:
-        raise ConfigError(
-            "supervisor config must be a mapping with keys among period, "
-            f"switchback_margin and sv_command_bounds, got {raw!r}"
-        )
-    bounds = raw.get("sv_command_bounds")
-    try:
-        if bounds is not None:
-            lo, hi = (as_float(b) for b in bounds)
-            bounds = (lo, hi)
-        return SupervisorConfig(
-            period=as_float(raw.get("period", 0.1)),
-            switchback_margin=as_float(raw.get("switchback_margin", 1.0)),
-            sv_command_bounds=bounds,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed supervisor config {path}: {exc}") from exc
+    return SupervisorConfig(**read_record(raw, "supervisor config", kinds))
 
 
 def _load_campaign(path):

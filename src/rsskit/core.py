@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from math import inf
 from typing import NamedTuple
@@ -26,7 +27,9 @@ AC = "AC"
 BC = "BC"
 
 _REQUIRED_PARAM_KEYS = ("rho", "a_max", "a_brake_min", "a_brake_max")
-_PARAM_KEYS = _REQUIRED_PARAM_KEYS + ("vehicle_length",)
+_PARAM_KINDS = dict.fromkeys(_REQUIRED_PARAM_KEYS + ("vehicle_length",), float)
+_NOUNS = {float: "a finite number", int: "an integer", bool: "a boolean",
+          tuple: "null or a list of two finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -69,43 +72,42 @@ class RssParams:
 
 
 def validate_params(raw: dict) -> RssParams:
-    """Build RssParams from a raw record (e.g. parsed JSON).
+    """Build RssParams from a raw record (e.g. parsed JSON); a missing
+    vehicle_length is 0.  A malformed record raises ConfigError, one that
+    violates the parameter invariants the matching ParamError subclass."""
+    return RssParams(**read_record(raw, "parameter", _PARAM_KINDS, _REQUIRED_PARAM_KEYS))
 
-    Missing vehicle_length defaults to 0.  Malformed records, unknown keys
-    included, raise ConfigError; records violating the parameter
-    invariants raise the corresponding ParamError subclass.
+
+def read_record(raw, what: str, kinds: dict, required=()) -> dict:
+    """The values of a JSON config record, each checked against its kind.
+
+    kinds maps every allowed key to float (a number, never a boolean, that
+    a float holds finitely; returned as a float), int or bool (exactly that
+    JSON type) or tuple (null, or a list of two such numbers; returned as a
+    tuple).  A refusal raises ConfigError naming the record, key and value.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(f"parameter record must be a mapping, got {type(raw).__name__}")
-    missing = [k for k in _REQUIRED_PARAM_KEYS if k not in raw]
+        raise ConfigError(f"{what} record must be a mapping, got {type(raw).__name__}")
+    missing = [k for k in required if k not in raw]
     if missing:
-        raise ConfigError(f"missing parameter keys: {', '.join(missing)}")
-    # a misspelled vehicle_length would otherwise check a point vehicle
-    unknown = set(raw).difference(_PARAM_KEYS)
+        raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
+    unknown = set(raw).difference(kinds)
     if unknown:
-        raise ConfigError(f"unknown parameter keys: {', '.join(sorted(map(str, unknown)))}")
-    values = {}
-    # a missing vehicle_length takes the RssParams default
-    for key in [k for k in _PARAM_KEYS if k in raw]:
-        try:
-            v = as_float(raw[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"parameter {key!r} is not a number: {raw[key]!r}") from exc
-        if not math.isfinite(v):
-            raise ConfigError(f"parameter {key!r} must be finite, got {v!r}")
-        values[key] = v
-    return RssParams(**values)
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}")
+    values = dict(raw)
+    for key, value in raw.items():
+        kind, pair = kinds[key], type(value) is list and len(value) == 2
+        if kind is float and _finite(value):
+            values[key] = float(value)
+        elif kind is tuple and pair and all(map(_finite, value)):
+            values[key] = tuple(map(float, value))
+        elif kind is float or type(value) is not (type(None) if kind is tuple else kind):
+            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {value!r}")
+    return values
 
 
-def as_float(value) -> float:
-    """float(value), refusing booleans, which float() reads as 0.0 or 1.0.
-
-    Raises TypeError, ValueError or OverflowError (an int too large for a
-    float) for a value float() refuses.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+def _finite(v) -> bool:  # compared: math.isfinite raises on an int too big for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def load_json(path, what: str):

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from rsskit import cli
 from rsskit.cli import main
+from rsskit.supervisor import SupervisorConfig
 from rsskit.verify import CampaignOutcome
 
 PARAMS = {"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}
@@ -279,16 +281,32 @@ def test_verify_mistyped_campaign_is_usage_error(params_file, tmp_path):
 
 
 # an upper command bound above a_max was accepted; an AC that used it drove
-# the loop into InvariantBreach, which the CLI reported as exit 3
-@pytest.mark.parametrize("config", [[1, 2], {"perod": 0.05}, {"sv_command_bounds": [-4, 8]}])
+# the loop into InvariantBreach, which the CLI reported as exit 3.  The
+# bounds "12" ran clamped to (1.0, 2.0), the object {"-1": 0, "2": 0} to
+# (-1.0, 2.0), the period "0.1" as 0.1 s and the margin 1e999 as inf.
+# A string is written as the file's text.
+@pytest.mark.parametrize("config", [
+    [1, 2], {"perod": 0.05}, {"sv_command_bounds": [-4, 8]},
+    {"sv_command_bounds": "12"}, {"sv_command_bounds": {"-1": 0, "2": 0}},
+    {"sv_command_bounds": [1.0]}, {"sv_command_bounds": [1, 2, 3]}, {"period": "0.1"},
+    '{"switchback_margin": 1e999}',
+])
 def test_bad_supervisor_config_is_usage_error(params_file, tmp_path, config):
     sup = tmp_path / "supervisor.json"
-    sup.write_text(json.dumps(config))
+    sup.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = main([
         "simulate", "--params", params_file, "--supervisor-config", str(sup),
         "--gap", "60", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("cfg", [SupervisorConfig(), SupervisorConfig(0.05, 0.5, (-3.0, 1.5))])
+def test_supervisor_config_round_trip(tmp_path, cfg):
+    # a SupervisorConfig field left out of the loader's kinds is refused here
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps(asdict(cfg)))
+    assert cli._load_supervisor_config(str(sup)) == cfg
 
 
 # how the error message names the value each flag sets
@@ -364,7 +382,7 @@ def test_boolean_in_supervisor_config_is_usage_error(tmp_path, capsys, key, valu
         "--gap", "200", "--v-r", "20", "--v-f", "20", "--out", str(tmp_path / "t.csv"),
     ])
     assert rc == 2
-    assert "expected a number, got" in capsys.readouterr().err
+    assert f"supervisor config {key!r} is not" in capsys.readouterr().err
 
 
 def test_boolean_parameter_is_usage_error(tmp_path, capsys):
@@ -374,7 +392,7 @@ def test_boolean_parameter_is_usage_error(tmp_path, capsys):
     assert main(["safe-distance", "--params", str(params), "--v-r", "20", "--v-f", "20"]) == 2
     captured = capsys.readouterr()
     assert "d_min" not in captured.out
-    assert "parameter 'rho' is not a number: True" in captured.err
+    assert "parameter 'rho' is not a finite number: True" in captured.err
 
 
 def test_misspelled_parameter_is_usage_error(tmp_path, capsys):
@@ -463,6 +481,18 @@ def test_simulate_too_many_steps_is_usage_error(params_file, tmp_path, capsys, e
     ] + extra)
     assert rc == 2
     assert "more than 1000000 steps" in capsys.readouterr().err
+
+
+def test_verify_supervised_too_many_trials_is_usage_error(params_file, tmp_path, capsys):
+    # numpy's "array is too big" ValueError ended in a traceback with exit 1
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"n_trials": 2 ** 62}))
+    rc = main(["verify", "--params", params_file, "--campaign", str(campaign),
+               "--kind", "supervised"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert f"got {2 ** 62}" in err
 
 
 def test_verify_too_many_pov_segments_is_usage_error(params_file, tmp_path, capsys):

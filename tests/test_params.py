@@ -69,6 +69,8 @@ def test_validate_params_defaults_length():
         # a misspelled vehicle_length was ignored: a point vehicle, whose
         # margins came out 4.5 m too generous
         {"rho": 0.3, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8, "vehicle_lenght": 4.5},
+        # a numeric string was read as the number it spells
+        {"rho": "0.3", "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
     ],
 )
 def test_validate_params_rejects_malformed(raw):

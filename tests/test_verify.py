@@ -13,6 +13,7 @@ from rsskit.verify import (
     FALSIFY_BLOCK,
     GRID_SPEEDS,
     MAX_POV_SEGMENTS,
+    MAX_SUPERVISED_TRIALS,
     CampaignConfig,
     campaign_from_dict,
     falsify_below_threshold,
@@ -53,6 +54,8 @@ def test_pov_segment_count_is_bounded():
 def test_campaign_from_dict_round_trip():
     cfg = CampaignConfig(seed=9, n_trials=17)
     assert campaign_from_dict(cfg.to_dict()) == cfg
+    # an int for a float key is echoed as a float, as in parameter files
+    assert repr(campaign_from_dict({"v_max": 40}).to_dict()["v_max"]) == "40.0"
     with pytest.raises(ConfigError):
         campaign_from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
@@ -145,6 +148,18 @@ def test_falsification_draws_a_bounded_block(monkeypatch):
     with pytest.raises(Stop):
         falsify_below_threshold(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
     assert len(sizes) == 1 and sizes[0] <= FALSIFY_BLOCK
+
+
+@pytest.mark.parametrize("supervised", [True, False])
+def test_supervised_campaign_refuses_trials_above_limit(monkeypatch, supervised):
+    # every start is drawn and kept up front; 10**12 trials asked numpy for 21.8 TiB
+    def no_draw(seed):
+        raise AssertionError("drew before checking n_trials")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    cfg = CampaignConfig(n_trials=MAX_SUPERVISED_TRIALS + 1)
+    with pytest.raises(ConfigError, match="supervised n_trials must be"):
+        verify_supervised_safety(PAPER, SupervisorConfig(), cfg, supervised=supervised)
 
 
 def test_supervised_campaign_small():
