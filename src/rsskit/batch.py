@@ -208,12 +208,6 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     or when a BC sample brakes weakly late in its episode; only its
     fallback flag is meaningful, and the scalar path must run it.
     """
-    # 2**11 rows at a time bound the blocks' arrays: a 10k-episode call
-    # peaks at 45 MB this way and at 64 MB in one piece
-    if len(starts) > 2 ** 11:
-        parts = [supervised_lockstep(params, cfg, starts[j:j + 2 ** 11], dt, t_end)
-                 for j in range(0, len(starts), 2 ** 11)]
-        return tuple(np.concatenate(z) for z in zip(*parts))
     k, cfg = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_ac = min(hi, max(lo, params.a_max))  # decide's clamped command

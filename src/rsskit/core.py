@@ -102,7 +102,11 @@ def read_record(raw, what: str, kinds: dict, required=()) -> dict:
         elif kind is tuple and pair and all(map(_finite, value)):
             values[key] = tuple(map(float, value))
         elif kind is float or type(value) is not (type(None) if kind is tuple else kind):
-            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {value!r}")
+            try:  # repr refuses an int of more digits than sys.get_int_max_str_digits()
+                value = repr(value)
+            except ValueError:
+                value = "a value too long to write out"
+            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {value}")
     return values
 
 

@@ -20,7 +20,7 @@ from .batch import (
     analyze_gaps, build_profiles, safe_distances, supervised_lockstep, unsupervised_runs,
 )
 from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
 
@@ -38,9 +38,12 @@ MAX_POV_SEGMENTS = 1000
 CHUNK = 256
 # Random floats per Generator call of the falsification, whatever n_trials.
 FALSIFY_BLOCK = 2 ** 16
-# Trials per supervised campaign, which keeps every start and episode at
-# once: about 0.4 kB a trial, 1.7 kB in the negative control, so 0.2 GB.
+# Trials per supervised campaign, which draws every start at once: tracemalloc
+# peaks of 0.1 kB a trial, 0.22 kB in the negative control, at 100k trials.
 MAX_SUPERVISED_TRIALS = 10 ** 5
+# Episodes per supervised or negative-control engine call, which bounds the
+# step blocks' arrays: 10k supervised episodes peak at 45 MB, 64 MB at once.
+ROWS = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,31 @@ def _uniform(a, b, u):
     for bit; tests/test_batch.py::test_uniform_is_affine_in_random guards
     the premise.  a is a float, as uniform converts it: int - int is exact."""
     return float(a) + (b - float(a)) * u
+
+
+def _safe_distances(params, v_r, v_f):
+    """batch.safe_distances of drawn speeds, and where rule.safe_distance
+    gives it: the speeds pass travel_terms' checks and no travel overflows."""
+    d_min, defined = safe_distances(params, v_r, v_f)
+    return d_min, defined & (0 <= v_r) & (v_r < inf) & (0 <= v_f) & (v_f < inf)
+
+
+def _starts(params, cfg, u):
+    """Starts (x_f, v_f, x_r, v_r) = (gap, v_f, 0, v_r) from the rows (v_r,
+    v_f, margin) of u, draws of Generator.random(), and whether the scalar
+    set-up (safe_distance, ScenarioState) accepts each; _refuse raises if not."""
+    v_r, v_f = _uniform(cfg.v_min, cfg.v_max, u[:, :2].T)
+    d_min, ok = _safe_distances(params, v_r, v_f)
+    with np.errstate(over="ignore"):  # to inf, as the scalar sum
+        gap = d_min + params.vehicle_length + cfg.margin_max * (1.0 - u[:, 2])
+    return np.stack((gap, v_f, np.zeros(len(u)), v_r), axis=1), ok & (gap < inf)
+
+
+def _refuse(params, starts, ok):
+    """Raise the scalar set-up's error for the first start that _starts refused, if any."""
+    for start in starts[~ok][:1].tolist():
+        safe_distance(params, start[3], start[1])
+        ScenarioState(*start)
 
 
 def _schedules(draws, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
@@ -204,15 +232,9 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
             heads.append(rng.random(3))
             pov.append(rng.random(2 * int(rng.integers(cfg.pov_segments_min, n_f + 1)) - 1))
             win.append(rng.random(2 * int(rng.integers(1, 4)) - 1))
-        u = np.array(heads)
-        v_r, v_f = _uniform(cfg.v_min, cfg.v_max, u[:, :2].T)
-        d_min, defined = safe_distances(params, v_r, v_f)
-        # rule.travel_terms' checks; the first trial that fails them raises there
-        defined &= (0 <= v_r) & (v_r < inf) & (0 <= v_f) & (v_f < inf)
-        for i in np.flatnonzero(~defined)[:1]:
-            safe_distance(params, v_r[i].item(), v_f[i].item())
-        with np.errstate(over="ignore"):  # to inf, as the scalar sum
-            gap = d_min + length + cfg.margin_max * (1.0 - u[:, 2])  # margin in (0, margin_max]
+        starts, ok = _starts(params, cfg, np.array(heads))
+        _refuse(params, starts, ok)  # before the chunk runs
+        gap, v_f, _, v_r = starts.T
         worst_min_gap, t_halt = worst_trials(v_r, v_f, gap, "random")
         starts_f, accels_f = _schedules(pov, n_f, t_halt + 1.0, -params.a_brake_max, cfg.a_fwd_max)
         starts_r, accels_r = _schedules(win, 4, np.full(n, params.rho), -params.a_brake_min,
@@ -270,9 +292,7 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
         if k + 3 > len(u):  # the unread tail, then the next block
             u = u[k:] + rng.random(min(3 * (cfg.n_trials - done) + 3, FALSIFY_BLOCK)).tolist()
             v, k = _uniform(cfg.v_min, cfg.v_max, np.array(u)), 0
-            d_min, defined = safe_distances(params, v[:-1], v[1:])
-            ok = (0 <= v) & (v < inf)  # rule.travel_terms' checks
-            d_min, defined, v = d_min.tolist(), (defined & ok[:-1] & ok[1:]).tolist(), v.tolist()
+            d_min, defined, v = (z.tolist() for z in (*_safe_distances(params, v[:-1], v[1:]), v))
         v_r, v_f = v[k], v[k + 1]
         # the scalar form raises an undefined pair's DomainError
         d = d_min[k] if defined[k] else safe_distance(params, v_r, v_f)
@@ -300,71 +320,41 @@ def verify_supervised_safety(
     full audit compliance.  With supervised=False this is the negative
     control and collisions are expected.
 
-    Supervised episodes run in lockstep (batch.supervised_lockstep) and
-    negative-control ones in batch.unsupervised_runs; those they hand back
-    run through run_supervised and check_compliance, in trial order, so
-    errors and counterexamples are the scalar path's.
+    ROWS episodes at a time run in lockstep (batch.supervised_lockstep)
+    or, in the negative control, in batch.unsupervised_runs; those they
+    hand back run through run_supervised and check_compliance in trial
+    order, so errors and counterexamples are the scalar path's.
     """
     if cfg.n_trials > MAX_SUPERVISED_TRIALS:  # before the starts are drawn
         raise ConfigError(f"supervised n_trials must be <= {MAX_SUPERVISED_TRIALS}, got {cfg.n_trials}")
     rng = np.random.default_rng(cfg.seed)
-    outcome = CampaignOutcome("supervised_negative" if not supervised else "supervised")
-    pov = worst_case_pov(params)
-    ac = adversarial_ac(params)
-    collisions = 0
-    noncompliant = 0
-    engagements = 0
+    starts, ok = _starts(params, cfg, rng.random((cfg.n_trials, 3)))
+    n = len(ok) if ok.all() else int(ok.argmin())  # the trials before the first refused one
+    fallback, eng, compliant = np.zeros(n, bool), np.zeros(n, int), np.ones(n, bool)
+    collision = np.full(n, None, object)
+    engine = supervised_lockstep if supervised else unsupervised_runs
+    for lo in range(0, n, ROWS):
+        parts = engine(params, sup_cfg, starts[lo:min(n, lo + ROWS)], cfg.sim_dt, 60.0)
+        for z, part in zip((fallback, eng, compliant) if supervised else (fallback, collision), parts):
+            z[lo:lo + ROWS] = part
 
-    starts, setup_error = [], None
-    u = rng.random((cfg.n_trials, 3))  # (v_r, v_f, margin) draws of each trial
-    speeds = _uniform(cfg.v_min, cfg.v_max, u[:, :2]).tolist()
-    for (v_r, v_f), margin in zip(speeds, (cfg.margin_max * (1.0 - u[:, 2])).tolist()):
-        try:
-            gap = safe_distance(params, v_r, v_f) + params.vehicle_length + margin
-            starts.append(ScenarioState(gap, v_f, 0.0, v_r))
-        except DomainError as exc:  # raised once the trials before it have run
-            setup_error = exc
-            break
-    fallback = [True] * len(starts)
-    if supervised and starts:
-        fallback, lock_eng, lock_ok = (z.tolist() for z in supervised_lockstep(
-            params, sup_cfg, np.array(starts), cfg.sim_dt, 60.0))
-    elif starts:
-        fallback, events = unsupervised_runs(params, sup_cfg, np.array(starts), cfg.sim_dt, 60.0)
+    for j in np.flatnonzero(fallback).tolist():  # the scalar path, and oracle
+        trace = run_supervised(params, sup_cfg, ScenarioState(*starts[j].tolist()), adversarial_ac(params),
+                               worst_case_pov(params), dt=cfg.sim_dt, t_end=60.0, supervised=supervised)
+        eng[j], collision[j] = trace.bc_engagements, trace.collision
+        compliant[j] = not supervised or check_compliance(trace.to_trajectory())[0]
+    _refuse(params, starts, ok)  # once the trials before it have run
 
-    for j, start in enumerate(starts):
-        gap, v_f, _, v_r = start
-        if fallback[j]:  # the scalar path, and oracle
-            trace = run_supervised(
-                params, sup_cfg, start, ac, pov,
-                dt=cfg.sim_dt, t_end=60.0, supervised=supervised,
-            )
-            eng, collision = trace.bc_engagements, trace.collision
-            compliant = not supervised or check_compliance(trace.to_trajectory())[0]
-        elif supervised:
-            eng, collision, compliant = lock_eng[j], None, lock_ok[j]
-        else:
-            eng, collision, compliant = 0, events[j], True
-        outcome.trials_run += 1
-        engagements += eng
-        if collision is not None:
-            collisions += 1
-            if supervised:
-                outcome.counterexamples.append(
-                    {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
-                     "collision_t": collision.t, "source": "random"}
-                )
-        if not compliant:
-            noncompliant += 1
-            outcome.counterexamples.append(
-                {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
-                 "collision_t": None, "source": "noncompliant"}
-            )
-
-    if setup_error is not None:
-        raise setup_error
-    outcome.stats["collisions"] = collisions
-    outcome.stats["noncompliant"] = noncompliant
-    outcome.stats["bc_engagements"] = engagements
-    outcome.counterexamples.sort(key=_state_key)
-    return outcome
+    collided = np.array([c is not None for c in collision.tolist()], bool)
+    found = []
+    for j in np.flatnonzero((collided & supervised) | ~compliant).tolist():
+        g, f, _, r = starts[j].tolist()
+        ce = {"v_r": r, "v_f": f, "gap": g, "behavior": "adversarial_ac"}
+        if collided[j] and supervised:
+            found.append({**ce, "collision_t": collision[j].t, "source": "random"})
+        if not compliant[j]:
+            found.append({**ce, "collision_t": None, "source": "noncompliant"})
+    stats = {"collisions": int(collided.sum()), "noncompliant": int(n - compliant.sum()),
+             "bc_engagements": int(eng.sum())}
+    return CampaignOutcome("supervised" if supervised else "supervised_negative", n,
+                           sorted(found, key=_state_key), stats=stats)

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -240,22 +241,25 @@ _CAMPAIGN_BAD = st.one_of(st.none(), st.booleans(), _TEXT, st.lists(st.integers(
 @st.composite
 def campaign_text(draw):
     """A campaign file: up to 20 trials at a sim_dt of at least 0.02 s,
-    speeds up to 1e300, margin_max from 1e-300 to 1e300, and rarely a bad
-    value or key or text that is not a mapping."""
+    speeds up to 1e300, margin_max from 1e-300 to 1e300, or the largest
+    float with speeds near 1.25e154 so that some start gaps overflow, and
+    rarely a bad value or key or text that is not a mapping."""
     if _rarely(draw, 25):
         return draw(st.sampled_from([b"", b"[1]", b"null", b"{", b"\xff"]))
     record = {}
     if draw(st.booleans()):
         record["seed"] = draw(st.integers(0, 2 ** 32))
     record["n_trials"] = draw(st.integers(0, 20))
-    kind = draw(st.sampled_from(["paper"] * 4 + ["huge", "tiny"]))
+    kind = draw(st.sampled_from(["paper"] * 4 + ["huge", "tiny", "overflow"]))
     if kind == "huge":
         v = draw(st.sampled_from([1e9, 1e100, 1e154, 1.2e154, 1e200, 1e300]))
         record["v_min"], record["v_max"] = v * draw(st.floats(0.0, 1.0)), v
+    elif kind == "overflow":  # d_min + margin overflows some start gaps
+        record["v_min"], record["v_max"], record["margin_max"] = 1.2e154, 1.3e154, sys.float_info.max
     elif kind == "tiny" or draw(st.booleans()):
         lo = draw(st.floats(0.0, 60.0 if kind == "paper" else 1e-3))
         record["v_min"], record["v_max"] = lo, lo + draw(st.floats(0.0, 60.0))
-    if draw(st.booleans()):
+    if kind != "overflow" and draw(st.booleans()):
         record["margin_max"] = draw(st.sampled_from([1e-300, 1e-12, 1e-9, 1e-3, 1.0, 50.0,
                                                      1e10, 1e300]))
     if draw(st.booleans()):

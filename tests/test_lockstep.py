@@ -18,6 +18,7 @@ differ.
 """
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,9 @@ from rsskit.rule import margin, safe_distance
 from rsskit.supervisor import (
     SupervisorConfig, adversarial_ac, decision_grid, run_supervised, worst_case_successor,
 )
-from rsskit.verify import CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety
+from rsskit.verify import (
+    ROWS, CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety,
+)
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
 LONG = RssParams(0.3, 2.0, 4.0, 8.0, vehicle_length=4.5)
@@ -110,6 +113,10 @@ MATRIX = {
     "margin_max_1e-9": (PAPER, {}, {"margin_max": 1e-9}, 200),
     "margin_max_1e-8": (PAPER, {}, {"margin_max": 1e-8}, 300),
     "near_overflow": (PAPER, {}, {"v_min": 1.2e154, "v_max": 1.3e154}, 3),
+    # d_min + margin overflows for some starts: ScenarioState, not
+    # safe_distance, refuses them
+    "gap_overflow": (PAPER, {}, {"v_min": 1.2e154, "v_max": 1.3e154,
+                                 "margin_max": sys.float_info.max}, 50),
     "negative_speeds": (PAPER, {}, {"v_min": -1.0}, 200),
     "period_above_rho": (PAPER, {"period": 0.5}, {}, 10),
     "no_trials": (PAPER, {}, {}, 0),
@@ -133,6 +140,7 @@ def test_campaign_matches_the_scalar_loop(name):
     ("v_max_1e9", "must start with the safety condition true"),
     ("margin_max_1e-12", "must start with the safety condition true"),
     ("negative_speeds", "velocities must be finite and >= 0"),
+    ("gap_overflow", "positions must be finite"),
     ("period_above_rho", "must not exceed rho"),
 ])
 def test_error_configs_raise(name, want):
@@ -156,6 +164,25 @@ def test_negative_control_matches_the_scalar_loop(name):
     cfg = CampaignConfig(seed=len(name), n_trials=min(n, 500), **fields)
     want = result(scalar_campaign, params, sup_cfg, cfg, supervised=False)
     assert result(verify_supervised_safety, params, sup_cfg, cfg, supervised=False) == want
+
+
+def test_negative_control_memory_is_bounded_in_trials():
+    # the episodes run ROWS at a time, so four times as many trials do not
+    # raise the peak much; in one engine call it grew with the trial count.
+    # The SV brakes at 3 m/s^2, so that only about a quarter of the episodes
+    # collide and locating the crossings keeps the test short.
+    sup_cfg = SupervisorConfig(sv_command_bounds=(-4.0, -3.0))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            verify_supervised_safety(PAPER, sup_cfg, CampaignConfig(seed=3, n_trials=n),
+                                     supervised=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * ROWS) < 2 * peak(ROWS)
 
 
 def scalar_collision(params, sup_cfg, start, dt, t_end=60.0):

@@ -71,6 +71,8 @@ def test_validate_params_defaults_length():
         {"rho": 0.3, "a_max": 2, "a_brake_min": 4, "a_brake_max": 8, "vehicle_lenght": 4.5},
         # a numeric string was read as the number it spells
         {"rho": "0.3", "a_max": 2, "a_brake_min": 4, "a_brake_max": 8},
+        # an int too long for repr, whose refusal message raised ValueError
+        {"rho": 10 ** 5000, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0},
     ],
 )
 def test_validate_params_rejects_malformed(raw):

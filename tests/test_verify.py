@@ -65,7 +65,7 @@ def test_campaign_from_dict_round_trip():
 @pytest.mark.parametrize(
     "raw",
     [{"n_trials": "5"}, {"n_trials": 5.0}, {"include_grid": 1}, {"seed": -1},
-     {"v_max": 10 ** 400}, {"margin_max": True}],
+     {"v_max": 10 ** 400}, {"margin_max": True}, {"v_max": 10 ** 5000}],
 )
 def test_campaign_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError):
