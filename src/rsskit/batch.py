@@ -155,6 +155,26 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
     return col_t, min_gap
 
 
+def classify_worst_cases(params, v_r, v_f):
+    """classify_worst_case of each start's speeds as an index into ALL_CASES,
+    from its float operations and comparisons over the three breakpoints
+    sorted, a repeated one skipped as b <= prev; and the SV halt times."""
+    rho, a_max, a_min = params.rho, params.a_max, params.a_brake_min
+    with np.errstate(all="ignore"):
+        w, v_peak, t_p = v_r - v_f, v_r + a_max * rho, v_f / params.a_brake_max
+        t_s = np.where(v_peak > 0.0, rho + v_peak / a_min, 0.0)  # worst_case_sv_halt
+        case, prev = np.where(w >= 0.0, 0, 3), np.zeros(len(w))  # 3 until decided
+        for b in np.sort([np.where(t_s < rho, t_s, rho), np.where(t_s < t_p, t_s, t_p), t_s], axis=0):
+            step = (case == 3) & ~(b <= prev)
+            mid = 0.5 * (prev + b)
+            slope = np.where(mid < rho, a_max, -a_min) + np.where(mid < t_p, params.a_brake_max, 0.0)
+            w_end = w + slope * (b - prev)
+            t_c = np.where(slope > 0, prev + (-w) / slope, b)
+            case = np.where(step & (w_end >= 0.0), np.where(t_c < rho, 1, 2), case)
+            w, prev = np.where(step, w_end, w), np.where(step, b, prev)
+    return case, t_s
+
+
 # The supervisor's phase codes; _AC is no response episode (AC mode).
 _AC, _WINDOW, _BRAKING, _HALTED = range(4)
 

@@ -102,12 +102,16 @@ def read_record(raw, what: str, kinds: dict, required=()) -> dict:
         elif kind is tuple and pair and all(map(_finite, value)):
             values[key] = tuple(map(float, value))
         elif kind is float or type(value) is not (type(None) if kind is tuple else kind):
-            try:  # repr refuses an int of more digits than sys.get_int_max_str_digits()
-                value = repr(value)
-            except ValueError:
-                value = "a value too long to write out"
-            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {value}")
+            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {shown(value)}")
     return values
+
+
+def shown(value) -> str:
+    """repr(value), or a stand-in for an int too long for repr to write."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value too long to write out"
 
 
 def _finite(v) -> bool:  # compared: math.isfinite raises on an int too big for a float

@@ -15,11 +15,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .audit import check_compliance
-from .core import RssParams, ScenarioState, read_record
+from .core import RssParams, ScenarioState, read_record, shown
 from .batch import (
-    analyze_gaps, build_profiles, safe_distances, supervised_lockstep, unsupervised_runs,
+    analyze_gaps, build_profiles, classify_worst_cases, safe_distances, supervised_lockstep,
+    unsupervised_runs,
 )
-from .dynamics import ALL_CASES, classify_worst_case, worst_case_gap_analysis, worst_case_pov
+from .dynamics import ALL_CASES, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
@@ -63,22 +64,22 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+            raise ConfigError(f"seed must be >= 0, got {shown(self.seed)}")
         if self.n_trials < 0:
-            raise ConfigError(f"n_trials must be >= 0, got {self.n_trials!r}")
+            raise ConfigError(f"n_trials must be >= 0, got {shown(self.n_trials)}")
         # the speed draws' width v_max - v_min overflows past 1.8e308
         if not (self.v_min <= self.v_max and float(self.v_max) - float(self.v_min) < inf):
             raise ConfigError("need v_min <= v_max, and a finite v_max - v_min")
         # starts sit margin_max * (0, 1] above the threshold; at or below
         # it, condition-satisfying samples would read as counterexamples
         if not self.margin_max > 0:
-            raise ConfigError(f"margin_max must be > 0, got {self.margin_max!r}")
+            raise ConfigError(f"margin_max must be > 0, got {shown(self.margin_max)}")
         if not self.sim_dt > 0:
             raise ConfigError("sim_dt must be > 0")
         if not 1 <= self.pov_segments_min <= self.pov_segments_max <= MAX_POV_SEGMENTS:
             raise ConfigError(
                 f"need 1 <= pov_segments_min <= pov_segments_max <= {MAX_POV_SEGMENTS}, "
-                f"got {self.pov_segments_min!r} and {self.pov_segments_max!r}"
+                f"got {shown(self.pov_segments_min)} and {shown(self.pov_segments_max)}"
             )
 
     def to_dict(self) -> dict:
@@ -151,19 +152,59 @@ def _refuse(params, starts, ok):
         ScenarioState(*start)
 
 
-def _schedules(draws, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
-    """Padded (starts, accels) of n_cols columns from each row's 2k - 1 draws:
-    a piece from 0, k - 1 cut times uniform in [0, horizon) in order, then the
-    piece last, inf behind; k accelerations uniform in [a_lo, a_hi), then last's."""
-    k = (np.array([len(d) for d in draws])[:, None] + 1) // 2
-    u, lay, cols = np.concatenate(draws), np.arange(2 * n_cols - 1), np.arange(n_cols)
-    is_cut = (lay < k - 1)[lay < 2 * k - 1]
-    cuts = _uniform(0.0, np.repeat(horizon, k[:, 0] - 1), u[is_cut])
-    if not np.isfinite(cuts).all():  # where Generator.uniform raises OverflowError
+class RawDraws:
+    """A PCG64 Generator's random(n) and integers(lo, hi), hi - lo = r <= 2**32,
+    read by index from blocks of its raw words: a float is (word >> 11) * 2**-53
+    (next_double); an integer maps next_uint32, a fresh word's low half or the
+    high half one kept, by Lemire's multiply-shift, drawing again while the
+    product's low half is below (2**32 - r) % r, and r == 1 draws nothing.
+    tests/test_batch.py::test_raw_words_are_generator_draws guards this."""
+
+    def __init__(self, rng):
+        self.bits, self.raw, self.i, self.half = rng.bit_generator, np.empty(0, np.uint64), 0, None
+
+    def reserve(self, n):
+        """Drop the words read and draw until n are unread."""
+        self.raw, self.i = self.raw[self.i:], 0
+        self.i = self.floats(n)  # draws the shortfall, returns 0
+
+    def floats(self, n):
+        """Where the next n floats start in u(); words past the block are drawn."""
+        self.i += n
+        if self.i > len(self.raw):
+            self.raw = np.concatenate((self.raw, self.bits.random_raw(self.i - len(self.raw))))
+        return self.i - n
+
+    def u(self):
+        return (self.raw >> 11) * 2.0 ** -53
+
+    def integer(self, lo, hi):
+        r = hi - lo
+        while r > 1:
+            if self.half is None:
+                j = self.floats(1)  # first: it may replace self.raw
+                word = int(self.raw[j])
+                x, self.half = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, self.half = self.half, None
+            if (x * r) & 0xFFFFFFFF >= (2 ** 32 - r) % r:
+                return lo + (x * r >> 32)
+        return lo
+
+
+def _schedules(u, at, k, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
+    """Padded (starts, accels) of n_cols columns from each row's 2k - 1 draws
+    from u[at] on: a piece from 0, k - 1 cut times uniform in [0, horizon) in
+    order, then the piece last, inf behind; k accelerations uniform in [a_lo,
+    a_hi), then last's.  Cut c is draw c - 1, acceleration c draw k - 1 + c;
+    the other slots read a clipped index and are overwritten."""
+    cols, at, k = np.arange(n_cols), at[:, None], k[:, None]
+    cut = (0 < cols) & (cols < k)
+    cuts = _uniform(0.0, horizon[:, None], u.take(at + cols - 1, mode="clip"))
+    if not np.isfinite(cuts[cut]).all():  # where Generator.uniform raises OverflowError
         raise ConfigError("the SV halt time overflows, so POV cut times cannot be drawn")
-    starts, accels = np.full((len(draws), n_cols), np.inf), np.zeros((len(draws), n_cols))
-    starts[(0 < cols) & (cols < k)] = cuts
-    accels[cols < k] = _uniform(a_lo, a_hi, u[~is_cut])
+    starts = np.where(cut, cuts, np.inf)
+    accels = np.where(cols < k, _uniform(a_lo, a_hi, u.take(at + k - 1 + cols, mode="clip")), 0.0)
     starts[cols == k], accels[cols == k] = last
     starts[:, 0] = 0.0
     starts[:, 1:].sort(axis=1)
@@ -203,12 +244,10 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
 
     def worst_trials(v_r, v_f, gap, label):
         """The worst case from each start: its min gaps and SV halt times."""
-        for state in zip(gap.tolist(), v_f.tolist(), [0.0] * len(gap), v_r.tolist()):
-            outcome.cases_seen[classify_worst_case(params, ScenarioState(*state))] += 1
+        case, t_end = classify_worst_cases(params, v_r, v_f)
+        for name, count in zip(ALL_CASES, np.bincount(case, minlength=len(ALL_CASES)).tolist()):
+            outcome.cases_seen[name] += count
         outcome.trials_run += len(gap)
-        with np.errstate(over="ignore"):  # to inf, as in dynamics.worst_case_sv_halt
-            v_peak = v_r + params.a_max * params.rho
-            t_end = np.where(v_peak > 0.0, params.rho + v_peak / params.a_brake_min, 0.0)
         prof_r = build_profiles(np.zeros(len(gap)), v_r, np.array([[0.0, params.rho]]),
                                 np.array([[params.a_max, -params.a_brake_min]]), t_end)
         prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
@@ -224,20 +263,23 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
 
     n_f = cfg.pov_segments_max
     chunk = max(16, CHUNK * 8 // max(8, n_f))
+    draws = RawDraws(rng)
     for lo in range(0, cfg.n_trials, chunk):
         n = min(chunk, cfg.n_trials - lo)
-        # each trial's Generator calls in order, one random() per run of float draws
-        heads, pov, win = [], [], []
-        for _ in range(n):
-            heads.append(rng.random(3))
-            pov.append(rng.random(2 * int(rng.integers(cfg.pov_segments_min, n_f + 1)) - 1))
-            win.append(rng.random(2 * int(rng.integers(1, 4)) - 1))
-        starts, ok = _starts(params, cfg, np.array(heads))
+        draws.reserve(n * (2 + 2 * n_f + 6))  # a trial's words, rejections aside
+        # each trial's draws in the scalar sampler's order: where its head, POV
+        # and window floats start, and its POV segment and window piece counts
+        at = np.array([(draws.floats(3), k := draws.integer(cfg.pov_segments_min, n_f + 1),
+                        draws.floats(2 * k - 1), j := draws.integer(1, 4), draws.floats(2 * j - 1))
+                       for _ in range(n)]).T
+        u = draws.u()
+        starts, ok = _starts(params, cfg, u[at[0, :, None] + np.arange(3)])
         _refuse(params, starts, ok)  # before the chunk runs
         gap, v_f, _, v_r = starts.T
         worst_min_gap, t_halt = worst_trials(v_r, v_f, gap, "random")
-        starts_f, accels_f = _schedules(pov, n_f, t_halt + 1.0, -params.a_brake_max, cfg.a_fwd_max)
-        starts_r, accels_r = _schedules(win, 4, np.full(n, params.rho), -params.a_brake_min,
+        starts_f, accels_f = _schedules(u, at[2], at[1], n_f, t_halt + 1.0, -params.a_brake_max,
+                                        cfg.a_fwd_max)
+        starts_r, accels_r = _schedules(u, at[4], at[3], 4, np.full(n, params.rho), -params.a_brake_min,
                                         params.a_max, (params.rho, -params.a_brake_min))
         prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_halt + 1.0)
         prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_halt + 1.0)
@@ -326,7 +368,7 @@ def verify_supervised_safety(
     order, so errors and counterexamples are the scalar path's.
     """
     if cfg.n_trials > MAX_SUPERVISED_TRIALS:  # before the starts are drawn
-        raise ConfigError(f"supervised n_trials must be <= {MAX_SUPERVISED_TRIALS}, got {cfg.n_trials}")
+        raise ConfigError(f"supervised n_trials must be <= {MAX_SUPERVISED_TRIALS}, got {shown(cfg.n_trials)}")
     rng = np.random.default_rng(cfg.seed)
     starts, ok = _starts(params, cfg, rng.random((cfg.n_trials, 3)))
     n = len(ok) if ok.all() else int(ok.argmin())  # the trials before the first refused one

@@ -9,7 +9,8 @@ half with 4.5.  verify_safety_theorem, which runs on the batch kernel,
 must give the outcome, or the error, of a test-local copy of its former
 scalar form, and falsify_below_threshold those of a copy of its former
 draws, handing the worst case the same starts in the same order.  Both
-draw through verify._uniform, whose premise is tested here.
+draw through verify._uniform, and the safety campaign reads its draws
+through verify.RawDraws; the premises of both are tested here.
 """
 import json
 import math
@@ -19,15 +20,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsskit import batch
 from rsskit.batch import analyze_gaps, build_profiles, constant_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import (
+    ALL_CASES,
     COLLISION_EPS,
     advance_vehicle,
     analyze_gap,
     build_profile,
     classify_worst_case,
     worst_case_gap_analysis,
+    worst_case_sv_halt,
 )
 from rsskit.errors import ConfigError, DomainError, RssError
 from rsskit.rule import safe_distance
@@ -393,6 +397,16 @@ UNDEFINED = [
     (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.04, "include_grid": False}),
 ]
 CAMPAIGNS += UNDEFINED
+# New entries go at the end, so the ids above stay.  One raw block a chunk,
+# the unread tail kept in front: 1..40 POV segments give chunks of 51 trials, so
+# 4 * 51 + 7 trials cross four refills with tails of varied length.
+CAMPAIGNS += [
+    (5, 4.5, {"n_trials": 4 * 51 + 7, "include_grid": False, "pov_segments_min": 1,
+              "pov_segments_max": 40}),
+    # k draws nothing, so each trial's j reads the previous j's kept half-word
+    (6, 0.0, {"n_trials": 300, "pov_segments_min": 8, "pov_segments_max": 8}),
+    (7, 4.5, {"n_trials": 20, "include_grid": False, "pov_segments_max": verify.MAX_POV_SEGMENTS}),
+]
 
 
 def outcome_or_error(run, *args):
@@ -565,3 +579,74 @@ def test_a_gap_that_overflows_raises_in_both_kernels(v_r, v_f, gap):
     with pytest.raises(DomainError) as batch:
         check_rows([worst_row(WEAK, 10.0, 10.0, 100.0), worst_row(WEAK, v_r, v_f, gap)], 0.0)
     assert str(batch.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's raw words and the array classification
+
+# integers ranges (lo, hi): the campaigns' k and j, a one-value range, and
+# ranges where Lemire's method rejects a quarter to a half of its draws
+INTEGER_RANGES = [(1, 4), (3, 9), (1, 1001), (5, 6), (0, 2 ** 31 + 1), (-7, 3 * 2 ** 30 - 7),
+                  (0, 2 ** 32)]
+
+
+def test_raw_words_are_generator_draws():
+    # verify.RawDraws reads Generator.random(n) and Generator.integers(lo, hi)
+    # from raw PCG64 words: next_double, next_uint32's kept half-word and
+    # Lemire's multiply-shift with its rejections.  A numpy release that
+    # changes any of them fails here.
+    class Counting:  # the raw words drawn
+        def __init__(self, bits):
+            self.bits, self.n = bits, 0
+
+        def random_raw(self, n):
+            self.n += n
+            return self.bits.random_raw(n)
+
+    rejected = 0
+    for seed in range(200):
+        ops = np.random.default_rng(10_000 + seed)
+        want, draws = np.random.default_rng(seed), verify.RawDraws(np.random.default_rng(seed))
+        draws.bits = Counting(draws.bits)
+        floats = halves = 0
+        for _ in range(60):
+            if ops.random() < 0.2:  # keeps the unread words; the stream is unchanged
+                draws.reserve(int(ops.integers(0, 40)))
+            if ops.random() < 0.5:
+                n = int(ops.integers(0, 8))
+                at = draws.floats(n)
+                assert draws.u()[at:at + n].tolist() == want.random(n).tolist(), seed
+                floats += n
+            else:
+                lo, hi = INTEGER_RANGES[int(ops.integers(0, len(INTEGER_RANGES)))]
+                assert draws.integer(lo, hi) == int(want.integers(lo, hi)), (seed, lo, hi)
+                halves += hi - lo > 1
+        # the half-words read beyond one an integer are rejections
+        read = draws.bits.n - (len(draws.raw) - draws.i)
+        rejected += 2 * (read - floats) - (draws.half is not None) - halves
+        assert draws.u()[draws.i:].tolist() == want.random(len(draws.raw) - draws.i).tolist()
+    assert rejected > 500
+
+
+@pytest.mark.parametrize("params", [
+    PAPER, RssParams(0.5, 2.0, 4.0, 8.0, 4.5), RssParams(0.3, 0.0, 4.0, 8.0),
+    RssParams(1.2, 5.0, 0.5, 9.0), RssParams(0.01, 0.0, 1e-3, 2e-3),
+], ids=["paper", "dyadic", "a_max_0", "long_rho", "weak"])
+def test_worst_cases_classify_as_the_scalar_form(params):
+    rng = np.random.default_rng(17)
+    rows = rng.uniform(0.0, 40.0, (5000, 2)).tolist()
+    rows += [(v, v) for v in rng.uniform(0.0, 40.0, 50).tolist()]  # w == 0
+    rows += [(0.0, v) for v in rng.uniform(0.0, 40.0, 50).tolist()]  # v_r == 0
+    rows += [(0.0, 0.0), (40.0, 0.0), (1e154, 1.0000001e154), (1.3e154, 1.4e154),
+             (1.7e308, 1.7e308), (0.0, 1.7e308), (5e-324, 1e-323)]
+    # at the dyadic parameters (rho 0.5, a_max 2, a_brake_min 4,
+    # a_brake_max 8): t_p == t_s == 1.5, and w reaching 0 exactly at rho
+    rows += [(3.0, 12.0), (10.0, 15.0), (3.0, 12.000000000000002)]
+    v_r, v_f = np.array(rows).T
+    got, t_s = batch.classify_worst_cases(params, v_r, v_f)
+    assert t_s.tolist() == [worst_case_sv_halt(params, r) for r in v_r.tolist()]
+    got = got.tolist()
+    want = [classify_worst_case(params, ScenarioState(1e3, f, 0.0, r)) for r, f in rows]
+    assert [ALL_CASES[c] for c in got] == want
+    if params is PAPER:
+        assert set(want) == set(ALL_CASES)

@@ -65,7 +65,9 @@ def test_campaign_from_dict_round_trip():
 @pytest.mark.parametrize(
     "raw",
     [{"n_trials": "5"}, {"n_trials": 5.0}, {"include_grid": 1}, {"seed": -1},
-     {"v_max": 10 ** 400}, {"margin_max": True}, {"v_max": 10 ** 5000}],
+     {"v_max": 10 ** 400}, {"margin_max": True}, {"v_max": 10 ** 5000},
+     # ints too long for repr, whose refusal messages raised ValueError
+     {"seed": -10 ** 5000}, {"n_trials": -10 ** 5000}, {"pov_segments_max": 10 ** 5000}],
 )
 def test_campaign_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError):
@@ -150,6 +152,40 @@ def test_falsification_draws_a_bounded_block(monkeypatch):
     assert len(sizes) == 1 and sizes[0] <= FALSIFY_BLOCK
 
 
+def test_safety_campaign_draws_a_bounded_block(monkeypatch):
+    # one raw block a chunk, sized from the chunk whatever n_trials, and no
+    # Generator call per trial
+    sizes = []
+
+    class Stop(Exception):
+        pass
+
+    class Raw:
+        def __init__(self, seed):
+            self.bits = np.random.PCG64(seed)
+
+        def random_raw(self, size):
+            sizes.append(size)
+            if len(sizes) > 1:  # the second chunk's block
+                raise Stop
+            return self.bits.random_raw(size)
+
+    class Recording:
+        def __init__(self, seed):
+            self.bit_generator = Raw(seed)
+
+        def random(self, size=None):
+            raise AssertionError("Generator.random called")
+
+        def integers(self, *args):
+            raise AssertionError("Generator.integers called")
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    with pytest.raises(Stop):
+        verify_safety_theorem(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
+    assert len(sizes) == 2 and 0 < sizes[0] <= verify.CHUNK * (2 + 2 * 8 + 6)
+
+
 @pytest.mark.parametrize("supervised", [True, False])
 def test_supervised_campaign_refuses_trials_above_limit(monkeypatch, supervised):
     # every start is drawn and kept up front; 10**12 trials asked numpy for 21.8 TiB
@@ -210,3 +246,10 @@ def test_campaigns_hold_with_vehicle_length():
     assert falsify_below_threshold(p, cfg).ok
     out = verify_supervised_safety(p, SupervisorConfig(), CampaignConfig(seed=8, n_trials=30))
     assert out.ok and out.stats["bc_engagements"] >= 1
+
+
+def test_supervised_trial_limit_refuses_an_int_too_long_to_write():
+    # the refusal message formatted n_trials, which raised ValueError
+    cfg = CampaignConfig(n_trials=10 ** 5000)
+    with pytest.raises(ConfigError, match="a value too long to write out"):
+        verify_supervised_safety(PAPER, SupervisorConfig(), cfg)
