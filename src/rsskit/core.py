@@ -94,16 +94,20 @@ def read_record(raw, what: str, kinds: dict, required=()) -> dict:
     unknown = set(raw).difference(kinds)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}")
-    values = dict(raw)
-    for key, value in raw.items():
-        kind, pair = kinds[key], type(value) is list and len(value) == 2
-        if kind is float and _finite(value):
-            values[key] = float(value)
-        elif kind is tuple and pair and all(map(_finite, value)):
-            values[key] = tuple(map(float, value))
-        elif kind is float or type(value) is not (type(None) if kind is tuple else kind):
-            raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {shown(value)}")
-    return values
+    return {key: read_value(what, key, kinds[key], value) for key, value in raw.items()}
+
+
+def read_value(what: str, key: str, kind: type, value):
+    """One value of a record, checked against its kind as read_record
+    describes; the value as a float or tuple where its kind says so."""
+    pair = type(value) is list and len(value) == 2
+    if kind is float and _finite(value):
+        return float(value)
+    if kind is tuple and pair and all(map(_finite, value)):
+        return tuple(map(float, value))
+    if kind is float or type(value) is not (type(None) if kind is tuple else kind):
+        raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {shown(value)}")
+    return value
 
 
 def shown(value) -> str:

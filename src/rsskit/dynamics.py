@@ -49,21 +49,24 @@ def pov_stop_distance(params: RssParams, v_f: float) -> float:
 def build_profile(x0: float, v0: float, schedule, t_end: float):
     """Motion segments for one vehicle over [0, t_end].
 
-    schedule is a list of (start time, acceleration) pairs with strictly
+    schedule is a sequence of (start time, acceleration) pairs with strictly
     increasing start times, the first at 0.  Returns a list of
     (t0, t1, x0, v0, a) tuples; within a segment the acceleration is
     constant and the velocity stays nonnegative.  Each schedule piece is
     one advance_vehicle step, so its no-reversing rule decides where a
     piece splits into a moving and a standing segment.
     """
+    v0 = v0 if v0 > 0.0 else 0.0  # max(0.0, v0), NaN and -0.0 included
     if t_end <= 0.0:
-        return [(0.0, 0.0, x0, max(0.0, v0), 0.0)]
+        return [(0.0, 0.0, x0, v0, 0.0)]
     segs = []
-    x, v = x0, max(0.0, v0)
+    x, v = x0, v0
     for i, (t, a) in enumerate(schedule):
         if t >= t_end:
             break
-        t_next = min(schedule[i + 1][0], t_end) if i + 1 < len(schedule) else t_end
+        t_next = schedule[i + 1][0] if i + 1 < len(schedule) else t_end
+        if t_end < t_next:
+            t_next = t_end
         span = t_next - t
         x_next, v_next, moving = advance_vehicle(x, v, a, span)
         if moving == span:
@@ -117,6 +120,9 @@ def _first_root(g0, gv, ga, tau):
     return None
 
 
+_START, _END = itemgetter(0), itemgetter(1)  # a segment's t0 and t1
+
+
 def _overflow(t):
     return DomainError(f"the gap is not finite on the interval from t = {t!r} s: "
                        "the positions overflow")
@@ -133,12 +139,8 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
     One forward walk: each profile's index moves on while its next
     segment starts at or before u0, the segment profile_state picks.
     """
-    times = sorted(
-        {s[0] for s in segs_r}
-        | {s[1] for s in segs_r}
-        | {s[0] for s in segs_f}
-        | {s[1] for s in segs_f}
-    )
+    times = sorted({*map(_START, segs_r), *map(_END, segs_r),
+                    *map(_START, segs_f), *map(_END, segs_f)})
     last_r, last_f = len(segs_r) - 1, len(segs_f) - 1
     ir = jf = 0
     best_gap = best_t = None
@@ -148,8 +150,15 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
             ir += 1
         while jf < last_f and segs_f[jf + 1][0] <= u0:
             jf += 1
-        xr, vr, ar = segment_state(segs_r[ir], u0)
-        xf, vf, af = segment_state(segs_f[jf], u0)
+        # segment_state(seg, u0) inline; its min, max and max(0.0, v) as comparisons
+        t0, t1, xr, vr, ar = segs_r[ir]
+        dt = t0 if t0 > u0 else u0
+        dt = (t1 if t1 < dt else dt) - t0
+        xr, vr = xr + vr * dt + 0.5 * ar * dt * dt, vr + ar * dt
+        t0, t1, xf, vf, af = segs_f[jf]
+        dt = t0 if t0 > u0 else u0
+        dt = (t1 if t1 < dt else dt) - t0
+        xf, vf = xf + vf * dt + 0.5 * af * dt * dt, vf + af * dt
         g0 = xf - xr - length
         if not math.isfinite(g0):
             raise _overflow(u0)
@@ -159,7 +168,7 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
             best_gap, best_t = g0, u0
         if u1 <= u0:
             continue
-        gv = vf - vr
+        gv = (vf if vf > 0.0 else 0.0) - (vr if vr > 0.0 else 0.0)
         ga = af - ar
         tau = u1 - u0
         root = _first_root(g0, gv, ga, tau)
@@ -222,9 +231,9 @@ def _worst_case_run(params: RssParams, start: ScenarioState):
     """
     t_sv_halt = worst_case_sv_halt(params, start.v_r)
     t_pov_halt = start.v_f / params.a_brake_max
-    sched_r = [(0.0, params.a_max), (params.rho, -params.a_brake_min)]
+    sched_r = ((0.0, params.a_max), (params.rho, -params.a_brake_min))
     segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
-    segs_f = build_profile(start.x_f, start.v_f, [(0.0, -params.a_brake_max)], t_sv_halt)
+    segs_f = build_profile(start.x_f, start.v_f, ((0.0, -params.a_brake_max),), t_sv_halt)
     gap = analyze_gap(segs_r, segs_f, params.vehicle_length)
     return segs_r, segs_f, gap, t_sv_halt, t_pov_halt
 

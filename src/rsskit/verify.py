@@ -9,13 +9,13 @@ identical outcomes.
 """
 from __future__ import annotations
 
-from math import inf
-from dataclasses import asdict, dataclass, field
+from math import inf, isnan, nan
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .audit import check_compliance
-from .core import RssParams, ScenarioState, read_record, shown
+from .core import RssParams, ScenarioState, read_record, read_value, shown
 from .batch import (
     analyze_gaps, build_profiles, classify_worst_cases, safe_distances, supervised_lockstep,
     unsupervised_runs,
@@ -63,12 +63,17 @@ class CampaignConfig:
     include_grid: bool = True
 
     def __post_init__(self) -> None:
+        # read_record's type policy, but a NaN float meets the range checks below
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            is_nan = kind is float and isinstance(value, float) and isnan(value)
+            object.__setattr__(self, f.name, nan if is_nan else read_value("campaign", f.name, kind, value))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {shown(self.seed)}")
         if self.n_trials < 0:
             raise ConfigError(f"n_trials must be >= 0, got {shown(self.n_trials)}")
         # the speed draws' width v_max - v_min overflows past 1.8e308
-        if not (self.v_min <= self.v_max and float(self.v_max) - float(self.v_min) < inf):
+        if not (self.v_min <= self.v_max and self.v_max - self.v_min < inf):
             raise ConfigError("need v_min <= v_max, and a finite v_max - v_min")
         # starts sit margin_max * (0, 1] above the threshold; at or below
         # it, condition-satisfying samples would read as counterexamples

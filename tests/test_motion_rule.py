@@ -21,11 +21,11 @@ import random
 
 import pytest
 
+from oracle import analyze_gap
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import (
     COLLISION_EPS,
     advance_vehicle,
-    analyze_gap,
     build_profile,
     profile_state,
     worst_case_gap_analysis,

@@ -74,6 +74,30 @@ def test_campaign_from_dict_rejects_mistyped_values(raw):
         campaign_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"v_max": 10 ** 5000}, {"margin_max": 10 ** 400}, {"a_fwd_max": 10 ** 400},
+     {"n_trials": 2.5}, {"n_trials": "3"}, {"seed": 1.5}, {"include_grid": "no"},
+     {"sim_dt": True}, {"margin_max": float("inf")}, {"sim_dt": float("inf")},
+     {"v_min": -float("inf")}],
+)
+def test_campaign_config_refuses_what_campaign_from_dict_refuses(fields):
+    # through the API these raised OverflowError, TypeError or DomainError, or were
+    # accepted; a NaN still meets the range checks (test_margin_max_must_be_positive)
+    (key,) = fields
+    with pytest.raises(ConfigError, match=f"campaign '{key}' is not"):
+        verify_safety_theorem(PAPER, CampaignConfig(**fields))
+    with pytest.raises(ConfigError, match=f"campaign '{key}' is not"):
+        campaign_from_dict(fields)
+
+
+def test_campaign_config_stores_floats():
+    cfg = CampaignConfig(v_max=40, margin_max=np.float64(2.0))
+    assert (type(cfg.v_max), type(cfg.margin_max)) == (float, float)
+    assert cfg == campaign_from_dict({"v_max": 40, "margin_max": 2})
+    assert type(CampaignConfig(a_fwd_max=np.float64("nan")).a_fwd_max) is float
+
+
 def test_safety_theorem_small_campaign():
     out = verify_safety_theorem(PAPER, CampaignConfig(seed=2, n_trials=300))
     assert out.ok
