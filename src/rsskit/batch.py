@@ -26,32 +26,36 @@ def advance_vehicles(x, v, a, dt):
     return x_end, np.where(v_end > 0.0, v_end, 0.0), moving
 
 
-def constant_runs(x0, v0, a, dt, n):
-    """The positions and velocities after 0..n advance_vehicle calls at
-    constant commands, (rows, n + 1) arrays for the rows of x0, v0 and a.
-    cumsum (np.add.accumulate) sums in order, so the running sums of
-    [v0, a*dt, ...] and [x0, v0*dt, C, v1*dt, C, ...], C = 0.5*a*dt*dt, are
-    the scalar v + a*dt and (x + v*dt) + C up to the first step that holds
-    or stops, which advance_vehicles takes; the vehicle rests after it.
-    A row at rest (v0 <= 0, a <= 0) holds from step 0 and skips the sums."""
-    x, v = np.repeat(x0[:, None], n + 1, axis=1), np.zeros((len(x0), n + 1))
-    v[:, 0] = v0
-    go = np.flatnonzero(~((v0 <= 0.0) & (a <= 0.0)))
-    a = a[go, None]
-    vg = np.concatenate((v0[go, None], np.repeat(a * dt, n, axis=1)), axis=1).cumsum(axis=1)
-    terms = np.empty((len(go), 2 * n + 1))
-    terms[:, 0], terms[:, 1::2], terms[:, 2::2] = x0[go], vg[:, :-1] * dt, 0.5 * a * dt * dt
-    xg = terms.cumsum(axis=1)[:, ::2]
-    # v is monotone, so a run that holds or stops has v[n] <= 0 and a <= 0
-    r = np.flatnonzero((vg[:, -1] <= 0.0) & (a[:, 0] <= 0.0))
-    vr, a = vg[r], a[r]
-    odd = ((vr[:, :-1] <= 0.0) & (a <= 0.0)) | ((a < 0.0) & (vr[:, 1:] < 0.0))
-    s = np.concatenate((odd, np.ones((len(r), 1), bool)), axis=1).argmax(axis=1)  # n if none
-    x_end, _, _ = advance_vehicles(xg[r, s], vr[np.arange(len(r)), s], a[:, 0], dt)
-    after = np.arange(n + 1) > s[:, None]
-    xg[r], vg[r] = np.where(after, x_end[:, None], xg[r]), np.where(after, 0.0, vr)
-    x[go], v[go] = xg, vg
-    return x, v
+def constant_runs(x0, v0, a, dt, n, a2=0.0, w=None):
+    """The positions and velocities after 0..n advance_vehicle calls, as
+    (rows, n + 1) views of step-major arrays, for the rows of x0, v0 >= 0
+    and a two-piece command: a before step w (None: n) and a2 from it.  The
+    running sums of [v0, a*dt, ...] and [x0, v0*dt, C, v1*dt, C, ...], C =
+    0.5*a*dt*dt, added in order, are the scalar v + a*dt and (x + v*dt) + C
+    up to the first step that holds or stops, which advance_vehicles takes;
+    the vehicle rests after it, so a row braking in its first piece (a < 0)
+    must brake or hold in its second (a2 <= 0).  A row at rest (v0 <= 0,
+    a <= 0, a2 <= 0) holds from step 0 and skips the sums."""
+    w, a2 = np.full(len(x0), n) if w is None else w, np.broadcast_to(a2, a.shape)
+    x, v = np.repeat(x0[None], n + 1, axis=0), np.zeros((n + 1, len(x0)))
+    v[0] = v0
+    go = np.flatnonzero(~((v0 <= 0.0) & (a <= 0.0) & (a2 <= 0.0)))
+    a, a2, w = a[go], a2[go], w[go]
+    acc = np.where(np.arange(n)[:, None] < w, a, a2)
+    vg = np.concatenate((v0[None, go], acc * dt))
+    terms = np.empty((2 * n + 1, len(go)))
+    terms[0], terms[1::2], terms[2::2] = x0[go], np.cumsum(vg, axis=0, out=vg)[:-1] * dt, 0.5 * acc * dt * dt
+    xg = np.cumsum(terms, axis=0, out=terms)[::2]
+    # a run that holds or stops brakes or holds after it, so ends at v <= 0
+    r = np.flatnonzero(vg[-1] <= 0.0)
+    vr, ar = vg[:, r], acc[:, r]
+    odd = ((vr[:-1] <= 0.0) & (ar <= 0.0)) | ((ar < 0.0) & (vr[1:] < 0.0))
+    s = np.concatenate((odd, np.ones((1, len(r)), bool))).argmax(axis=0)  # n if none
+    x_end, _, _ = advance_vehicles(xg[s, r], vr[s, np.arange(len(r))], np.where(s < w[r], a[r], a2[r]), dt)
+    after = np.arange(n + 1)[:, None] > s
+    xg[:, r], vg[:, r] = np.where(after, x_end, xg[:, r]), np.where(after, 0.0, vr)
+    x[:, go], v[:, go] = xg, vg
+    return x.T, v.T
 
 
 def build_profiles(x0, v0, starts, accels, t_end):
@@ -202,14 +206,20 @@ def margins(params, x, v):
         return g - d_min, np.isfinite(g) & defined
 
 
-def _block(x, v, a, dt, left):
-    """Both vehicles' states over the next n = min(left, max(8, 2**13 //
-    rows)) steps at constant commands, as (2, rows, n + 1) positions and
-    velocities from the (2, rows) x and v and the commands a broadcast to
-    them: about 2**13 episode steps a call."""
-    n = min(left, max(8, 2 ** 13 // x.shape[1]))
-    a = np.broadcast_to(a, x.shape).ravel()
-    return (z.reshape(2, -1, n + 1) for z in constant_runs(x.ravel(), v.ravel(), a, dt, n))
+# Steps per block: about BLOCK_BUDGET episode steps a call, from 8 to BLOCK_STEPS
+BLOCK_STEPS, BLOCK_BUDGET = 64, 2 ** 13
+
+
+def _steps(rows, left):  # a block's steps for rows episodes with left steps to go
+    return min(left, BLOCK_STEPS, max(8, BLOCK_BUDGET // rows))
+
+
+def _block(x, v, a, dt, n, a2=0.0, w=None):
+    """Both vehicles' (2, n + 1, rows) positions and velocities from the
+    (2, rows) x and v: constant_runs of a, a2 and w broadcast to them."""
+    a, a2 = (np.broadcast_to(z, x.shape).ravel() for z in (a, a2))
+    w = None if w is None else np.broadcast_to(w, x.shape).ravel()
+    return (z.reshape(2, -1, n + 1).swapaxes(1, 2) for z in constant_runs(x.ravel(), v.ravel(), a, dt, n, a2, w))
 
 
 def supervised_lockstep(params, cfg, starts, dt, t_end):
@@ -217,100 +227,104 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     (-a_brake_max), then check_compliance of its trace, for each row
     (x_f, v_f, x_r, v_r) of starts, each row from event to event.
 
-    Between events both commands are constant.  A round takes each row's
-    next block of at most 32 steps from constant_runs and runs the scalar
-    step on every sample of it as if the row's phase and command held; the
-    first sample where they do not (an engagement, the window's end, a
-    halt, a release), that is unsafe, or where the row ends is its event,
-    and the row restarts from the state and supervisor there.  Returns
-    (fallback, engagements, compliant) per row.  A row falls back when the
-    scalar run would collide or raise (a margin it reads is not defined),
-    or when a BC sample brakes weakly late in its episode; only its
-    fallback flag is meaningful, and the scalar path must run it.
+    Between events the mode holds, and the SV command is the AC one, or
+    the proper response's: the window command up to the step whose end
+    would pass rho, then -a_brake_min to a halt.  A round takes each row's
+    next block from constant_runs at that two-piece command, walks the
+    phase over it and runs the scalar step on every sample; the first
+    sample where decide switches the mode (an engagement, a release), that
+    is unsafe, or where the row ends is its event, and the row restarts
+    from the state and supervisor there.  Returns (fallback, engagements,
+    compliant) per row.  A row falls back when the scalar run would collide
+    or raise (a margin it reads is not defined), or when a BC sample brakes
+    weakly late in its episode; only its fallback flag is meaningful, and
+    the scalar path must run it.
     """
     k, cfg = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_ac = min(hi, max(lo, params.a_max))  # decide's clamped command
-    # proper_response_command for each phase code but braking
-    commands = np.array([a_ac, min(params.a_max, max(-params.a_brake_min, a_ac)), 0.0, 0.0])
+    brake = -params.a_brake_min
+    # each phase's first command piece; braking and halted brake or hold
+    commands = np.array([a_ac, min(params.a_max, max(brake, a_ac)), brake, brake])
     rho, length, sb = params.rho, params.vehicle_length, cfg.switchback_margin
-    weak = -params.a_brake_min + DEFAULT_ACCEL_TOL
+    weak = commands[_WINDOW] > brake + DEFAULT_ACCEL_TOL  # the window command brakes weakly
     lookahead = np.array([[params.a_max], [-params.a_brake_max]])  # worst_case_successor
     n = len(starts)
     fallback, compliant, engagements = np.zeros(n, bool), np.ones(n, bool), np.zeros(n, int)
     n_steps = check_step(dt, t_end)
     # each row's sample s, its state (row 0 the SV, row 1 the POV), and the
-    # supervisor after step s: phase, window clock, engagements, episode
-    # start time and SV command, held over the row's block
+    # supervisor after step s: phase, window clock, engagements, episode start
     rows, s, x, v = np.arange(n), np.zeros(n, int), starts[:, [2, 0]].T, starts[:, [3, 1]].T
-    phase, elapsed, eng = np.zeros(n, np.int8), np.zeros(n), np.zeros(n, int)
-    ep_t, cmd = np.zeros(n), np.full(n, a_ac)
+    phase, elapsed, eng, ep_t = np.zeros(n, np.int8), np.zeros(n), np.zeros(n, int), np.zeros(n)
     j0 = 0  # the first round also takes step 0, from the start
     while len(rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.stack((cmd, np.full(len(rows), -params.a_brake_max)))
-            xs, vs = _block(x, v, a, dt, min(n_steps - s.min(), 32))
-            X, V = xs[:, :, j0:], vs[:, :, j0:]
-            i = s[:, None] + np.arange(j0, xs.shape[2])
+            nb = _steps(len(rows), n_steps - s.min())
+            # the window clock is the scalar elapsed + dt, summed in order.  A
+            # window row brakes from the step whose end would pass rho
+            win = np.flatnonzero(phase == _WINDOW)
+            el = np.concatenate((elapsed[None, win], np.full((nb, len(win)), dt))).cumsum(axis=0)
+            past = np.repeat(phase[None] >= _BRAKING, nb + 1, axis=0)  # braking or halted
+            past[:, win] = el >= rho
+            switch = past[:, win] | (el + dt > rho + WINDOW_SLACK)  # from the first True on
+            w = np.full(len(rows), nb)
+            w[win] = nb - switch[:-1].sum(axis=0)
+            a = np.stack((commands[phase], np.full(len(rows), -params.a_brake_max)))
+            xs, vs = _block(x, v, a, dt, nb, [[brake], [-params.a_brake_max]], w)
+            X, V = xs[:, j0:], vs[:, j0:]
+            i = s + np.arange(j0, nb + 1)[:, None]
             t, decision = i * dt, i % k == 0
-            # advance_phase: window -> braking -> halted.  Only a window row
-            # reads its clock; cumsum sums in order, so it is the scalar
-            # elapsed + dt at each step
-            el, win = np.zeros(i.shape), phase == _WINDOW
-            clock = np.concatenate((elapsed[win, None], np.full(el[win].shape, dt)), axis=1)
-            el[win] = clock.cumsum(axis=1)[:, 1:]
-            p = phase[:, None]
-            pa = p + (((p == _WINDOW) & (el >= rho)) | ((p == _BRAKING) & (V[0] <= 0.0)))
+            # advance_phase: braking from the window's end at rho, halted once
+            # the SV is at rest after a braking step
+            walk = _WINDOW + past + (np.roll(past, 1, axis=0) & (vs[0] <= 0.0))
+            pa = np.where(phase == _AC, _AC, walk)[j0:]
             (m,), (ok,) = margins(params, X, V)
             # the start in contact, or a step end that collides
             fail = ~ok | (X[1] - X[0] - length <= COLLISION_EPS)
             # decide, with the lookahead only where it reads it
             ac = decision & (pa == _AC)
             release = decision & (pa >= _BRAKING) & (m > sb)
-            lr, lc = np.divmod(np.flatnonzero(ac | release), i.shape[1])
-            w, wv, _ = advance_vehicles(X[:, lr, lc], V[:, lr, lc], lookahead, cfg.period)
-            (m_w,), (ok_w,) = margins(params, w, wv)
+            lc, lr = np.divmod(np.flatnonzero(ac | release), i.shape[1])
+            wx, wv, _ = advance_vehicles(X[:, lc, lr], V[:, lc, lr], lookahead, cfg.period)
+            (m_w,), (ok_w,) = margins(params, wx, wv)
             clear, blind = np.zeros(i.shape, bool), np.zeros(i.shape, bool)
-            clear[lr, lc], blind[lr, lc] = m_w > 0.0, ~ok_w
+            clear[lc, lr], blind[lc, lr] = m_w > 0.0, ~ok_w
             # InvariantBreach, or a lookahead the scalar margin cannot give
             fail |= (ac & ~(m > 0.0)) | blind
             engage = ac & ~clear
             pd = np.where(engage, _WINDOW, np.where(release & clear, _AC, pa))
-            el = np.where(engage, 0.0, el)
-            # braking, and a window step that would end past rho, brake to a halt
-            braking = (pd == _BRAKING) | ((pd == _WINDOW) & (el + dt > rho + WINDOW_SLACK))
-            moving = V[0] > 0.0
-            c = np.where(braking, np.where(moving, -params.a_brake_min, 0.0), commands[pd])
 
             # check_compliance.  An episode starts at an engagement, where the
             # margin is > 0 (else the row fell back), so no start is unsafe.  An
             # AC sample violates the rule where its margin is <= 0, a BC one where
             # it also brakes weakly later than rho plus the median step after the
-            # start: never seen under these commands, the scalar path decides it.
-            # An unsafe sample is an event, so the verdict is read at events.
-            bc, holds = pd != _AC, m > 0.0
-            fail |= bc & ~holds & moving & (c > weak) & (t - ep_t[:, None] > rho)
+            # start: only a window command can, never seen so late, and the
+            # scalar path decides it.  An unsafe sample is an event, so the
+            # verdict is read at events.
+            holds = m > 0.0
+            fail[:, win] |= weak & ~holds[:, win] & ~switch[j0:] & (t[:, win] - ep_t[win] > rho) & (V[0][:, win] > 0.0)
             # a settled halt, or the last step, ends the run
             settled = (i == n_steps) | (
                 decision & ((pd == _AC) | (pd == _HALTED)) & (V[0] <= 0.0) & (V[1] <= 0.0))
-            unsafe = ~(holds | bc)
-            event = fail | settled | unsafe | (pd != p) | (c != cmd[:, None])
+            unsafe = ~holds & (pd == _AC)
+            event = fail | settled | unsafe | (pd != pa)
         # each row's first event, else its block's last sample
-        event[:, -1] = True
-        j = event.argmax(axis=1)
-        at = np.arange(len(rows)), j
+        event[-1] = True
+        j = event.argmax(axis=0)
+        at = j, np.arange(len(rows))
         compliant[rows[unsafe[at]]] = False
         failed = fail[at]
         done = ~failed & settled[at]
         eng = eng + engage[at]
         ep_t = np.where(engage[at], t[at], ep_t)
+        elapsed[win] = el[j0 + j[win], np.arange(len(win))]
         engagements[rows[done]] = eng[done]
         fallback[rows[failed]] = True
         kept = np.flatnonzero(~(failed | done))
         j = j[kept]
-        rows, s, eng = rows[kept], s[kept] + j0 + j, eng[kept]
-        x, v = xs[:, kept, j0 + j], vs[:, kept, j0 + j]
-        ep_t, (phase, elapsed, cmd) = ep_t[kept], (z[kept, j] for z in (pd, el, c))
+        rows, s, eng, ep_t = rows[kept], s[kept] + j0 + j, eng[kept], ep_t[kept]
+        x, v = xs[:, j0 + j, kept], vs[:, j0 + j, kept]
+        phase, elapsed = pd[j, kept], np.where(engage[at], 0.0, elapsed)[kept]
         j0 = 1
     return fallback, engagements, compliant
 
@@ -335,19 +349,19 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
     rows, x, v, i0 = np.flatnonzero(~fallback), x[:, ~fallback], v[:, ~fallback], 0
     while len(rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, vs = _block(x, v, [[a_r], [a_f]], dt, n_steps + 1 - i0)
-            n = xs.shape[2] - 1
-            bad = ~np.isfinite(xs + vs).all(axis=(0, 2))
-            hit = xs[1, :, 1:] - xs[0, :, 1:] - length <= COLLISION_EPS
-        i = np.arange(i0, i0 + n)
-        end = (i == n_steps) | ((i % k == 0) & (vs[0, :, :-1] <= 0.0) & (vs[1, :, :-1] <= 0.0))
-        first, decided = (end | hit).argmax(axis=1), (end | hit).any(axis=1)
+            n = _steps(len(rows), n_steps + 1 - i0)
+            xs, vs = _block(x, v, [[a_r], [a_f]], dt, n)
+            bad = ~np.isfinite(xs + vs).all(axis=(0, 1))
+            hit = xs[1, 1:] - xs[0, 1:] - length <= COLLISION_EPS
+        i = np.arange(i0, i0 + n)[:, None]
+        end = (i == n_steps) | ((i % k == 0) & (vs[0, :-1] <= 0.0) & (vs[1, :-1] <= 0.0))
+        first, decided = (end | hit).argmax(axis=0), (end | hit).any(axis=0)
         fallback[rows[bad]] = True
-        for r in np.flatnonzero(decided & ~bad & ~end[np.arange(len(rows)), first]):
+        for r in np.flatnonzero(decided & ~bad & ~end[first, np.arange(len(rows))]):
             j = int(first[r])
-            (x_r, x_f), (v_r, v_f) = xs[:, r, j].tolist(), vs[:, r, j].tolist()
+            (x_r, x_f), (v_r, v_f) = xs[:, j, r].tolist(), vs[:, j, r].tolist()
             t_c, state = crossing((i0 + j) * dt, x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
             collision[rows[r]] = CollisionEvent(t_c, state.gap)
         keep = ~(decided | bad)
-        rows, x, v, i0 = rows[keep], xs[:, keep, -1], vs[:, keep, -1], i0 + n
+        rows, x, v, i0 = rows[keep], xs[:, -1, keep], vs[:, -1, keep], i0 + n
     return fallback.tolist(), collision

@@ -54,9 +54,8 @@ def _load_params_arg(args):
 def _load_supervisor_config(path):
     if not path:
         return SupervisorConfig()
-    kinds = {"period": float, "switchback_margin": float, "sv_command_bounds": tuple}
     raw = load_json(path, "supervisor config")
-    return SupervisorConfig(**read_record(raw, "supervisor config", kinds))
+    return SupervisorConfig(**read_record(raw, "supervisor config", SupervisorConfig.KINDS))
 
 
 def _load_campaign(path):

@@ -97,13 +97,15 @@ def read_record(raw, what: str, kinds: dict, required=()) -> dict:
     return {key: read_value(what, key, kinds[key], value) for key, value in raw.items()}
 
 
-def read_value(what: str, key: str, kind: type, value):
+def read_value(what: str, key: str, kind: type, value, passes=lambda v: False):
     """One value of a record, checked against its kind as read_record
-    describes; the value as a float or tuple where its kind says so."""
-    pair = type(value) is list and len(value) == 2
-    if kind is float and _finite(value):
+    describes (a pair may be a tuple; a float for which passes holds is left
+    to the caller's range checks), as a float or tuple where its kind says."""
+    pair = type(value) in (list, tuple) and len(value) == 2
+    number = lambda v: _finite(v) or (isinstance(v, float) and passes(v))
+    if kind is float and number(value):
         return float(value)
-    if kind is tuple and pair and all(map(_finite, value)):
+    if kind is tuple and pair and all(map(number, value)):
         return tuple(map(float, value))
     if kind is float or type(value) is not (type(None) if kind is tuple else kind):
         raise ConfigError(f"{what} {key!r} is not {_NOUNS[kind]}: {shown(value)}")

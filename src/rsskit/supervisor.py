@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
-from .core import AC, BC, RssParams, ScenarioState
+from .core import AC, BC, RssParams, ScenarioState, read_value
 from .dynamics import ExecutionTrace, PovBehavior, advance_vehicle, check_step, run_fixed_step
 from .errors import ConfigError, InvariantBreach
 from .response import (
@@ -47,8 +47,12 @@ class SupervisorConfig:
     period: float = 0.1
     switchback_margin: float = 1.0
     sv_command_bounds: Optional[Tuple[float, float]] = None
+    KINDS: ClassVar[dict] = {"period": float, "switchback_margin": float, "sv_command_bounds": tuple}
 
     def __post_init__(self) -> None:
+        # read_record's type policy, but a NaN or infinite float meets the range checks
+        for key, kind in self.KINDS.items():
+            object.__setattr__(self, key, read_value("supervisor config", key, kind, getattr(self, key), lambda v: True))
         if not self.period > 0:
             raise ConfigError(f"period must be > 0, got {self.period!r}")
         if not self.switchback_margin >= 0:

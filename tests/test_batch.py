@@ -291,6 +291,48 @@ def test_constant_runs_edges(v0, a, dt):
     check_runs([3.0], [v0], [a], dt, 20)
 
 
+def check_two_piece_runs(rows, dt, n):
+    """constant_runs == chained with the command switched from a to a2 at
+    step w, row by row; rows holds (x0, v0, a, a2, w)."""
+    x0, v0, a, a2, w = (np.array(z) for z in zip(*rows))
+    xs, vs = constant_runs(x0, v0, a, dt, n, a2, w)
+    assert xs.shape == vs.shape == (len(rows), n + 1)
+    for i, (x, v, a1, a2, w) in enumerate(rows):
+        head = chained(x, v, a1, dt, w)
+        tail = chained(head[0][-1], head[1][-1], a2, dt, n - w)
+        assert (xs[i].tolist(), vs[i].tolist()) == (head[0] + tail[0][1:], head[1] + tail[1][1:]), rows[i]
+
+
+# a row that brakes in its first piece brakes or holds in its second
+brakes = st.one_of(st.just(0.0), st.floats(-10.0, -1e-3))
+
+
+@st.composite
+def two_piece_rows(draw, n):
+    a = draw(commands)
+    return (draw(st.floats(0.0, 1e4)), draw(st.one_of(st.just(-0.0), speeds)), a,
+            draw(brakes if a < 0.0 else commands), draw(st.one_of(st.just(0), st.just(n), st.integers(0, n))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 120).flatmap(lambda n: st.tuples(
+    st.lists(two_piece_rows(n), min_size=1, max_size=4), st.floats(1e-3, 0.5), st.just(n))))
+def test_two_piece_runs_chain_advance_vehicle(case):
+    check_two_piece_runs(*case)
+
+
+@pytest.mark.parametrize("v0, a, dt", [
+    (0.4, -8.0, 0.05), (1.673, -7.0, 0.239), (0.0, 0.0, 0.05), (0.0, -4.0, 0.05),
+    (7.0, 0.0, 0.05), (0.1, -8.0, 0.05), (0.0, 2.0, 0.05), (-0.0, 0.0, 0.05), (-0.0, -4.0, 0.05),
+])
+def test_two_piece_runs_edges(v0, a, dt):
+    # test_constant_runs_edges with a second piece from steps 0, 1 (where
+    # the first two rows stop exactly), 2, 10 and 20 (none)
+    rows = [(3.0, v0, a, a2, w) for w in (0, 1, 2, 10, 20)
+            for a2 in ((-4.0, 0.0) if a < 0.0 else (-4.0, 0.0, 3.0))]
+    check_two_piece_runs(rows, dt, 20)
+
+
 # ---------------------------------------------------------------------------
 # the campaign against its former scalar form
 

@@ -482,3 +482,62 @@ def test_rows_match_the_scalar_run_on_random_configs():
         assert got == want, (params, sup_cfg, dt, t_end)
         compared, total = compared + len(got), total + len(starts)
     assert compared >= 0.95 * total
+
+
+# ---------------------------------------------------------------------------
+# the folded rounds at their edges: window commands that brake or hold, a
+# window clock off the step grid, a window ending between decisions, and a
+# release from a halt
+
+def scalar_traces(params, starts, sup_cfg, dt, t_end=60.0):
+    return [run_supervised(params, sup_cfg, s, adversarial_ac(params), worst_case_pov(params),
+                           dt=dt, t_end=t_end) for s in starts]
+
+
+def tight_starts(params, seed, count=40):
+    """Seeded starts at most 3 m above the threshold, so that most
+    episodes engage."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for v_r, v_f, m in rng.uniform([0.0, 0.0, 0.0], [30.0, 40.0, 3.0], (count, 3)).tolist():
+        gap = safe_distance(params, v_r, v_f) + params.vehicle_length + m + 1e-3
+        starts.append(ScenarioState(gap, v_f, 0.0, v_r))
+    return starts
+
+
+@pytest.mark.parametrize("params, sup_fields, dt, between", [
+    (PAPER, {"sv_command_bounds": (-4.0, -1.0)}, 0.05, False),
+    (PAPER, {"sv_command_bounds": (-6.0, 0.0)}, 0.05, False),
+    (PAPER, {}, 0.033, False),
+    (PAPER, {}, 0.07, False),
+    (RssParams(0.25, 2.0, 4.0, 8.0), {}, 0.05, True),
+    (RssParams(0.25, 2.0, 4.0, 8.0), {"period": 0.15}, 0.05, True),
+    (LONG, {}, 0.05, False),
+    (LONG, {"sv_command_bounds": (-4.0, -2.0)}, 0.033, False),
+], ids=["window_brakes", "window_holds", "dt0.033", "dt0.07", "window_ends_between_decisions",
+        "window_ends_off_period", "length4.5", "length4.5_braking_dt0.033"])
+def test_rows_match_the_scalar_run_at_the_fold_edges(params, sup_fields, dt, between):
+    sup_cfg = SupervisorConfig(**sup_fields)
+    if between:  # the window's rho / dt steps are no multiple of the decision steps
+        k, _ = decision_grid(params, sup_cfg, dt, 60.0)
+        assert round(params.rho / dt) % k != 0
+    starts = tight_starts(params, int(dt * 1000) + len(sup_fields))
+    got, want = lockstep_or_scalar(params, starts, sup_cfg, dt)
+    assert got == want and len(got) == len(starts)
+    assert sum(eng for eng, _ in want) > 0  # the episodes reach the response
+
+
+def test_release_from_a_halt_matches_the_scalar_run():
+    # a decision in the halted phase whose margin clears switchback_margin
+    # returns to AC; here the POV has halted too, so the run settles there
+    from rsskit.core import AC, BC
+
+    params, sup_cfg = RssParams(1.0, 0.5, 4.0, 4.1), SupervisorConfig(switchback_margin=0.0)
+    starts = tight_starts(params, 5, 60)
+    got, want = lockstep_or_scalar(params, starts, sup_cfg, 0.05)
+    assert got == want and len(got) == len(starts)
+    releases = 0
+    for trace in scalar_traces(params, starts, sup_cfg, 0.05):
+        s = trace.samples
+        releases += sum(a.mode == BC and b.mode == AC and b.state.v_r <= 0.0 for a, b in zip(s, s[1:]))
+    assert releases > 0

@@ -203,3 +203,30 @@ def test_run_supervised_rejects_non_finite_steps(dt, t_end):
     with pytest.raises(StepError):
         run_supervised(PAPER, CFG, state(60.0, 20.0, 20.0),
                        adversarial_ac(PAPER), worst_case_pov(PAPER), dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("fields", [
+    {"period": True}, {"period": "0.1"}, {"switchback_margin": 10 ** 400},
+    {"switchback_margin": False}, {"sv_command_bounds": (-1.0, "x")},
+    {"sv_command_bounds": (True, 1.0)}, {"sv_command_bounds": [-1.0]}, {"sv_command_bounds": "ab"},
+])
+def test_supervisor_config_refuses_what_the_json_path_refuses(fields):
+    # through the API these were accepted or raised TypeError or OverflowError,
+    # some only once a campaign ran; a NaN or infinity still meets the range
+    # checks (test_command_bounds_outside_the_formula_are_rejected)
+    from rsskit.core import read_record
+    from rsskit.verify import CampaignConfig, verify_supervised_safety
+
+    (key, value), = fields.items()
+    with pytest.raises(ConfigError, match=f"supervisor config '{key}' is not"):
+        verify_supervised_safety(PAPER, SupervisorConfig(**fields), CampaignConfig(n_trials=5))
+    raw = {key: list(value) if isinstance(value, tuple) else value}
+    with pytest.raises(ConfigError, match=f"supervisor config '{key}' is not"):
+        read_record(raw, "supervisor config", SupervisorConfig.KINDS)
+
+
+def test_supervisor_config_stores_floats_and_a_tuple():
+    cfg = SupervisorConfig(period=np.float64(0.1), switchback_margin=1, sv_command_bounds=[-2, 1.0])
+    assert cfg == SupervisorConfig(0.1, 1.0, (-2.0, 1.0))
+    assert [type(z) for z in (cfg.period, cfg.switchback_margin, *cfg.sv_command_bounds)] == [float] * 4
+    assert SupervisorConfig(sv_command_bounds=(-4.0, float("nan"))).sv_command_bounds[0] == -4.0
