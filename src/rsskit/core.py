@@ -51,6 +51,9 @@ class RssParams:
 
     def __post_init__(self) -> None:
         for key, value in self.to_dict().items():
+            # read_record's type policy, but a NaN or infinite float is NonFinite
+            value = read_value("parameter", key, float, value, lambda v: True)
+            object.__setattr__(self, key, value)
             if not math.isfinite(value):
                 raise NonFinite(f"{key} must be finite, got {value!r}")
         if not self.rho > 0:

@@ -55,9 +55,9 @@ class SupervisorConfig:
             object.__setattr__(self, key, read_value("supervisor config", key, kind, getattr(self, key), lambda v: True))
         if not self.period > 0:
             raise ConfigError(f"period must be > 0, got {self.period!r}")
-        if not self.switchback_margin >= 0:
+        if not 0 <= self.switchback_margin < math.inf:
             raise ConfigError(
-                f"switchback_margin must be >= 0, got {self.switchback_margin!r}"
+                f"switchback_margin must be finite and >= 0, got {self.switchback_margin!r}"
             )
 
     def bounds(self, params: RssParams) -> Tuple[float, float]:

@@ -34,11 +34,13 @@ CASE_COVERAGE_PAIRS = ((20.0, 10.0), (10.0, 12.0), (10.0, 14.0), (5.0, 30.0))
 # Each random trial draws up to this many POV segments and sorts their cut
 # times; a larger count is refused rather than allocated per trial.
 MAX_POV_SEGMENTS = 1000
-# Random trials per batch-kernel call at up to 8 POV segments, which keeps
-# its arrays near 1 MB; longer POV schedules run proportionally fewer.
+# Random trials per draw matrix and batch-kernel call at up to 8 POV segments,
+# which keeps the kernel's arrays near 1 MB; longer POV schedules run
+# proportionally fewer.  Trial i reads row i of the stream whatever the chunk.
 CHUNK = 256
-# Random floats per Generator call of the falsification, whatever n_trials.
-FALSIFY_BLOCK = 2 ** 16
+# Rows (v_r, v_f, u_gap) per Generator call of the falsification, whatever
+# n_trials; the block size does not change which row an attempt reads.
+FALSIFY_BLOCK = 2 ** 14
 # Trials per supervised campaign, which draws every start at once: tracemalloc
 # peaks of 0.1 kB a trial, 0.22 kB in the negative control, at 100k trials.
 MAX_SUPERVISED_TRIALS = 10 ** 5
@@ -125,9 +127,9 @@ def _state_key(ce: dict):
 
 
 def _uniform(a, b, u):
-    """Generator.uniform(a, b) from the draw u of Generator.random(), bit
-    for bit; tests/test_batch.py::test_uniform_is_affine_in_random guards
-    the premise.  a is a float, as uniform converts it: int - int is exact."""
+    """The campaigns' draw in [a, b) from a draw u in [0, 1): Generator.uniform's
+    formula, which tests/test_batch.py::test_uniform_is_affine_in_random
+    compares.  a is a float, as uniform converts it: int - int is exact."""
     return float(a) + (b - float(a)) * u
 
 
@@ -156,59 +158,20 @@ def _refuse(params, starts, ok):
         ScenarioState(*start)
 
 
-class RawDraws:
-    """A PCG64 Generator's random(n) and integers(lo, hi), hi - lo = r <= 2**32,
-    read by index from blocks of its raw words: a float is (word >> 11) * 2**-53
-    (next_double); an integer maps next_uint32, a fresh word's low half or the
-    high half one kept, by Lemire's multiply-shift, drawing again while the
-    product's low half is below (2**32 - r) % r, and r == 1 draws nothing.
-    tests/test_batch.py::test_raw_words_are_generator_draws guards this."""
-
-    def __init__(self, rng):
-        self.bits, self.raw, self.i, self.half = rng.bit_generator, np.empty(0, np.uint64), 0, None
-
-    def reserve(self, n):
-        """Drop the words read and draw until n are unread."""
-        self.raw, self.i = self.raw[self.i:], 0
-        self.i = self.floats(n)  # draws the shortfall, returns 0
-
-    def floats(self, n):
-        """Where the next n floats start in u(); words past the block are drawn."""
-        self.i += n
-        if self.i > len(self.raw):
-            self.raw = np.concatenate((self.raw, self.bits.random_raw(self.i - len(self.raw))))
-        return self.i - n
-
-    def u(self):
-        return (self.raw >> 11) * 2.0 ** -53
-
-    def integer(self, lo, hi):
-        r = hi - lo
-        while r > 1:
-            if self.half is None:
-                j = self.floats(1)  # first: it may replace self.raw
-                word = int(self.raw[j])
-                x, self.half = word & 0xFFFFFFFF, word >> 32
-            else:
-                x, self.half = self.half, None
-            if (x * r) & 0xFFFFFFFF >= (2 ** 32 - r) % r:
-                return lo + (x * r >> 32)
-        return lo
-
-
-def _schedules(u, at, k, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
-    """Padded (starts, accels) of n_cols columns from each row's 2k - 1 draws
-    from u[at] on: a piece from 0, k - 1 cut times uniform in [0, horizon) in
-    order, then the piece last, inf behind; k accelerations uniform in [a_lo,
-    a_hi), then last's.  Cut c is draw c - 1, acceleration c draw k - 1 + c;
-    the other slots read a clipped index and are overwritten."""
-    cols, at, k = np.arange(n_cols), at[:, None], k[:, None]
+def _schedules(u, k, n_cols, horizon, a_lo, a_hi, last=(inf, 0.0)):
+    """Padded (starts, accels) of n_cols columns from each row's m - 1 cut-time
+    then m acceleration draws in u: a piece from 0, one from each of the first
+    k - 1 cut times, uniform in [0, horizon), in order, then the piece last,
+    inf behind; the first k accelerations, uniform in [a_lo, a_hi), then
+    last's.  The row's other draws are masked."""
+    m, cols, k = (u.shape[1] + 1) // 2, np.arange(n_cols), k[:, None]
+    starts, accels = np.full((len(u), n_cols), inf), np.zeros((len(u), n_cols))
+    starts[:, 1:m] = _uniform(0.0, horizon[:, None], u[:, :m - 1])
+    accels[:, :m] = _uniform(a_lo, a_hi, u[:, m - 1:])
     cut = (0 < cols) & (cols < k)
-    cuts = _uniform(0.0, horizon[:, None], u.take(at + cols - 1, mode="clip"))
-    if not np.isfinite(cuts[cut]).all():  # where Generator.uniform raises OverflowError
+    if not np.isfinite(starts[cut]).all():
         raise ConfigError("the SV halt time overflows, so POV cut times cannot be drawn")
-    starts = np.where(cut, cuts, np.inf)
-    accels = np.where(cols < k, _uniform(a_lo, a_hi, u.take(at + k - 1 + cols, mode="clip")), 0.0)
+    starts[~cut], accels[cols >= k] = inf, 0.0
     starts[cols == k], accels[cols == k] = last
     starts[:, 0] = 0.0
     starts[:, 1:].sort(axis=1)
@@ -267,23 +230,20 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
 
     n_f = cfg.pov_segments_max
     chunk = max(16, CHUNK * 8 // max(8, n_f))
-    draws = RawDraws(rng)
     for lo in range(0, cfg.n_trials, chunk):
         n = min(chunk, cfg.n_trials - lo)
-        draws.reserve(n * (2 + 2 * n_f + 6))  # a trial's words, rejections aside
-        # each trial's draws in the scalar sampler's order: where its head, POV
-        # and window floats start, and its POV segment and window piece counts
-        at = np.array([(draws.floats(3), k := draws.integer(cfg.pov_segments_min, n_f + 1),
-                        draws.floats(2 * k - 1), j := draws.integer(1, 4), draws.floats(2 * j - 1))
-                       for _ in range(n)]).T
-        u = draws.u()
-        starts, ok = _starts(params, cfg, u[at[0, :, None] + np.arange(3)])
+        # row i is trial lo + i: v_r, v_f, margin; k; n_f - 1 POV cut times and
+        # n_f accelerations; j; 2 window cut times and 3 accelerations
+        u = rng.random((n, 2 * n_f + 9))
+        starts, ok = _starts(params, cfg, u[:, :3])
         _refuse(params, starts, ok)  # before the chunk runs
         gap, v_f, _, v_r = starts.T
         worst_min_gap, t_halt = worst_trials(v_r, v_f, gap, "random")
-        starts_f, accels_f = _schedules(u, at[2], at[1], n_f, t_halt + 1.0, -params.a_brake_max,
-                                        cfg.a_fwd_max)
-        starts_r, accels_r = _schedules(u, at[4], at[3], 4, np.full(n, params.rho), -params.a_brake_min,
+        k = cfg.pov_segments_min + (u[:, 3] * (n_f + 1 - cfg.pov_segments_min)).astype(int)
+        starts_f, accels_f = _schedules(u[:, 4:3 + 2 * n_f], k, n_f, t_halt + 1.0,
+                                        -params.a_brake_max, cfg.a_fwd_max)
+        j = 1 + (u[:, 3 + 2 * n_f] * 3).astype(int)
+        starts_r, accels_r = _schedules(u[:, 4 + 2 * n_f:], j, 4, np.full(n, params.rho), -params.a_brake_min,
                                         params.a_max, (params.rho, -params.a_brake_min))
         prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_halt + 1.0)
         prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_halt + 1.0)
@@ -323,33 +283,31 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 if d > 0.0:
                     trial(v_r, v_f, d + params.vehicle_length, "grid_boundary")
 
-    # Blocks of random floats walked by index: an attempt reads v_r and v_f,
-    # an accepted one but every tenth its gap's draw too; d_min[k] is the
-    # safe distance of the speeds (v[k], v[k + 1]).
-    attempts = done = k = 0
-    u = []
+    # Attempt a reads row a of (v_r, v_f, u_gap) rows, drawn in blocks that
+    # hold no attempt past the last trial or the cap; a pair with d_min <= 0
+    # is no trial, and every tenth trial starts on the boundary.
+    attempts = done = 0
+    cap = 100 * max(1, cfg.n_trials)
     while done < cfg.n_trials:
-        attempts += 1
-        if attempts > 100 * max(1, cfg.n_trials):
+        if attempts == cap:
             raise ConfigError(
                 "sampled velocity ranges never produce a positive safe distance; "
                 "nothing to falsify"
             )
-        if k + 3 > len(u):  # the unread tail, then the next block
-            u = u[k:] + rng.random(min(3 * (cfg.n_trials - done) + 3, FALSIFY_BLOCK)).tolist()
-            v, k = _uniform(cfg.v_min, cfg.v_max, np.array(u)), 0
-            d_min, defined, v = (z.tolist() for z in (*_safe_distances(params, v[:-1], v[1:]), v))
-        v_r, v_f = v[k], v[k + 1]
-        # the scalar form raises an undefined pair's DomainError
-        d = d_min[k] if defined[k] else safe_distance(params, v_r, v_f)
-        k += 2
-        if d <= 0.0:
-            continue
-        done += 1
-        gap, k = (d, k) if done % 10 == 0 else (d * (1.0 - u[k]), k + 1)
-        if gap <= 0.0:
-            gap = d
-        trial(v_r, v_f, gap + params.vehicle_length, "random")
+        u = rng.random((min(cfg.n_trials - done, cap - attempts, FALSIFY_BLOCK), 3))
+        attempts += len(u)
+        v_r, v_f = _uniform(cfg.v_min, cfg.v_max, u[:, :2].T)
+        d, defined = _safe_distances(params, v_r, v_f)
+        n = len(u) if defined.all() else int(defined.argmin())  # the rows before an undefined pair
+        kept = np.flatnonzero(d[:n] > 0.0)
+        d, tenth = d[kept], (done + 1 + np.arange(len(kept))) % 10 == 0
+        gap = np.where(tenth, d, d * (1.0 - u[kept, 2]))
+        gap = np.where(gap <= 0.0, d, gap) + params.vehicle_length
+        for args in zip(v_r[kept].tolist(), v_f[kept].tolist(), gap.tolist()):
+            trial(*args, "random")
+        done += len(kept)
+        if n < len(u):
+            safe_distance(params, v_r[n].item(), v_f[n].item())  # raises the scalar DomainError
 
     outcome.counterexamples.sort(key=lambda ce: (ce["v_r"], ce["v_f"], ce["gap"]))
     return outcome

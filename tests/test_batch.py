@@ -6,11 +6,15 @@ and analyze_gap give, compared with ==, and constant_runs the states of
 chained advance_vehicle calls.  Each family below has at least
 10,000 rows from a fixed seed, half of them with vehicle_length 0 and
 half with 4.5.  verify_safety_theorem, which runs on the batch kernel,
-must give the outcome, or the error, of a test-local copy of its former
-scalar form, and falsify_below_threshold those of a copy of its former
-draws, handing the worst case the same starts in the same order.  Both
-draw through verify._uniform, and the safety campaign reads its draws
-through verify.RawDraws; the premises of both are tested here.
+must give the outcome, or the error, of a test-local reader that runs
+trial i on the scalar kernels from row i of the draws, and
+falsify_below_threshold those of a reader of one row per attempt, handing
+the worst case the same starts in the same order.  The campaigns draw a
+chunk's or block's rows in one Generator.random call and the readers one
+row a call, so the comparison holds only while random(j + k) draws what
+random(j) then random(k) draw; the outcomes must not change with the
+chunk or block size either.  The draws' statistical contract is tested
+here too.
 """
 import json
 import math
@@ -19,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from rsskit import batch
 from rsskit.batch import analyze_gaps, build_profiles, constant_runs
@@ -336,18 +341,29 @@ def test_two_piece_runs_edges(v0, a, dt):
 # ---------------------------------------------------------------------------
 # the campaign against its former scalar form
 
-def reference_randomized_min_gap(params, cfg, rng, start, horizon):
-    n_seg = int(rng.integers(cfg.pov_segments_min, cfg.pov_segments_max + 1))
-    cuts = np.sort(rng.uniform(0.0, horizon, size=n_seg - 1)) if n_seg > 1 else []
-    accels = rng.uniform(-params.a_brake_max, cfg.a_fwd_max, size=n_seg)
-    sched_f = [(0.0, float(accels[0]))]
-    sched_f += [(float(t), float(a)) for t, a in zip(cuts, accels[1:])]
+def uniform(a, b, u):
+    """The campaigns' draw in [a, b) from a draw u in [0, 1)."""
+    return float(a) + (b - float(a)) * u
 
-    n_win = int(rng.integers(1, 4))
-    wcuts = np.sort(rng.uniform(0.0, params.rho, size=n_win - 1)) if n_win > 1 else []
-    waccels = rng.uniform(-params.a_brake_min, params.a_max, size=n_win)
-    sched_r = [(0.0, float(waccels[0]))]
-    sched_r += [(float(t), float(a)) for t, a in zip(wcuts, waccels[1:])]
+
+def row_schedule(draws, m, k, horizon, lo, hi):
+    """The first k pieces of a schedule of at most m from its m - 1 cut-time
+    then m acceleration draws: a piece from 0 and one from each of the first
+    k - 1 cut times, uniform in [0, horizon) and sorted, with the first k
+    accelerations, uniform in [lo, hi)."""
+    cuts = sorted(uniform(0.0, horizon, u) for u in draws[:k - 1])
+    return list(zip([0.0] + cuts, [uniform(lo, hi, u) for u in draws[m - 1:m - 1 + k]]))
+
+
+def reference_randomized_min_gap(params, cfg, row, start, horizon):
+    """The randomized trial of one row of draws: after v_r, v_f and the margin,
+    k, the POV's n_f - 1 cut times and n_f accelerations, j, and the window's
+    2 cut times and 3 accelerations."""
+    n_f = cfg.pov_segments_max
+    k = cfg.pov_segments_min + int(row[3] * (n_f + 1 - cfg.pov_segments_min))
+    sched_f = row_schedule(row[4:3 + 2 * n_f], n_f, k, horizon, -params.a_brake_max, cfg.a_fwd_max)
+    j = 1 + int(row[3 + 2 * n_f] * 3)
+    sched_r = row_schedule(row[4 + 2 * n_f:], 3, j, params.rho, -params.a_brake_min, params.a_max)
     sched_r.append((params.rho, -params.a_brake_min))
 
     segs_r = build_profile(start.x_r, start.v_r, sched_r, horizon)
@@ -357,7 +373,9 @@ def reference_randomized_min_gap(params, cfg, rng, start, horizon):
 
 
 def reference_verify_safety_theorem(params, cfg, min_gaps):
-    """The former verify_safety_theorem; appends every min gap to min_gaps."""
+    """verify_safety_theorem trial by trial on the scalar kernels: random
+    trial i reads row i of the draws, one random(2 * n_f + 9) call each.
+    Appends every min gap to min_gaps."""
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("safety_theorem")
     outcome.stats["randomized_trials"] = 0
@@ -387,14 +405,14 @@ def reference_verify_safety_theorem(params, cfg, min_gaps):
             worst_trial(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0, "grid")
 
     for _ in range(cfg.n_trials):
-        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
-        margin = cfg.margin_max * (1.0 - float(rng.random()))
+        row = rng.random(2 * cfg.pov_segments_max + 9).tolist()
+        v_r, v_f = uniform(cfg.v_min, cfg.v_max, row[0]), uniform(cfg.v_min, cfg.v_max, row[1])
+        margin = cfg.margin_max * (1.0 - row[2])
         gap = safe_distance(params, v_r, v_f) + length + margin
         start, worst_min_gap, t_sv_halt = worst_trial(v_r, v_f, gap, "random")
 
         horizon = t_sv_halt + 1.0
-        col_t, rand_min_gap = reference_randomized_min_gap(params, cfg, rng, start, horizon)
+        col_t, rand_min_gap = reference_randomized_min_gap(params, cfg, row, start, horizon)
         min_gaps.append(rand_min_gap)
         outcome.stats["randomized_trials"] += 1
         if col_t is not None:
@@ -435,17 +453,17 @@ CAMPAIGNS = [
 UNDEFINED = [
     (0, 0.0, {"n_trials": 100, "v_min": -1.0}),
     (1, 4.5, {"n_trials": 100, "v_min": 1e154, "v_max": 1e155}),  # terms overflow
-    # no trial of the first chunk is undefined, two of the second are
-    (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.04, "include_grid": False}),
+    # no trial of the first chunk is undefined; trial 418, in the second, is
+    (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.15, "include_grid": False}),
 ]
 CAMPAIGNS += UNDEFINED
-# New entries go at the end, so the ids above stay.  One raw block a chunk,
-# the unread tail kept in front: 1..40 POV segments give chunks of 51 trials, so
-# 4 * 51 + 7 trials cross four refills with tails of varied length.
+# New entries go at the end, so the ids above stay.  1..40 POV segments give
+# chunks of 51 rows of 89 draws, most of them masked, and 4 * 51 + 7 trials a
+# short fifth chunk.
 CAMPAIGNS += [
     (5, 4.5, {"n_trials": 4 * 51 + 7, "include_grid": False, "pov_segments_min": 1,
               "pov_segments_max": 40}),
-    # k draws nothing, so each trial's j reads the previous j's kept half-word
+    # a one-value range: every draw of k's column gives 8
     (6, 0.0, {"n_trials": 300, "pov_segments_min": 8, "pov_segments_max": 8}),
     (7, 4.5, {"n_trials": 20, "include_grid": False, "pov_segments_max": verify.MAX_POV_SEGMENTS}),
 ]
@@ -488,7 +506,8 @@ def test_campaign_matches_the_scalar_form(seed, length, fields, monkeypatch):
 
 
 def reference_falsify_below_threshold(params, cfg):
-    """falsify_below_threshold with its former draws: two uniform calls."""
+    """falsify_below_threshold attempt by attempt: attempt a reads row a of
+    (v_r, v_f, u_gap) draws, one random(3) call each."""
     rng = np.random.default_rng(cfg.seed)
     outcome = CampaignOutcome("falsification")
 
@@ -516,13 +535,13 @@ def reference_falsify_below_threshold(params, cfg):
                 "sampled velocity ranges never produce a positive safe distance; "
                 "nothing to falsify"
             )
-        v_r = float(rng.uniform(cfg.v_min, cfg.v_max))
-        v_f = float(rng.uniform(cfg.v_min, cfg.v_max))
+        v_r, v_f, u_gap = rng.random(3).tolist()
+        v_r, v_f = uniform(cfg.v_min, cfg.v_max, v_r), uniform(cfg.v_min, cfg.v_max, v_f)
         d = safe_distance(params, v_r, v_f)
         if d <= 0.0:
             continue
         done += 1
-        gap = d if done % 10 == 0 else d * (1.0 - float(rng.random()))
+        gap = d if done % 10 == 0 else d * (1.0 - u_gap)
         if gap <= 0.0:
             gap = d
         trial(v_r, v_f, gap + params.vehicle_length, "random")
@@ -543,10 +562,10 @@ FALSIFICATIONS = [
     (RssParams(0.3, 0.0, 4.0, 8.0), {"n_trials": 5, "v_min": 0.0, "v_max": 0.0}),
     (PAPER, {"n_trials": 100, "v_min": -1.0, "include_grid": False}),  # DomainError
     # at a_max 0 and speeds up to 200 m/s about half the pairs are drawn again,
-    # so the walk crosses several refills of its random block
+    # so the campaign draws several blocks of rows
     (RssParams(0.3, 0.0, 7.0, 8.0), {"n_trials": 300, "v_max": 200.0, "seed": 19}),
     (RssParams(0.3, 2.0, 4.0, 8.0, 4.5), {"n_trials": 300, "include_grid": False, "seed": 23}),
-    # v_f above 1.3408e154 overflows the safe distance: DomainError after 39 trials
+    # v_f above 1.3408e154 overflows the safe distance: DomainError after 35 trials
     (PAPER, {"n_trials": 40, "v_max": 1.345e154, "include_grid": False, "seed": 4}),
 ]
 
@@ -570,6 +589,71 @@ def test_falsification_analyzes_the_former_starts(params, fields, monkeypatch):
     monkeypatch.setitem(globals(), "worst_case_gap_analysis", lambda p, s: want.append(s) or real(p, s))
     outcome_or_error(reference_falsify_below_threshold, params, cfg)
     assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the draw stream: a function of the seed and the row, whatever the blocks
+
+@pytest.mark.parametrize("seed,length,fields", CAMPAIGNS)
+def test_campaign_outcome_does_not_depend_on_the_chunk(seed, length, fields, monkeypatch):
+    params = RssParams(0.3, 2.0, 4.0, 8.0, length)
+    cfg = CampaignConfig(seed=seed, **fields)
+    want = outcome_or_error(verify_safety_theorem, params, cfg)
+    monkeypatch.setattr(verify, "CHUNK", 16)
+    assert repr(outcome_or_error(verify_safety_theorem, params, cfg)) == repr(want)
+
+
+@pytest.mark.parametrize("params,fields", FALSIFICATIONS)
+def test_falsification_outcome_does_not_depend_on_the_block(params, fields, monkeypatch):
+    cfg = CampaignConfig(**fields)
+    want = outcome_or_error(falsify_below_threshold, params, cfg)
+    monkeypatch.setattr(verify, "FALSIFY_BLOCK", 7)
+    assert repr(outcome_or_error(falsify_below_threshold, params, cfg)) == repr(want)
+
+
+@pytest.mark.parametrize("params", [PAPER, RssParams(0.3, 0.0, 4.0, 8.0)], ids=["paper", "a_max_0"])
+def test_falsification_starts_do_not_depend_on_n_trials(params, monkeypatch):
+    # at a_max 0 some pairs have d_min 0, so the blocks differ in length too
+    real, starts = worst_case_gap_analysis, {100: [], 200: []}
+    for n, got in starts.items():
+        monkeypatch.setattr(verify, "worst_case_gap_analysis", lambda p, s, got=got: got.append(s) or real(p, s))
+        falsify_below_threshold(params, CampaignConfig(seed=5, n_trials=n, include_grid=False))
+    assert len(starts[200]) == 200
+    assert repr(starts[200][:100]) == repr(starts[100])
+
+
+def test_safety_campaign_draws_are_uniform(monkeypatch):
+    # the stream's statistical contract, on the profiles of seeded trials:
+    # each chunk builds the worst case's two, then the window's and the POV's
+    calls, real = [], build_profiles
+    monkeypatch.setattr(verify, "build_profiles", lambda *args: calls.append(args) or real(*args))
+    cfg = CampaignConfig(seed=0, n_trials=20_000, include_grid=False)
+    verify_safety_theorem(PAPER, cfg)
+    window, pov = (tuple(map(np.concatenate, zip(*calls[i::4]))) for i in (2, 3))
+    _, v_r, starts_r, accels_r, _ = window
+    gap, v_f, starts_f, accels_f, horizon = pov
+    k = np.isfinite(starts_f).sum(axis=1)
+    j = np.isfinite(starts_r).sum(axis=1) - 1  # the last piece starts at rho
+    pieces_f, pieces_r = np.arange(8) < k[:, None], np.arange(4) < j[:, None]
+    assert len(k) == cfg.n_trials and set(k.tolist()) == set(range(3, 9)) and set(j.tolist()) == {1, 2, 3}
+
+    def p_ks(x, lo, hi):
+        return stats.kstest(x, "uniform", args=(lo, hi - lo)).pvalue
+
+    assert stats.chisquare(np.bincount(k)[3:]).pvalue > 1e-3
+    assert stats.chisquare(np.bincount(j)[1:]).pvalue > 1e-3
+    assert min(p_ks(v_r, 0.0, 40.0), p_ks(v_f, 0.0, 40.0)) > 1e-3
+    d_min, _ = batch.safe_distances(PAPER, v_r, v_f)
+    margin = (gap - d_min) / cfg.margin_max
+    assert p_ks(margin, 0.0, 1.0) > 1e-3
+    # and draws of different columns are independent
+    assert np.abs(np.corrcoef([v_r, v_f, margin]) - np.eye(3)).max() < 0.05
+    assert stats.chi2_contingency(np.histogram2d(k, j, bins=(6, 3))[0]).pvalue > 1e-3
+    cuts_f = (starts_f / horizon[:, None])[:, 1:][pieces_f[:, 1:]]
+    cuts_r = (starts_r / PAPER.rho)[:, 1:][pieces_r[:, 1:]]
+    assert min(p_ks(cuts_f, 0.0, 1.0), p_ks(cuts_r, 0.0, 1.0)) > 1e-3
+    assert p_ks(accels_f[pieces_f], -PAPER.a_brake_max, cfg.a_fwd_max) > 1e-3
+    assert p_ks(accels_r[pieces_r], -PAPER.a_brake_min, PAPER.a_max) > 1e-3
 
 
 # the campaigns' draw ranges: speeds, POV cut times up to t_sv_halt + 1,
@@ -624,51 +708,7 @@ def test_a_gap_that_overflows_raises_in_both_kernels(v_r, v_f, gap):
 
 
 # ---------------------------------------------------------------------------
-# the sampler's raw words and the array classification
-
-# integers ranges (lo, hi): the campaigns' k and j, a one-value range, and
-# ranges where Lemire's method rejects a quarter to a half of its draws
-INTEGER_RANGES = [(1, 4), (3, 9), (1, 1001), (5, 6), (0, 2 ** 31 + 1), (-7, 3 * 2 ** 30 - 7),
-                  (0, 2 ** 32)]
-
-
-def test_raw_words_are_generator_draws():
-    # verify.RawDraws reads Generator.random(n) and Generator.integers(lo, hi)
-    # from raw PCG64 words: next_double, next_uint32's kept half-word and
-    # Lemire's multiply-shift with its rejections.  A numpy release that
-    # changes any of them fails here.
-    class Counting:  # the raw words drawn
-        def __init__(self, bits):
-            self.bits, self.n = bits, 0
-
-        def random_raw(self, n):
-            self.n += n
-            return self.bits.random_raw(n)
-
-    rejected = 0
-    for seed in range(200):
-        ops = np.random.default_rng(10_000 + seed)
-        want, draws = np.random.default_rng(seed), verify.RawDraws(np.random.default_rng(seed))
-        draws.bits = Counting(draws.bits)
-        floats = halves = 0
-        for _ in range(60):
-            if ops.random() < 0.2:  # keeps the unread words; the stream is unchanged
-                draws.reserve(int(ops.integers(0, 40)))
-            if ops.random() < 0.5:
-                n = int(ops.integers(0, 8))
-                at = draws.floats(n)
-                assert draws.u()[at:at + n].tolist() == want.random(n).tolist(), seed
-                floats += n
-            else:
-                lo, hi = INTEGER_RANGES[int(ops.integers(0, len(INTEGER_RANGES)))]
-                assert draws.integer(lo, hi) == int(want.integers(lo, hi)), (seed, lo, hi)
-                halves += hi - lo > 1
-        # the half-words read beyond one an integer are rejections
-        read = draws.bits.n - (len(draws.raw) - draws.i)
-        rejected += 2 * (read - floats) - (draws.half is not None) - halves
-        assert draws.u()[draws.i:].tolist() == want.random(len(draws.raw) - draws.i).tolist()
-    assert rejected > 500
-
+# the array classification
 
 @pytest.mark.parametrize("params", [
     PAPER, RssParams(0.5, 2.0, 4.0, 8.0, 4.5), RssParams(0.3, 0.0, 4.0, 8.0),

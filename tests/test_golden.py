@@ -36,7 +36,7 @@ CAMPAIGNS = {
 }
 
 CAMPAIGN_SHA256 = {
-    "safety": "590988b8d043dabe31405f32abedfa17005062f47bccd142632efa5f9df8fd86",
+    "safety": "90be4de5c16eef087aed5adecb7d4225bba1c4076d816205f5088314f49c64ad",
     "falsify": "ee3ecf34f82b112431bbc55900ff54cba7b345b6f2666661f934a2a36106b6aa",
     "supervised": "1042fedb5b9b5a47dd9cde7afe279bd8f69134dad250e6feabd800e923649db8",
     "negative": "ccb23132f9564726c8f655b2ea04ca0df08c4b01efa3638055e1aabe104e8d47",

@@ -97,6 +97,22 @@ def test_params_reject_non_finite(field, bad):
         RssParams(*values)
 
 
+@pytest.mark.parametrize("field", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [10 ** 400, True, "a"], ids=["big_int", "bool", "str"])
+def test_params_refuse_what_validate_params_refuses(field, bad):
+    # 10**400 raised OverflowError, "a" TypeError, and True was stored as True
+    values = [0.3, 2.0, 4.0, 8.0, 0.0]
+    values[field] = bad
+    with pytest.raises(ConfigError, match="is not a finite number"):
+        RssParams(*values)
+
+
+def test_params_store_floats():
+    params = RssParams(1, 2, 4, 8, 0)
+    assert params == RssParams(1.0, 2.0, 4.0, 8.0)
+    assert [type(v) for v in params.to_dict().values()] == [float] * 5
+
+
 def test_state_rejects_nan_velocity():
     with pytest.raises(DomainError):
         ScenarioState(1.0, 20.0, 0.0, math.nan)

@@ -28,6 +28,9 @@ def test_config_validation():
         SupervisorConfig(period=0.0)
     with pytest.raises(ConfigError):
         SupervisorConfig(switchback_margin=-1.0)
+    # an infinite margin was accepted, and a supervised run never returned to AC
+    with pytest.raises(ConfigError, match="switchback_margin must be finite"):
+        SupervisorConfig(switchback_margin=float("inf"))
     with pytest.raises(ConfigError):
         SupervisorConfig(period=0.5).validate_against(PAPER)
     SupervisorConfig(period=0.3).validate_against(PAPER)

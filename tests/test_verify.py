@@ -173,33 +173,26 @@ def test_falsification_draws_a_bounded_block(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", Recording)
     with pytest.raises(Stop):
         falsify_below_threshold(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
-    assert len(sizes) == 1 and sizes[0] <= FALSIFY_BLOCK
+    assert len(sizes) == 1 and sizes[0][0] <= FALSIFY_BLOCK
 
 
 def test_safety_campaign_draws_a_bounded_block(monkeypatch):
-    # one raw block a chunk, sized from the chunk whatever n_trials, and no
+    # one draw matrix a chunk, sized from the chunk whatever n_trials, and no
     # Generator call per trial
     sizes = []
 
     class Stop(Exception):
         pass
 
-    class Raw:
-        def __init__(self, seed):
-            self.bits = np.random.PCG64(seed)
-
-        def random_raw(self, size):
-            sizes.append(size)
-            if len(sizes) > 1:  # the second chunk's block
-                raise Stop
-            return self.bits.random_raw(size)
-
     class Recording:
         def __init__(self, seed):
-            self.bit_generator = Raw(seed)
+            self.rng = np.random.Generator(np.random.PCG64(seed))
 
         def random(self, size=None):
-            raise AssertionError("Generator.random called")
+            sizes.append(size)
+            if len(sizes) > 1:  # the second chunk's draws
+                raise Stop
+            return self.rng.random(size)
 
         def integers(self, *args):
             raise AssertionError("Generator.integers called")
@@ -207,7 +200,7 @@ def test_safety_campaign_draws_a_bounded_block(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", Recording)
     with pytest.raises(Stop):
         verify_safety_theorem(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
-    assert len(sizes) == 2 and 0 < sizes[0] <= verify.CHUNK * (2 + 2 * 8 + 6)
+    assert sizes == [(verify.CHUNK, 2 * 8 + 9)] * 2
 
 
 @pytest.mark.parametrize("supervised", [True, False])
