@@ -10,7 +10,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from math import inf
 from typing import NamedTuple
 
 from .errors import (
@@ -160,13 +159,20 @@ class ScenarioState(_StateFields):
     __slots__ = ()
 
     def __new__(cls, x_f, v_f, x_r, v_r):
-        # written so that NaN fails too
-        if not (-inf < x_f < inf and -inf < x_r < inf):
+        # x * 0.0 is 0 if x is finite, else NaN; it raises for a big int or a non-number
+        try:
+            positions = x_f * 0.0 <= 0.0 and x_r * 0.0 <= 0.0
+            velocities = v_f * 0.0 <= 0.0 <= v_f and v_r * 0.0 <= 0.0 <= v_r
+        except (OverflowError, TypeError):
+            positions = None
+        if positions is None or x_f is True or x_f is False or v_f is True or v_f is False or (
+                x_r is True or x_r is False or v_r is True or v_r is False):
+            raise DomainError(f"positions and velocities must be numbers a float holds, not booleans, got "
+                              f"x_f={shown(x_f)}, v_f={shown(v_f)}, x_r={shown(x_r)}, v_r={shown(v_r)}")
+        if not positions:
             raise DomainError(f"positions must be finite, got x_f={x_f!r}, x_r={x_r!r}")
-        if not (0 <= v_f < inf and 0 <= v_r < inf):
-            raise DomainError(
-                f"velocities must be finite and >= 0, got v_f={v_f!r}, v_r={v_r!r}"
-            )
+        if not velocities:
+            raise DomainError(f"velocities must be finite and >= 0, got v_f={v_f!r}, v_r={v_r!r}")
         return tuple.__new__(cls, (x_f, v_f, x_r, v_r))
 
     @classmethod

@@ -21,7 +21,7 @@ from .batch import (
     unsupervised_runs,
 )
 from .dynamics import ALL_CASES, worst_case_gap_analysis, worst_case_pov
-from .errors import ConfigError
+from .errors import ConfigError, RssError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
 
@@ -35,9 +35,9 @@ CASE_COVERAGE_PAIRS = ((20.0, 10.0), (10.0, 12.0), (10.0, 14.0), (5.0, 30.0))
 # times; a larger count is refused rather than allocated per trial.
 MAX_POV_SEGMENTS = 1000
 # Random trials per draw matrix and batch-kernel call at up to 8 POV segments,
-# which keeps the kernel's arrays near 1 MB; longer POV schedules run
-# proportionally fewer.  Trial i reads row i of the stream whatever the chunk.
-CHUNK = 256
+# which peaks under 5 MB traced by tracemalloc, grid included; longer POV
+# schedules run proportionally fewer.  Trial i reads row i whatever the chunk.
+CHUNK = 1024
 # Rows (v_r, v_f, u_gap) per Generator call of the falsification, whatever
 # n_trials; the block size does not change which row an attempt reads.
 FALSIFY_BLOCK = 2 ** 14
@@ -184,7 +184,8 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     Every trial runs the closed-form worst case; random trials add one
     randomized admissible POV behavior paired with a randomized
     response-window policy.  Any collision is a counterexample; the
-    expected count is zero.  The batch kernel analyzes CHUNK trials at once.
+    expected count is zero.  The batch kernel analyzes CHUNK trials at once,
+    the grid's worst cases with the first.  An error is the first trial's.
     """
     if cfg.a_fwd_max < -params.a_brake_max:
         raise ConfigError(
@@ -197,20 +198,24 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     outcome = CampaignOutcome("safety_theorem")
     outcome.stats["randomized_trials"] = 0
     outcome.stats["randomized_min_gap_below_worst"] = 0
-    length = params.vehicle_length
+    length, n_f = params.vehicle_length, cfg.pov_segments_max
 
-    def trials(cols, prof_r, prof_f, behavior, label):
+    def trials(cols, prof_r, prof_f, behavior, n_grid):
         col_t, min_gap = analyze_gaps(prof_r, prof_f, length)
-        for i in np.flatnonzero(~np.isnan(col_t)):
+        for i in np.flatnonzero(~np.isnan(col_t)).tolist():
             v_r, v_f, gap, t = (c[i].item() for c in (*cols, col_t))
             outcome.counterexamples.append(
                 {"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": behavior,
-                 "collision_t": t, "source": label}
+                 "collision_t": t, "source": "grid" if i < n_grid else "random"}
             )
         return min_gap
 
-    def worst_trials(v_r, v_f, gap, label):
-        """The worst case from each start: its min gaps and SV halt times."""
+    def run(grid, u):
+        """The worst cases of the grid starts (gap, v_f, 0, v_r) and of the
+        trials of the draw rows u in one call, then u's randomized trials."""
+        starts, ok = _starts(params, cfg, u[:, :3])
+        _refuse(params, starts, ok)  # before the rows run
+        gap, v_f, _, v_r = np.concatenate((grid, starts)).T
         case, t_end = classify_worst_cases(params, v_r, v_f)
         for name, count in zip(ALL_CASES, np.bincount(case, minlength=len(ALL_CASES)).tolist()):
             outcome.cases_seen[name] += count
@@ -218,39 +223,43 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         prof_r = build_profiles(np.zeros(len(gap)), v_r, np.array([[0.0, params.rho]]),
                                 np.array([[params.a_max, -params.a_brake_min]]), t_end)
         prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
-        return trials((v_r, v_f, gap), prof_r, prof_f, "worst_case", label), t_end
-
-    if cfg.include_grid:
-        pairs = [(v_r, v_f, safe_distance(params, v_r, v_f))
-                 for v_r in GRID_SPEEDS for v_f in GRID_SPEEDS]
-        grid = [(v_r, v_f, d + length + m) for v_r, v_f, d in pairs for m in GRID_MARGINS]
-        grid += [(v_r, v_f, safe_distance(params, v_r, v_f) + length + 5.0)
-                 for v_r, v_f in CASE_COVERAGE_PAIRS]
-        worst_trials(*np.array(grid).T, "grid")
-
-    n_f = cfg.pov_segments_max
-    chunk = max(16, CHUNK * 8 // max(8, n_f))
-    for lo in range(0, cfg.n_trials, chunk):
-        n = min(chunk, cfg.n_trials - lo)
-        # row i is trial lo + i: v_r, v_f, margin; k; n_f - 1 POV cut times and
-        # n_f accelerations; j; 2 window cut times and 3 accelerations
-        u = rng.random((n, 2 * n_f + 9))
-        starts, ok = _starts(params, cfg, u[:, :3])
-        _refuse(params, starts, ok)  # before the chunk runs
+        worst_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "worst_case", len(grid))[len(grid):]
+        if not len(u):
+            return
+        n, horizon = len(u), t_end[len(grid):] + 1.0
         gap, v_f, _, v_r = starts.T
-        worst_min_gap, t_halt = worst_trials(v_r, v_f, gap, "random")
         k = cfg.pov_segments_min + (u[:, 3] * (n_f + 1 - cfg.pov_segments_min)).astype(int)
-        starts_f, accels_f = _schedules(u[:, 4:3 + 2 * n_f], k, n_f, t_halt + 1.0,
-                                        -params.a_brake_max, cfg.a_fwd_max)
+        starts_f, accels_f = _schedules(u[:, 4:3 + 2 * n_f], k, n_f, horizon, -params.a_brake_max, cfg.a_fwd_max)
         j = 1 + (u[:, 3 + 2 * n_f] * 3).astype(int)
         starts_r, accels_r = _schedules(u[:, 4 + 2 * n_f:], j, 4, np.full(n, params.rho), -params.a_brake_min,
                                         params.a_max, (params.rho, -params.a_brake_min))
-        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, t_halt + 1.0)
-        prof_f = build_profiles(gap, v_f, starts_f, accels_f, t_halt + 1.0)
-        rand_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "randomized", "random")
+        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, horizon)
+        prof_f = build_profiles(gap, v_f, starts_f, accels_f, horizon)
+        rand_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "randomized", 0)
         outcome.stats["randomized_trials"] += n
         below = rand_min_gap < worst_min_gap - 1e-9
         outcome.stats["randomized_min_gap_below_worst"] += int(below.sum())
+
+    grid = np.empty((0, 4))
+    if cfg.include_grid:
+        pairs = [(v_r, v_f, safe_distance(params, v_r, v_f))
+                 for v_r in GRID_SPEEDS for v_f in GRID_SPEEDS]
+        grid = [(d + length + m, v_f, 0.0, v_r) for v_r, v_f, d in pairs for m in GRID_MARGINS]
+        grid = np.array(grid + [(safe_distance(params, v_r, v_f) + length + 5.0, v_f, 0.0, v_r)
+                                for v_r, v_f in CASE_COVERAGE_PAIRS])
+
+    chunk = max(16, CHUNK * 8 // max(8, n_f))
+    for lo in range(0, cfg.n_trials or cfg.include_grid, chunk):  # n_trials 0 runs the grid
+        # row i is trial lo + i: v_r, v_f, margin; k; n_f - 1 POV cut times and
+        # n_f accelerations; j; 2 window cut times and 3 accelerations
+        u = rng.random((min(chunk, cfg.n_trials - lo), 2 * n_f + 9))
+        try:
+            run(grid, u)
+        except RssError:  # the first row's error, grid rows first, whatever the chunk
+            for i in range(len(grid) + len(u)):
+                run(grid[i:i + 1], u[max(0, i - len(grid)):max(0, i + 1 - len(grid))])
+            raise
+        grid = grid[:0]
 
     outcome.counterexamples.sort(key=_state_key)
     return outcome

@@ -453,8 +453,8 @@ CAMPAIGNS = [
 UNDEFINED = [
     (0, 0.0, {"n_trials": 100, "v_min": -1.0}),
     (1, 4.5, {"n_trials": 100, "v_min": 1e154, "v_max": 1e155}),  # terms overflow
-    # no trial of the first chunk is undefined; trial 418, in the second, is
-    (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.15, "include_grid": False}),
+    # no trial of the first chunk is undefined; trial 1850, in the second, is
+    (9, 0.0, {"n_trials": 2 * CHUNK, "v_min": -0.01, "include_grid": False}),
 ]
 CAMPAIGNS += UNDEFINED
 # New entries go at the end, so the ids above stay.  1..40 POV segments give
@@ -503,6 +503,20 @@ def test_campaign_matches_the_scalar_form(seed, length, fields, monkeypatch):
     assert sorted(batch_gaps) == sorted(ref_gaps)
     if fields.get("margin_max") == 1e-12:
         assert got["n_counterexamples"] > 0
+
+
+@pytest.mark.parametrize("chunk", [16, 256, 1024])
+def test_campaign_raises_the_first_trials_error_whatever_the_chunk(chunk, monkeypatch):
+    # trial 1's randomized trial reads a gap that is not finite, trial 11's SV
+    # halt time overflows and trial 24 draws a negative speed; a chunk used to
+    # raise its own first refused start before its rows ran, and a chunk's
+    # cut-time check before its randomized trials
+    params = RssParams(0.3, 0.0, 5e-324, 1.0)
+    cfg = CampaignConfig(seed=0, n_trials=512, v_min=-1e-17, v_max=1e-15, include_grid=False)
+    want = outcome_or_error(reference_verify_safety_theorem, params, cfg, [])
+    assert want == (DomainError, "the gap is not finite on the interval from t = 0.3 s: the positions overflow")
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    assert outcome_or_error(verify_safety_theorem, params, cfg) == want
 
 
 def reference_falsify_below_threshold(params, cfg):

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from rsskit import verify
 from rsskit.cli import main
 from rsskit.core import RssParams
 from rsskit.report import canonical_json
@@ -40,6 +41,9 @@ CAMPAIGN_SHA256 = {
     "falsify": "ee3ecf34f82b112431bbc55900ff54cba7b345b6f2666661f934a2a36106b6aa",
     "supervised": "1042fedb5b9b5a47dd9cde7afe279bd8f69134dad250e6feabd800e923649db8",
     "negative": "ccb23132f9564726c8f655b2ea04ca0df08c4b01efa3638055e1aabe104e8d47",
+    # the (v_r, v_f, gap) starts the "falsify" campaign hands the worst case,
+    # in order: its outcome holds only counts, which no draw moves
+    "falsify_starts": "e4e3456a97baabc0a562729c84b3e0bbc5f767aa0ff0b045e6eaf052bd71c470",
 }
 
 SIMULATIONS = {
@@ -64,6 +68,14 @@ def _sha256(data: bytes) -> str:
 def test_campaign_outcome_pinned(name):
     outcome = CAMPAIGNS[name]().to_dict()
     assert _sha256(canonical_json(outcome).encode()) == CAMPAIGN_SHA256[name]
+
+
+def test_falsification_starts_pinned(monkeypatch):
+    starts, real = [], verify.worst_case_gap_analysis
+    monkeypatch.setattr(verify, "worst_case_gap_analysis",
+                        lambda p, s: starts.append((s.v_r, s.v_f, s.gap)) or real(p, s))
+    CAMPAIGNS["falsify"]()
+    assert _sha256(json.dumps(starts).encode()) == CAMPAIGN_SHA256["falsify_starts"]
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATIONS))

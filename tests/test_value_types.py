@@ -55,6 +55,33 @@ def test_every_route_rejects_bad_states(values, message, route):
     assert str(exc.value) == message
 
 
+# a bool, an int that no float holds, or a value that is no number; their
+# comparisons with inf accepted the first two and raised TypeError on the rest
+BAD_TYPES = [
+    (True, 20.0, 0.0, 20.0), (40.0, 20.0, 0.0, False), (10 ** 400, 20.0, 0.0, 20.0),
+    (40.0, 20.0, -10 ** 5000, 20.0), ("a", 20.0, 0.0, 20.0), (40.0, None, 0.0, 20.0),
+    (40.0, 20.0, 0.0, 1j), (40.0, "20", 0.0, 20.0),
+]
+
+
+@pytest.mark.parametrize(
+    "values", BAD_TYPES,
+    ids=["bool_x_f", "bool_v_r", "big_x_f", "big_x_r", "str_x_f", "none_v_f", "complex_v_r", "str_v_f"],
+)
+@pytest.mark.parametrize(
+    "route", ["positional", "keyword", "_make", "_make_iterator", "_replace"]
+)
+def test_every_route_rejects_values_that_are_no_float(values, route):
+    with pytest.raises(DomainError, match="positions and velocities must be numbers a float holds, not booleans"):
+        _routes(values)[route]()
+
+
+def test_ints_a_float_holds_are_kept_as_given():
+    state = ScenarioState(40, 20, 0, 15)
+    assert state == STATE and repr(state) == "ScenarioState(x_f=40, v_f=20, x_r=0, v_r=15)"
+    assert ScenarioState(2 ** 1000, 0, 0, 0).x_f == 2 ** 1000
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
 def test_replace_of_one_velocity_is_checked(bad):
     # the named-tuple _replace calls tuple.__new__ unless _make is overridden

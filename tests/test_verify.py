@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,30 @@ def test_safety_campaign_draws_a_bounded_block(monkeypatch):
     with pytest.raises(Stop):
         verify_safety_theorem(PAPER, CampaignConfig(n_trials=10 ** 9, include_grid=False))
     assert sizes == [(verify.CHUNK, 2 * 8 + 9)] * 2
+
+
+def test_grid_rides_in_the_first_chunk(monkeypatch):
+    # 1,000 trials with the grid: one worst-case call for the grid's 247 starts
+    # and the trials, one randomized call, each building two profiles
+    calls = []
+    for name in ("analyze_gaps", "build_profiles"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    verify_safety_theorem(PAPER, CampaignConfig(n_trials=1000))
+    assert (calls.count("analyze_gaps"), calls.count("build_profiles")) == (2, 4)
+
+    # every row collides: each counterexample takes its source from its row
+    def colliding(prof_r, prof_f, length):
+        return np.zeros(prof_r.shape[1]), np.zeros(prof_r.shape[1])
+
+    monkeypatch.setattr(verify, "analyze_gaps", colliding)
+    outcome = verify_safety_theorem(PAPER, CampaignConfig(n_trials=1000))
+    kinds = Counter((ce["behavior"], ce["source"]) for ce in outcome.counterexamples)
+    assert kinds == {("worst_case", "grid"): 247, ("worst_case", "random"): 1000, ("randomized", "random"): 1000}
+    outcome = verify_safety_theorem(PAPER, CampaignConfig(n_trials=0))
+    kinds = Counter((ce["behavior"], ce["source"]) for ce in outcome.counterexamples)
+    assert outcome.trials_run == sum(outcome.cases_seen.values()) == 247
+    assert kinds == {("worst_case", "grid"): 247}
 
 
 @pytest.mark.parametrize("supervised", [True, False])
