@@ -2,12 +2,12 @@
 analyze_gap and the supervised and unsupervised campaign episodes.  Each
 branch is a mask, max(0.0, w) is np.where(w > 0.0, w, 0.0), and every value
 comes from the scalar code's float operations in its order, so each row is
-bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py)."""
+bit for bit the scalar result (tests/test_batch.py, tests/test_lockstep.py).
+numpy is imported lazily: importing this module does not execute it."""
 from __future__ import annotations
 
-import numpy as np
-
 from .audit import DEFAULT_ACCEL_TOL
+from .core import np
 from .dynamics import COLLISION_EPS, CollisionEvent, _overflow, check_step, crossing
 from .rule import travel_arithmetic
 from .supervisor import WINDOW_SLACK, decision_grid
@@ -123,6 +123,8 @@ def analyze_gaps(prof_r, prof_f, length: float = 0.0):
     time, NaN where none; min gap), or its DomainError for the first row
     whose walk reads a gap that is not finite.  Repeated breakpoints move
     behind each row's sorted ones, as in the scalar set."""
+    if not prof_r.shape[1]:  # no rows, so no breakpoints to reduce over
+        return np.empty(0), np.empty(0)
     times = np.sort(np.concatenate((prof_r[0], prof_r[1], prof_f[0], prof_f[1]), axis=1))
     times[:, 1:][times[:, 1:] == times[:, :-1]] = np.inf
     times.sort(axis=1)
@@ -189,8 +191,11 @@ def safe_distances(params, v_r, v_f):
     raises."""
     with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
         v_peak = v_r + params.a_max * params.rho
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-            params, v_r, np.float_power(v_peak, 2), np.float_power(v_f, 2))
+        try:
+            response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
+                params, v_r, np.float_power(v_peak, 2), np.float_power(v_f, 2))
+        except OverflowError:  # rho ** 2, for which the scalar form refuses every pair
+            return np.zeros(len(v_r)), np.zeros(len(v_r), bool)
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
     return np.where(raw > 0.0, raw, 0.0), (sv_travel < np.inf) & (pov_brake < np.inf)

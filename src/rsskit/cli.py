@@ -4,6 +4,7 @@ Exit-code contract: 0 = success / property holds, 1 = property failed
 (non-compliant audit, counterexamples found, falsification incomplete),
 2 = usage or validation error, 3 = simulate start state violates the
 safety condition.  This lets the verification suite double as a CI gate.
+numpy is executed only by verify, falsify and simulate --pov random:SEED.
 """
 from __future__ import annotations
 
@@ -11,10 +12,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .audit import DEFAULT_ACCEL_TOL, audit as run_audit
-from .core import ScenarioState, load_json, load_params, read_record
+from .core import ScenarioState, load_json, load_params, np, read_record
 from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
 from .errors import DomainError, InvariantBreach, RssError
 from .report import report_text
@@ -85,6 +84,8 @@ def _make_pov(params, spec):
         seed = spec.split(":", 1)[1]
         if not (seed.isascii() and seed.isdigit()):
             raise RssError(f"POV seed must be a nonnegative integer, got {seed!r}")
+        if len(seed) > sys.get_int_max_str_digits() > 0:  # more digits than int() reads
+            raise RssError(f"POV seed has more than {sys.get_int_max_str_digits()} digits")
         rng = np.random.default_rng(int(seed))
         cuts = np.sort(rng.uniform(0.0, 20.0, size=5))
         accels = rng.uniform(-params.a_brake_max, POV_A_FWD_MAX, size=6)

@@ -6,6 +6,7 @@ immutable; the per-step ones are named tuples, equal to plain value tuples.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import sys
@@ -126,6 +127,22 @@ def _finite(v) -> bool:  # compared: math.isfinite raises on an int too big for 
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def lazy_module(name: str):
+    """sys.modules[name], else a module that importlib's LazyLoader runs on
+    its first attribute access; one that cannot be found raises now."""
+    if sys.modules.get(name) is None:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+np = lazy_module("numpy")  # for the array engines; executed on their first call
+
+
 def load_json(path, what: str):
     """Parse a JSON file; text that is not UTF-8 or not JSON raises
     ConfigError naming the file."""
@@ -202,6 +219,9 @@ class Trajectory:
     params: RssParams
 
     def __post_init__(self) -> None:
+        if type(self.samples) not in (tuple, list) or not all(
+                isinstance(s, TrajectorySample) for s in self.samples):
+            raise DomainError("trajectory samples must be a tuple or list of TrajectorySamples")
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
         if not samples:

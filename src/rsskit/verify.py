@@ -5,17 +5,15 @@ Monte-Carlo plus deterministic-grid checking of: the safety guarantee
 executions), its tightness (gaps at or below the threshold collide under
 the worst case), and supervised-loop safety with adversarial advanced
 controllers.  Campaigns are reproducible: the same seed and config yield
-identical outcomes.
+identical outcomes.  numpy is executed when the first campaign runs.
 """
 from __future__ import annotations
 
 from math import inf, isnan
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from .audit import check_compliance
-from .core import RssParams, ScenarioState, read_record, read_value, shown
+from .core import RssParams, ScenarioState, np, read_record, read_value, shown
 from .batch import (
     analyze_gaps, build_profiles, classify_worst_cases, safe_distances, supervised_lockstep,
     unsupervised_runs,
@@ -224,8 +222,6 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
                                 np.array([[params.a_max, -params.a_brake_min]]), t_end)
         prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
         worst_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "worst_case", len(grid))[len(grid):]
-        if not len(u):
-            return
         n, horizon = len(u), t_end[len(grid):] + 1.0
         gap, v_f, _, v_r = starts.T
         k = cfg.pov_segments_min + (u[:, 3] * (n_f + 1 - cfg.pov_segments_min)).astype(int)

@@ -721,6 +721,17 @@ def test_a_gap_that_overflows_raises_in_both_kernels(v_r, v_f, gap):
     assert str(batch.value) == str(scalar.value)
 
 
+def test_zero_rows_give_empty_results():
+    # build_profiles gives a (5, 0, 0) array for no rows; analyze_gaps
+    # raised numpy's bare ValueError on its empty reduction
+    none = np.zeros(0)
+    prof_r = build_profiles(none, none, np.array([[0.0, 0.3]]), np.array([[2.0, -4.0]]), none)
+    prof_f = build_profiles(none, none, np.zeros((1, 1)), np.array([[-8.0]]), none)
+    assert prof_r.shape == prof_f.shape == (5, 0, 0)
+    col_t, min_gap = analyze_gaps(prof_r, prof_f, 4.5)
+    assert col_t.shape == min_gap.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # the array classification
 

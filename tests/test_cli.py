@@ -429,6 +429,20 @@ def test_simulate_bad_pov_seed_is_usage_error(params_file, tmp_path, capsys, see
     assert f"got {seed!r}" in err
 
 
+def test_simulate_pov_seed_with_too_many_digits_is_usage_error(params_file, tmp_path, capsys):
+    # 5,000 digits pass the digit check, then int() raised ValueError over
+    # its 4,300-digit limit: a traceback, exit 1
+    rc = main([
+        "simulate", "--params", params_file, "--gap", "60", "--v-r", "20", "--v-f", "20",
+        "--pov", "random:" + "7" * 5000, "--out", str(tmp_path / "t.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "POV seed has more than 4300 digits" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("which", ["params", "supervisor", "campaign", "trajectory"])
 def test_input_file_not_utf8_is_usage_error(params_file, tmp_path, capsys, which):
     # UnicodeDecodeError escaped every loader: a traceback, exit 1
@@ -547,6 +561,18 @@ def test_overflowing_gap_in_a_campaign_is_usage_error(tmp_path, capsys, command)
                  "--campaign", str(tmp_path / "campaign.json")]) == 2
     err = capsys.readouterr().err
     assert "the gap is not finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["falsify"], ["verify", "--kind", "supervised"]])
+def test_rho_whose_square_overflows_in_a_campaign_is_usage_error(tmp_path, capsys, argv):
+    # the scalar rule catches the OverflowError of rho ** 2 and refuses the
+    # state; the campaigns' array rule raised it: a traceback, exit 1
+    (tmp_path / "params.json").write_text(json.dumps(dict(PARAMS, rho=1.7976931348623157e308)))
+    (tmp_path / "campaign.json").write_text(json.dumps({"n_trials": 20, "include_grid": False}))
+    assert main(argv + ["--params", str(tmp_path / "params.json"),
+                        "--campaign", str(tmp_path / "campaign.json")]) == 2
+    err = capsys.readouterr().err
+    assert "the safe distance overflows" in err and "Traceback" not in err
 
 
 def test_campaign_report_that_cannot_be_encoded_is_usage_error(

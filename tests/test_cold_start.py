@@ -1,0 +1,113 @@
+"""A fresh interpreter executes numpy only when an array engine first runs.
+
+rsskit binds numpy through core.lazy_module, so importing rsskit.cli,
+building the configs and running safe-distance, simulate (worst or gentle
+POV) and audit never execute it; simulate --pov random:SEED and the
+campaigns do, and give the same bytes as a run in this process, where
+numpy is loaded.  numpy counts as executed once any "numpy." submodule is
+in sys.modules: the lazy module's own attributes are never read, since
+that would load it.  numpy stays a hard dependency: with a meta path
+finder that refuses it, importing rsskit.cli raises ModuleNotFoundError.
+"""
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import rsskit
+from rsskit.cli import main
+
+SRC = str(Path(rsskit.__file__).resolve().parent.parent)
+PAPER = {"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}
+
+# (name, argv, whether the command executes numpy), run in this order from
+# a directory holding params.json and campaign.json
+COMMANDS = [
+    ("safe_distance", ["safe-distance", "--v-r", "20", "--v-f", "15"], False),
+    ("worst", ["simulate", "--gap", "80", "--v-r", "20", "--v-f", "20", "--out", "worst.csv"], False),
+    ("gentle", ["simulate", "--gap", "80", "--v-r", "20", "--v-f", "20", "--pov", "gentle",
+                "--ac", "adversarial", "--out", "gentle.csv"], False),
+    ("audit", ["audit", "--trajectory", "worst.csv", "--out", "audit.json",
+               "--metric-csv", "metric.csv"], False),
+    ("random", ["simulate", "--gap", "60", "--v-r", "15", "--v-f", "15", "--pov", "random:3",
+                "--out", "random.csv"], True),
+    ("verify", ["verify", "--campaign", "campaign.json", "--out", "verify.json"], True),
+]
+FILES = ["worst.csv", "gentle.csv", "audit.json", "metric.csv", "random.csv", "verify.json"]
+
+CHILD = """
+import contextlib, io, json, sys
+ran = lambda: any(key.startswith("numpy.") for key in sys.modules)
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.path.insert(0, sys.argv[1])
+sys.meta_path.insert(0, Refuse())
+try:
+    import rsskit.cli
+    refused = False
+except ModuleNotFoundError:
+    refused = True
+del sys.meta_path[0]
+for key in [k for k in sys.modules if k == "rsskit" or k.startswith("rsskit.")]:
+    del sys.modules[key]
+result = {"refused": refused, "before": ran()}
+
+import rsskit.cli
+from rsskit.core import validate_params
+from rsskit.supervisor import SupervisorConfig
+from rsskit.verify import CampaignConfig
+params = validate_params(json.loads(sys.argv[2]))
+SupervisorConfig().validate_against(params)
+CampaignConfig(seed=0, n_trials=1000)
+result["probe"] = ran()
+for name, argv, _ in json.loads(sys.argv[3]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = rsskit.cli.main(argv + ["--params", "params.json"])
+    result[name] = [rc, out.getvalue(), ran()]
+print(json.dumps(result))
+"""
+
+
+def _prepare(directory):
+    (directory / "params.json").write_text(json.dumps(PAPER))
+    (directory / "campaign.json").write_text(json.dumps({"seed": 5, "n_trials": 20}))
+
+
+def _read(path):
+    """The file's text without the report's generation time, the one line
+    that differs between two runs."""
+    return "".join(line for line in path.read_text().splitlines(True)
+                   if '"generated_at"' not in line)
+
+
+def test_numpy_is_executed_only_by_the_array_engines(tmp_path, monkeypatch):
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    _prepare(cold)
+    _prepare(warm)
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, SRC, json.dumps(PAPER), json.dumps(COMMANDS)],
+        capture_output=True, text=True, timeout=60, cwd=cold,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["refused"]
+    assert not result["before"] and not result["probe"]
+
+    monkeypatch.chdir(warm)
+    for name, argv, executes_numpy in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(argv + ["--params", "params.json"])
+        assert result[name] == [rc, out.getvalue(), executes_numpy], name
+    assert result["audit"][0] == 0 and result["verify"][0] == 0
+    for name in FILES:
+        assert _read(cold / name) == _read(warm / name), name

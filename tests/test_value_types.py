@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from rsskit.core import AC, ScenarioState, TrajectorySample
+from rsskit.core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.errors import DomainError
 from rsskit.response import BRAKING, ResponsePhase
 from rsskit.rule import SafetyEvaluation
@@ -102,6 +102,15 @@ def test_wrong_field_count_is_rejected():
         ScenarioState._make((1.0, 1.0, 0.0))
     with pytest.raises(TypeError):
         ScenarioState(1.0, 1.0, 0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("samples", [0, None, "12", 1.5, (STATE,), [None], {}],
+                         ids=["int", "none", "str", "float", "state", "list_of_none", "dict"])
+def test_trajectory_refuses_samples_that_are_not_trajectory_samples(samples):
+    # found by tests/test_api_fuzz.py: Trajectory(0, ...) raised TypeError
+    # from tuple(), and Trajectory("12", ...) AttributeError from "1".t
+    with pytest.raises(DomainError, match="tuple or list of TrajectorySamples"):
+        Trajectory(samples, RssParams(0.3, 2.0, 4.0, 8.0))
 
 
 def test_pickle_and_copy_keep_the_type_and_value():
