@@ -191,11 +191,9 @@ def safe_distances(params, v_r, v_f):
     raises."""
     with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
         v_peak = v_r + params.a_max * params.rho
-        try:
-            response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-                params, v_r, np.float_power(v_peak, 2), np.float_power(v_f, 2))
-        except OverflowError:  # rho ** 2, for which the scalar form refuses every pair
-            return np.zeros(len(v_r)), np.zeros(len(v_r), bool)
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
+            params, v_r, np.float_power(params.rho, 2), np.float_power(v_peak, 2),
+            np.float_power(v_f, 2))
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
     return np.where(raw > 0.0, raw, 0.0), (sv_travel < np.inf) & (pov_brake < np.inf)

@@ -31,7 +31,7 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
         )
     try:
         response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-            params, v_r, (v_r + params.a_max * params.rho) ** 2, v_f ** 2)
+            params, v_r, params.rho ** 2, (v_r + params.a_max * params.rho) ** 2, v_f ** 2)
     except OverflowError:  # ** raises where * and / give inf
         response_travel = response_gain = sv_brake = pov_brake = inf
     # an overflowing term makes d_min inf or, as inf - inf, NaN
@@ -40,17 +40,17 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     return response_travel, response_gain, sv_brake, pov_brake
 
 
-def travel_arithmetic(params: RssParams, v_r, v_peak_sq, v_f_sq):
+def travel_arithmetic(params: RssParams, v_r, rho_sq, v_peak_sq, v_f_sq):
     """travel_terms' arithmetic without its checks, on floats or numpy
-    arrays, from v_r and the squares of the SV's peak speed v_r + a_max*rho
-    and of v_f.  Both callers square with libm pow, so the terms agree bit
-    for bit: ** on a float, np.float_power on an array (x*x and np.power
-    can differ by an ulp).  This holds while numpy has no vectorised
-    float64 loop for float_power, as in numpy 2.4.6;
+    arrays, from v_r and the squares of rho, of the SV's peak speed
+    v_r + a_max*rho and of v_f.  Both callers square with libm pow, so the
+    terms agree bit for bit: ** on a float, np.float_power on an array (x*x
+    and np.power can differ by an ulp).  This holds while numpy has no
+    vectorised float64 loop for float_power, as in numpy 2.4.6;
     tests/test_lockstep.py::test_float_power_squares_as_pow guards it."""
     return (
         v_r * params.rho,
-        0.5 * params.a_max * params.rho ** 2,
+        0.5 * params.a_max * rho_sq,
         v_peak_sq / (2.0 * params.a_brake_min),
         v_f_sq / (2.0 * params.a_brake_max),
     )
