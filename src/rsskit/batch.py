@@ -189,11 +189,8 @@ def safe_distances(params, v_r, v_f):
     """rule.safe_distance of each pair of speeds in [0, inf), bit for bit,
     and whether it is defined: no travel overflows, where the scalar form
     raises."""
-    with np.errstate(over="ignore", invalid="ignore"):  # pow overflows to inf
-        v_peak = v_r + params.a_max * params.rho
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-            params, v_r, np.float_power(params.rho, 2), np.float_power(v_peak, 2),
-            np.float_power(v_f, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a square overflows to inf
+        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
         sv_travel = response_travel + response_gain + sv_brake
         raw = sv_travel - pov_brake
     return np.where(raw > 0.0, raw, 0.0), (sv_travel < np.inf) & (pov_brake < np.inf)

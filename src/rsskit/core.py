@@ -226,6 +226,11 @@ class Trajectory:
         object.__setattr__(self, "samples", samples)
         if not samples:
             raise EmptyTrajectory("trajectory must contain at least one sample")
+        for i, s in enumerate(samples):
+            if not (_finite(s.t) and _finite(s.a_r) and isinstance(s.state, ScenarioState)
+                    and isinstance(s.mode, str) and s.mode in (AC, BC)):
+                raise DomainError(f"sample {i} needs finite numbers t and a_r, a ScenarioState "
+                                  f"and mode {AC!r} or {BC!r}, got {shown(s)}")
         for prev, cur in zip(samples, samples[1:]):
             if not cur.t > prev.t:
                 raise DomainError(

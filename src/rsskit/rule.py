@@ -9,6 +9,7 @@ between the vehicles (gap minus vehicle_length) to strictly exceed it.
 from __future__ import annotations
 
 from math import inf
+from sys import float_info
 from typing import NamedTuple
 
 from .core import RssParams, ScenarioState
@@ -24,35 +25,32 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     are sums of these terms.  Speeds outside [0, inf) and terms that
     overflow raise DomainError.
     """
-    # written so that NaN fails too
-    if not (0 <= v_r < inf and 0 <= v_f < inf):
+    # written so that NaN fails too, and an int that no float holds
+    if not (0 <= v_r <= float_info.max and 0 <= v_f <= float_info.max):
         raise DomainError(
             f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
         )
-    try:
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-            params, v_r, params.rho ** 2, (v_r + params.a_max * params.rho) ** 2, v_f ** 2)
-    except OverflowError:  # ** raises where * and / give inf
-        response_travel = response_gain = sv_brake = pov_brake = inf
+    # as floats, as the array rule reads them: an int squares to an int
+    response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
+        params, float(v_r), float(v_f))
     # an overflowing term makes d_min inf or, as inf - inf, NaN
     if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
         raise DomainError(f"the safe distance overflows at v_r={v_r!r}, v_f={v_f!r}")
     return response_travel, response_gain, sv_brake, pov_brake
 
 
-def travel_arithmetic(params: RssParams, v_r, rho_sq, v_peak_sq, v_f_sq):
+def travel_arithmetic(params: RssParams, v_r, v_f):
     """travel_terms' arithmetic without its checks, on floats or numpy
-    arrays, from v_r and the squares of rho, of the SV's peak speed
-    v_r + a_max*rho and of v_f.  Both callers square with libm pow, so the
-    terms agree bit for bit: ** on a float, np.float_power on an array (x*x
-    and np.power can differ by an ulp).  This holds while numpy has no
-    vectorised float64 loop for float_power, as in numpy 2.4.6;
-    tests/test_lockstep.py::test_float_power_squares_as_pow guards it."""
+    arrays.  It squares by multiplication, which IEEE rounds correctly in
+    Python and numpy alike, so both engines' terms agree bit for bit and
+    scale exactly under power-of-two unit rescaling; a square that
+    overflows is inf."""
+    v_peak = v_r + params.a_max * params.rho
     return (
         v_r * params.rho,
-        0.5 * params.a_max * rho_sq,
-        v_peak_sq / (2.0 * params.a_brake_min),
-        v_f_sq / (2.0 * params.a_brake_max),
+        0.5 * params.a_max * (params.rho * params.rho),
+        v_peak * v_peak / (2.0 * params.a_brake_min),
+        v_f * v_f / (2.0 * params.a_brake_max),
     )
 
 

@@ -1,5 +1,6 @@
 """Fuzz of the Python API: every constructor in rsskit.__all__, plus
-CampaignConfig, and the three campaign entry points.
+CampaignConfig, a Trajectory of drawn TrajectorySamples, and the three
+campaign entry points.
 
 Each field is drawn from unbounded ints, bools, every float (NaN, inf,
 subnormals, +-max), numeric strings and None, and two times in three from
@@ -8,7 +9,8 @@ Whatever the values, a call returns a value or raises an RssError, never
 another exception, and what it returns encodes through report.report_text
 in the role it has in a report: a parameter set as the params, a config as
 the config, a state as outcome values and a campaign outcome as the
-outcome.  The campaigns run at most 20 trials, from the paper's parameters
+outcome.  A Trajectory that builds must audit to a report or an RssError.
+The campaigns run at most 20 trials, from the paper's parameters
 and the default configs with about one field in twelve drawn instead.
 """
 import dataclasses
@@ -17,7 +19,8 @@ import sys
 from hypothesis import event, given, settings, strategies as st
 
 import rsskit
-from rsskit.core import RssParams, ScenarioState
+from rsskit.audit import audit
+from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.errors import RssError
 from rsskit.report import report_text
 from rsskit.supervisor import SupervisorConfig
@@ -42,6 +45,13 @@ TRIALS = st.one_of(st.integers(max_value=20), *NOT_INTS)
 CONSTRUCTORS = [getattr(rsskit, name) for name in rsskit.__all__
                 if isinstance(getattr(rsskit, name), type)] + [CampaignConfig]
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
+# a sample's state and mode are valid two times in three, else any value
+STATE = st.just(ScenarioState(40.0, 20.0, 0.0, 20.0))
+MODE = st.sampled_from([AC, BC])
+SAMPLES = st.lists(st.builds(
+    TrajectorySample, FIELD, st.sampled_from([STATE, STATE, VALUES]).flatmap(lambda s: s),
+    FIELD, st.sampled_from([MODE, MODE, st.one_of(st.text(max_size=2), VALUES)]).flatmap(lambda s: s)),
+    min_size=1, max_size=3)
 CAMPAIGN = {"seed": 0, "n_trials": 20, "include_grid": False}
 
 
@@ -101,6 +111,15 @@ def test_constructors_return_a_value_or_raise_an_rss_error(case):
     event(f"{cls.__name__} {'refused' if value is None else 'built'}")
     if value is not None:
         _encode(value)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(SAMPLES)
+def test_trajectories_of_drawn_samples_audit_or_raise_an_rss_error(samples):
+    traj = _call(Trajectory, samples, PAPER)
+    event(f"Trajectory {'refused' if traj is None else 'built'}")
+    if traj is not None:
+        _call(audit, traj)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)

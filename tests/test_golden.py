@@ -43,7 +43,7 @@ CAMPAIGN_SHA256 = {
     "negative": "ccb23132f9564726c8f655b2ea04ca0df08c4b01efa3638055e1aabe104e8d47",
     # the (v_r, v_f, gap) starts the "falsify" campaign hands the worst case,
     # in order: its outcome holds only counts, which no draw moves
-    "falsify_starts": "e4e3456a97baabc0a562729c84b3e0bbc5f767aa0ff0b045e6eaf052bd71c470",
+    "falsify_starts": "80a98e2e15a4be3799b282ab512534eddfb5f3dc192ca6d85457a02f5fcdc4b5",
 }
 
 SIMULATIONS = {
@@ -96,7 +96,7 @@ AUDIT_EXIT = {"benign": 0, "adversarial": 0, "unsupervised": 1}
 AUDIT_REPORT_SHA256 = {
     "benign": "09f1e0ff4c4007ba9d1b07130c58ec3a06667300754e70c39050a657fa468906",
     "adversarial": "922ec20131f906f877fb861755355d19e9c7ef6a4c3287836d09477e87116775",
-    "unsupervised": "08c5abf00f5468abd65ac517cc7d3a215874c0bd1b2d29852176e60e76eb8a54",
+    "unsupervised": "c55804b0c9142df09b15a60ba47eeff9c4e0dccd41a87a321f34d324c28dd5e0",
 }
 
 AUDIT_METRIC_SHA256 = {

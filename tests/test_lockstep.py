@@ -11,10 +11,10 @@ config matrix covers at least 10,000 episodes.  Row by row, each episode
 the engine finishes must have the scalar run's engagement count and
 compliance verdict, and on campaign starts it must finish every episode
 itself, as a campaign that handed back every row would still compare
-equal.  The array safety margin squares with np.float_power, which calls
-libm pow as Python's ** does, so it is the scalar margin bit for bit; the
-near-threshold tests pin that premise and the margins where x*x would
-differ.
+equal.  Both engines' safety margins square by multiplication, which is
+correctly rounded in Python and numpy alike, so the array margin is the
+scalar one bit for bit; the near-threshold tests pin that on speeds where
+libm pow would square differently.
 """
 import math
 import sys
@@ -26,7 +26,7 @@ import pytest
 
 from rsskit.audit import check_compliance
 from rsskit import dynamics
-from rsskit.batch import margins, supervised_lockstep, unsupervised_runs
+from rsskit.batch import margins, safe_distances, supervised_lockstep, unsupervised_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import worst_case_pov
 from rsskit.errors import DomainError, RssError
@@ -247,7 +247,7 @@ def test_negative_control_ends_at_the_horizon():
 
 def pow_differs(params, rng, count):
     """Seeded (v_r, v_f) where x*x and pow give a different v_peak or v_f
-    square, so a margin squared by x*x would differ from the scalar one."""
+    square, so an engine squaring by pow would give a different margin."""
     found = []
     v_peak = params.a_max * params.rho
     while len(found) < count:
@@ -290,22 +290,34 @@ def first_overflowing_square():
     return v
 
 
-def test_float_power_squares_as_pow():
-    # batch.margins squares with np.float_power where the scalar travel
-    # terms square with **; x*x and np.power differ from ** on some of these
+@pytest.mark.parametrize("params", [PAPER, RssParams(0.3, 2.0, 0.1, 0.2)], ids=["paper", "weak_brakes"])
+def test_safe_distances_match_the_scalar_bit_for_bit(params):
+    # both engines square by multiplication: batch.safe_distances is
+    # rule.safe_distance bit for bit, and undefined exactly where it raises
     rng = np.random.default_rng(13)
-    edge = first_overflowing_square()
+    size = 10_000
     families = {
-        "speeds": rng.uniform(0.0, 60.0, 200_000),
-        "v_peak": rng.uniform(0.0, 60.0, 200_000) + PAPER.a_max * PAPER.rho,
-        "log_uniform": np.exp2(rng.uniform(-1074.0, 1024.0, 200_000)),
-        "overflow_edge": edge * rng.uniform(0.999, 1.001, 100_000),
-        "subnormal": rng.uniform(0.0, 2.0 ** -1022, 100_000),
+        "speeds": rng.uniform(0.0, 60.0, size),
+        "v_peak": rng.uniform(0.0, 60.0, size) + params.a_max * params.rho,
+        "log_uniform": np.exp2(rng.uniform(-1074.0, 1024.0, size)),
+        "overflow_edge": first_overflowing_square() * rng.uniform(0.999, 1.001, size),
+        "subnormal": rng.uniform(0.0, 2.0 ** -1022, size),
     }
     for name, v in families.items():
-        with np.errstate(over="ignore", under="ignore"):
-            got = np.float_power(v, 2)
-        assert (got == [pow_square(x) for x in v.tolist()]).all(), name
+        # each speed as v_r and as v_f, against another of the family and 0
+        v_r = np.concatenate((v, v, np.zeros(size)))
+        v_f = np.concatenate((rng.permutation(v), np.zeros(size), v))
+        d_min, defined = safe_distances(params, v_r, v_f)
+        want = []
+        for a, b in zip(v_r.tolist(), v_f.tolist()):
+            try:
+                want.append(safe_distance(params, a, b))
+            except DomainError:
+                want.append(None)
+        assert defined.tolist() == [w is not None for w in want], name
+        assert d_min[defined].tolist() == [w for w in want if w is not None], name
+        if name == "log_uniform" or (name == "overflow_edge" and params is PAPER):
+            assert 0 < defined.sum() < len(want), name  # the edge is among the draws
 
 
 @pytest.mark.parametrize("params", [PAPER, LONG], ids=["length0", "length4.5"])

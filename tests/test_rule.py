@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsskit.batch import safe_distances
 from rsskit.core import RssParams
 from rsskit.dynamics import pov_stop_distance, sv_stop_distance
 from rsskit.errors import DomainError
@@ -16,6 +18,7 @@ from rsskit.rule import (
 )
 
 from conftest import state
+from exact import square
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
 
@@ -87,12 +90,13 @@ def test_rejects_speeds_whose_terms_overflow():
 
 
 def reference_travel_terms(params, v_r, v_f):
+    """The four travels, from squares rounded once from the exact value."""
     v_peak = v_r + params.a_max * params.rho
     return (
         v_r * params.rho,
-        0.5 * params.a_max * params.rho ** 2,
-        v_peak ** 2 / (2.0 * params.a_brake_min),
-        v_f ** 2 / (2.0 * params.a_brake_max),
+        0.5 * params.a_max * square(params.rho),
+        square(v_peak) / (2.0 * params.a_brake_min),
+        square(v_f) / (2.0 * params.a_brake_max),
     )
 
 
@@ -103,6 +107,50 @@ def test_overflow_check_changes_no_in_range_bit():
                            a_brake_max=20.0 + rng.uniform(0.0, 10.0))
         v_r, v_f = 10.0 ** rng.uniform(-3.0, 153.0, size=2)
         assert travel_terms(params, v_r, v_f) == reference_travel_terms(params, v_r, v_f)
+
+
+def test_the_overflow_edge_is_a_domain_error_in_both_engines():
+    # speeds within 0.1 % of sqrt(max float), whose square is inf or just
+    # below it, and rho on both sides of it: the scalar rule gives the
+    # reference travels or raises DomainError (never OverflowError), and
+    # the array rule marks exactly those rows undefined
+    rng = np.random.default_rng(19)
+    root = math.sqrt(sys.float_info.max)  # 1.3408e154
+    near = (root * rng.uniform(0.999, 1.001, 300)).tolist()
+    pairs = [(v, 0.0) for v in near] + [(0.0, v) for v in near] + list(zip(near, near[::-1]))
+    cases = [(PAPER, pairs), (RssParams(0.3, 2.0, 0.1, 0.2), pairs)]
+    for rho in (1.34e154 * rng.uniform(0.999, 1.002, 40)).tolist():
+        for a_max in (0.0, 0.01, 2.0):
+            cases.append((RssParams(rho, a_max, 4.0, 8.0), [(0.0, 0.0), (1.0, 0.0), (0.0, 1e150)]))
+    raised = 0
+    for params, speeds in cases:
+        v_r, v_f = np.array(speeds).T
+        d_min, defined = safe_distances(params, v_r, v_f)
+        for j, (a, b) in enumerate(speeds):
+            try:
+                terms = travel_terms(params, a, b)
+            except DomainError:
+                raised += 1
+                assert not defined[j]
+                for f in (lambda: safe_distance(params, a, b), lambda: evaluate(params, state(1e300, a, b))):
+                    with pytest.raises(DomainError, match="overflows"):
+                        f()
+                continue
+            assert terms == reference_travel_terms(params, a, b)
+            assert defined[j] and d_min[j] == safe_distance(params, a, b)
+            assert evaluate(params, state(1e300, a, b)).d_min == d_min[j]
+    assert 0 < raised < sum(len(speeds) for _, speeds in cases)
+
+
+@pytest.mark.parametrize("v_r, v_f", [(10 ** 200, 0), (0, 10 ** 200), (10 ** 400, 0), (0, 10 ** 400)])
+def test_int_speeds_whose_square_no_float_holds_are_a_domain_error(v_r, v_f):
+    # an int squared by * stays an int, and an int past max float divided
+    # by a float raises OverflowError; the rule reads its speeds as floats
+    with pytest.raises(DomainError):
+        safe_distance(PAPER, v_r, v_f)
+    with pytest.raises(DomainError):
+        evaluate(PAPER, state(1e300, v_r, v_f))
+    assert safe_distance(PAPER, 20, 20) == safe_distance(PAPER, 20.0, 20.0)
 
 
 @given(v_r=speeds, v_f=speeds)

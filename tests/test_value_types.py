@@ -113,6 +113,22 @@ def test_trajectory_refuses_samples_that_are_not_trajectory_samples(samples):
         Trajectory(samples, RssParams(0.3, 2.0, 4.0, 8.0))
 
 
+@pytest.mark.parametrize("fields", [
+    (None, STATE, 0.0), (math.nan, STATE, 0.0), (True, STATE, 0.0), (0.0, None, 0.0),
+    (0.0, tuple(STATE), 0.0), (0.0, STATE, "x"), (0.0, STATE, math.inf), (0.0, STATE, 10 ** 400),
+    (0.0, STATE, 0.0, "Q"), (0.0, STATE, 0.0, None),
+], ids=["t_none", "t_nan", "t_bool", "state_none", "state_tuple", "a_r_str", "a_r_inf",
+        "a_r_big_int", "mode_q", "mode_none"])
+def test_trajectory_refuses_samples_with_bad_fields(fields):
+    # a None time raised TypeError from the timestamp check, a None state
+    # was accepted and audit raised AttributeError, and a mode "Q" with
+    # a_r "x" audited as compliant
+    bad = TrajectorySample(*fields)
+    for samples in ((bad,), (TrajectorySample(-1.0, STATE, 0.0), bad)):
+        with pytest.raises(DomainError, match=f"sample {len(samples) - 1} needs finite numbers"):
+            Trajectory(samples, RssParams(0.3, 2.0, 4.0, 8.0))
+
+
 def test_pickle_and_copy_keep_the_type_and_value():
     for clone in (pickle.loads(pickle.dumps(STATE)), copy.copy(STATE), copy.deepcopy(STATE)):
         assert type(clone) is ScenarioState and clone == STATE
