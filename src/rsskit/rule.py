@@ -12,7 +12,7 @@ from math import inf
 from sys import float_info
 from typing import NamedTuple
 
-from .core import RssParams, ScenarioState
+from .core import RssParams, ScenarioState, shown
 from .errors import DomainError
 
 
@@ -25,11 +25,14 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     are sums of these terms.  Speeds outside [0, inf) and terms that
     overflow raise DomainError.
     """
-    # written so that NaN fails too, and an int that no float holds
-    if not (0 <= v_r <= float_info.max and 0 <= v_f <= float_info.max):
-        raise DomainError(
-            f"velocities must be finite and >= 0, got v_r={v_r!r}, v_f={v_f!r}"
-        )
+    # written so that NaN fails too, and an int that no float holds; a bool
+    # or a value that is no number is no speed, as ScenarioState has it
+    try:
+        speeds = 0 <= v_r <= float_info.max and 0 <= v_f <= float_info.max
+    except TypeError:
+        speeds = False
+    if not speeds or v_r is True or v_r is False or v_f is True or v_f is False:
+        raise DomainError(f"velocities must be finite and >= 0, got v_r={shown(v_r)}, v_f={shown(v_f)}")
     # as floats, as the array rule reads them: an int squares to an int
     response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
         params, float(v_r), float(v_f))

@@ -36,13 +36,7 @@ MAX_POV_SEGMENTS = 1000
 # which peaks under 5 MB traced by tracemalloc, grid included; longer POV
 # schedules run proportionally fewer.  Trial i reads row i whatever the chunk.
 CHUNK = 1024
-# Rows (v_r, v_f, u_gap) per Generator call of the falsification, whatever
-# n_trials; the block size does not change which row an attempt reads.
-FALSIFY_BLOCK = 2 ** 14
-# Trials per supervised campaign, which draws every start at once: tracemalloc
-# peaks of 0.1 kB a trial, 0.22 kB in the negative control, at 100k trials.
-MAX_SUPERVISED_TRIALS = 10 ** 5
-# Episodes per supervised or negative-control engine call, which bounds the
+# Episodes per draw of supervised starts and per engine call, which bounds the
 # step blocks' arrays: 10k supervised episodes peak at 44 MB resident (6.9 MB
 # traced by tracemalloc), and at 63 MB (26 MB) in one call.
 ROWS = 2 ** 11
@@ -288,9 +282,9 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 if d > 0.0:
                     trial(v_r, v_f, d + params.vehicle_length, "grid_boundary")
 
-    # Attempt a reads row a of (v_r, v_f, u_gap) rows, drawn in blocks that
-    # hold no attempt past the last trial or the cap; a pair with d_min <= 0
-    # is no trial, and every tenth trial starts on the boundary.
+    # Attempt a reads row a of (v_r, v_f, u_gap) rows, drawn in blocks of at
+    # most CHUNK that hold no attempt past the last trial or the cap; a pair
+    # with d_min <= 0 is no trial, and every tenth trial starts on the boundary.
     attempts = done = 0
     cap = 100 * max(1, cfg.n_trials)
     while done < cfg.n_trials:
@@ -299,7 +293,7 @@ def falsify_below_threshold(params: RssParams, cfg: CampaignConfig) -> CampaignO
                 "sampled velocity ranges never produce a positive safe distance; "
                 "nothing to falsify"
             )
-        u = rng.random((min(cfg.n_trials - done, cap - attempts, FALSIFY_BLOCK), 3))
+        u = rng.random((min(cfg.n_trials - done, cap - attempts, CHUNK), 3))
         attempts += len(u)
         v_r, v_f = _uniform(cfg.v_min, cfg.v_max, u[:, :2].T)
         d, defined = _safe_distances(params, v_r, v_f)
@@ -334,36 +328,35 @@ def verify_supervised_safety(
     hand back run through run_supervised and check_compliance in trial
     order, so errors and counterexamples are the scalar path's.
     """
-    if cfg.n_trials > MAX_SUPERVISED_TRIALS:  # before the starts are drawn
-        raise ConfigError(f"supervised n_trials must be <= {MAX_SUPERVISED_TRIALS}, got {shown(cfg.n_trials)}")
     rng = np.random.default_rng(cfg.seed)
-    starts, ok = _starts(params, cfg, rng.random((cfg.n_trials, 3)))
-    n = len(ok) if ok.all() else int(ok.argmin())  # the trials before the first refused one
-    fallback, eng, compliant = np.zeros(n, bool), np.zeros(n, int), np.ones(n, bool)
-    collision = np.full(n, None, object)
     engine = supervised_lockstep if supervised else unsupervised_runs
-    for lo in range(0, n, ROWS):
-        parts = engine(params, sup_cfg, starts[lo:min(n, lo + ROWS)], cfg.sim_dt, 60.0)
-        for z, part in zip((fallback, eng, compliant) if supervised else (fallback, collision), parts):
-            z[lo:lo + ROWS] = part
-
-    for j in np.flatnonzero(fallback).tolist():  # the scalar path, and oracle
-        trace = run_supervised(params, sup_cfg, ScenarioState(*starts[j].tolist()), adversarial_ac(params),
-                               worst_case_pov(params), dt=cfg.sim_dt, t_end=60.0, supervised=supervised)
-        eng[j], collision[j] = trace.bc_engagements, trace.collision
-        compliant[j] = not supervised or check_compliance(trace.to_trajectory())[0]
-    _refuse(params, starts, ok)  # once the trials before it have run
-
-    collided = np.array([c is not None for c in collision.tolist()], bool)
-    found = []
-    for j in np.flatnonzero((collided & supervised) | ~compliant).tolist():
-        g, f, _, r = starts[j].tolist()
-        ce = {"v_r": r, "v_f": f, "gap": g, "behavior": "adversarial_ac"}
-        if collided[j] and supervised:
-            found.append({**ce, "collision_t": collision[j].t, "source": "random"})
-        if not compliant[j]:
-            found.append({**ce, "collision_t": None, "source": "noncompliant"})
-    stats = {"collisions": int(collided.sum()), "noncompliant": int(n - compliant.sum()),
-             "bc_engagements": int(eng.sum())}
-    return CampaignOutcome("supervised" if supervised else "supervised_negative", n,
-                           sorted(found, key=_state_key), stats=stats)
+    outcome = CampaignOutcome("supervised" if supervised else "supervised_negative",
+                              stats={"collisions": 0, "noncompliant": 0, "bc_engagements": 0})
+    for lo in range(0, cfg.n_trials, ROWS):  # a chunk's row i is trial lo + i, whatever ROWS
+        starts, ok = _starts(params, cfg, rng.random((min(ROWS, cfg.n_trials - lo), 3)))
+        n = len(ok) if ok.all() else int(ok.argmin())  # the trials before the first refused one
+        fallback, eng, compliant = np.zeros(n, bool), np.zeros(n, int), np.ones(n, bool)
+        collision = np.full(n, None, object)
+        if n:  # the chunk's first start is not refused
+            parts = engine(params, sup_cfg, starts[:n], cfg.sim_dt, 60.0)
+            for z, part in zip((fallback, eng, compliant) if supervised else (fallback, collision), parts):
+                z[:] = part
+        for j in np.flatnonzero(fallback).tolist():  # the scalar path, and oracle
+            trace = run_supervised(params, sup_cfg, ScenarioState(*starts[j].tolist()), adversarial_ac(params),
+                                   worst_case_pov(params), dt=cfg.sim_dt, t_end=60.0, supervised=supervised)
+            eng[j], collision[j] = trace.bc_engagements, trace.collision
+            compliant[j] = not supervised or check_compliance(trace.to_trajectory())[0]
+        _refuse(params, starts, ok)  # once the trials before it have run
+        collided = np.array([c is not None for c in collision.tolist()], bool)
+        for j in np.flatnonzero((collided & supervised) | ~compliant).tolist():
+            g, f, _, r = starts[j].tolist()
+            ce = {"v_r": r, "v_f": f, "gap": g, "behavior": "adversarial_ac"}
+            if collided[j] and supervised:
+                outcome.counterexamples.append({**ce, "collision_t": collision[j].t, "source": "random"})
+            if not compliant[j]:
+                outcome.counterexamples.append({**ce, "collision_t": None, "source": "noncompliant"})
+        outcome.trials_run += n
+        for key, count in zip(outcome.stats, (collided.sum(), n - compliant.sum(), eng.sum())):
+            outcome.stats[key] += int(count)
+    outcome.counterexamples.sort(key=_state_key)
+    return outcome

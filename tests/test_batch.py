@@ -621,7 +621,7 @@ def test_campaign_outcome_does_not_depend_on_the_chunk(seed, length, fields, mon
 def test_falsification_outcome_does_not_depend_on_the_block(params, fields, monkeypatch):
     cfg = CampaignConfig(**fields)
     want = outcome_or_error(falsify_below_threshold, params, cfg)
-    monkeypatch.setattr(verify, "FALSIFY_BLOCK", 7)
+    monkeypatch.setattr(verify, "CHUNK", 7)
     assert repr(outcome_or_error(falsify_below_threshold, params, cfg)) == repr(want)
 
 

@@ -497,18 +497,6 @@ def test_simulate_too_many_steps_is_usage_error(params_file, tmp_path, capsys, e
     assert "more than 1000000 steps" in capsys.readouterr().err
 
 
-def test_verify_supervised_too_many_trials_is_usage_error(params_file, tmp_path, capsys):
-    # numpy's "array is too big" ValueError ended in a traceback with exit 1
-    campaign = tmp_path / "campaign.json"
-    campaign.write_text(json.dumps({"n_trials": 2 ** 62}))
-    rc = main(["verify", "--params", params_file, "--campaign", str(campaign),
-               "--kind", "supervised"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "Traceback" not in err
-    assert f"got {2 ** 62}" in err
-
-
 def test_verify_too_many_pov_segments_is_usage_error(params_file, tmp_path, capsys):
     # 1e8 segments tried to allocate 1e8-float arrays for every trial
     campaign = tmp_path / "campaign.json"

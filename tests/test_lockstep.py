@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from rsskit.audit import check_compliance
-from rsskit import dynamics
+from rsskit import dynamics, verify
 from rsskit.batch import margins, safe_distances, supervised_lockstep, unsupervised_runs
 from rsskit.core import RssParams, ScenarioState
 from rsskit.dynamics import worst_case_pov
@@ -164,6 +164,20 @@ def test_negative_control_matches_the_scalar_loop(name):
     cfg = CampaignConfig(seed=len(name), n_trials=min(n, 500), **fields)
     want = result(scalar_campaign, params, sup_cfg, cfg, supervised=False)
     assert result(verify_supervised_safety, params, sup_cfg, cfg, supervised=False) == want
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "negative"])
+@pytest.mark.parametrize("name", ["default", "margin_max_1e-9", "negative_speeds", "gap_overflow", "no_trials"])
+def test_campaign_does_not_depend_on_the_chunk(name, supervised, monkeypatch):
+    # chunks of 7 starts: margin_max_1e-9 hands every episode back to the
+    # scalar path, chunk by chunk, and negative_speeds and gap_overflow
+    # refuse a start past the first chunk (trials 27 and 41)
+    params, sup_fields, fields, n = MATRIX[name]
+    sup_cfg = SupervisorConfig(**sup_fields)
+    cfg = CampaignConfig(seed=len(name), n_trials=min(n, 500), **fields)
+    want = result(scalar_campaign, params, sup_cfg, cfg, supervised=supervised)
+    monkeypatch.setattr(verify, "ROWS", 7)
+    assert result(verify_supervised_safety, params, sup_cfg, cfg, supervised=supervised) == want
 
 
 def test_negative_control_memory_is_bounded_in_trials():

@@ -153,6 +153,27 @@ def test_int_speeds_whose_square_no_float_holds_are_a_domain_error(v_r, v_f):
     assert safe_distance(PAPER, 20, 20) == safe_distance(PAPER, 20.0, 20.0)
 
 
+@pytest.mark.parametrize("bad", ["a", None, 1j, [1.0], True, False, 10 ** 5000],
+                         ids=["str", "None", "complex", "list", "True", "False", "int_5000_digits"])
+def test_speeds_that_scenario_state_refuses_are_a_domain_error(bad):
+    # a non-number raised TypeError from the range check, a bool read as 0 or
+    # 1 m/s, and a 5,000-digit int's message raised ValueError
+    entries = [lambda: safe_distance(PAPER, bad, 1.0), lambda: safe_distance(PAPER, 1.0, bad),
+               lambda: safe_distance_raw(PAPER, bad, 1.0), lambda: safe_distance_terms(PAPER, 1.0, bad),
+               lambda: sv_stop_distance(PAPER, bad), lambda: pov_stop_distance(PAPER, bad)]
+    for entry in entries:
+        with pytest.raises(DomainError, match="velocities must be finite"):
+            entry()
+    with pytest.raises(DomainError):
+        state(1e300, bad, 1.0)
+
+
+def test_numpy_and_int_speeds_keep_their_values():
+    assert safe_distance(PAPER, np.float64(20.0), np.float64(10.0)) == safe_distance(PAPER, 20.0, 10.0)
+    assert safe_distance(PAPER, np.int64(20), 10) == safe_distance(PAPER, 20.0, 10.0)
+    assert sv_stop_distance(PAPER, 1) == sv_stop_distance(PAPER, 1.0)
+
+
 @given(v_r=speeds, v_f=speeds)
 def test_nonnegative(v_r, v_f):
     assert safe_distance(PAPER, v_r, v_f) >= 0.0

@@ -1,4 +1,5 @@
-"""Power-of-two unit rescaling of the safe-distance rule, in both engines.
+"""Power-of-two unit rescaling of the safe-distance rule and the closed-form
+gap kernels, in both engines.
 
 Multiplying by a power of two is exact in binary floating point, barring
 overflow and underflow, and +, -, *, / of exactly scaled operands round
@@ -13,11 +14,17 @@ the exactly scaled result.  So, with no oracle:
 Both hold only if every square is correctly rounded: squared by libm pow,
 d_min missed by an ulp on a few draws.  The draws keep every scaled value
 normal and finite.
+
+The gap kernels compare gaps with the absolute COLLISION_EPS (1e-9 m), so
+they are checked only on starts whose free space stays at least 0.5 m:
+there a collision time is None and the minimum gap, its time and the halt
+times must scale exactly.
 """
 import numpy as np
 
-from rsskit.batch import margins, safe_distances
+from rsskit.batch import analyze_gaps, build_profiles, classify_worst_cases, margins, safe_distances
 from rsskit.core import RssParams, ScenarioState
+from rsskit.dynamics import worst_case_gap_analysis
 from rsskit.rule import margin, safe_distance
 
 KS = (10, -10, -40)
@@ -78,3 +85,91 @@ def test_d_min_and_the_margin_scale_exactly():
                                enumerate(zip(got[name], want[name])) if a != b]
     assert checks == len(base) * 2 * len(KS) * PARAMS * PAIRS
     assert misses == [], f"{len(misses)} of {checks} checks missed, first {misses[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form gap kernels
+
+KERNEL_KS = (3, -3, 10, -10)
+KERNEL_STARTS = 500  # a vehicle_length
+# (length, time) exponents of what the kernels read and give
+T, X, V, A = (0, 1), (1, 0), (1, -1), (1, -2)
+WORST_CASE = ("collision_t", T), ("gap_at_collision", X), ("min_gap", X), ("min_gap_t", T), \
+    ("t_sv_halt", T), ("t_pov_halt", T)
+PROFILE = T, T, X, V, A  # the fields t0, t1, x0, v0, a
+
+
+def kernel_inputs(length):
+    """Seeded paper-parameter starts, 0.5-50 m of free space above d_min,
+    and randomized schedules that the worst case dominates: POV pieces in
+    [-a_brake_max, 2] from cut times up to the SV halt plus 1 s, SV pieces
+    in [-a_brake_min, a_max] up to rho, then -a_brake_min.  As
+    {name: (dimension, array)}."""
+    rng = np.random.default_rng(27)
+    params, n = RssParams(0.3, 2.0, 4.0, 8.0, length), KERNEL_STARTS
+    v_r, v_f = rng.uniform(0.0, 40.0, (2, n))
+    x_r = rng.uniform(-100.0, 100.0, n)
+    x_f = x_r + safe_distances(params, v_r, v_f)[0] + length + rng.uniform(0.5, 50.0, n)
+    horizon = classify_worst_cases(params, v_r, v_f)[1] + 1.0
+    cuts = np.sort(rng.uniform(0.0, 1.0, (n, 3)), axis=1) * horizon[:, None]
+    return params, {
+        "x_r": (X, x_r), "v_r": (V, v_r), "x_f": (X, x_f), "v_f": (V, v_f), "horizon": (T, horizon),
+        "starts_f": (T, np.concatenate((np.zeros((n, 1)), cuts), axis=1)),
+        "accels_f": (A, rng.uniform(-8.0, 2.0, (n, 4))),
+        "starts_r": (T, np.stack((np.zeros(n), rng.uniform(0.0, 0.3, n), np.full(n, 0.3)), axis=1)),
+        "accels_r": (A, np.concatenate((rng.uniform(-4.0, 2.0, (n, 2)), np.full((n, 1), -4.0)), axis=1)),
+    }
+
+
+def rescaled(params, inputs, unit):
+    """params and inputs with each value multiplied by unit(dimension)."""
+    scaled = RssParams(params.rho * unit(T), params.a_max * unit(A), params.a_brake_min * unit(A),
+                       params.a_brake_max * unit(A), params.vehicle_length * unit(X))
+    return scaled, {name: (dim, z * unit(dim)) for name, (dim, z) in inputs.items()}
+
+
+def kernel_outputs(params, inputs):
+    """{name: (dimension, float array, NaN for None)} of worst_case_gap_analysis
+    on each start, and of build_profiles and analyze_gaps under the worst
+    case and under the randomized schedules."""
+    z = {name: value for name, (_, value) in inputs.items()}
+    starts = zip(z["x_f"].tolist(), z["v_f"].tolist(), z["x_r"].tolist(), z["v_r"].tolist())
+    scalar = np.array([worst_case_gap_analysis(params, ScenarioState(*s)) for s in starts], float)
+    out = {f"worst_case_gap_analysis.{name}": (dim, col) for (name, dim), col in zip(WORST_CASE, scalar.T)}
+    t_s = classify_worst_cases(params, z["v_r"], z["v_f"])[1]
+    out["classify_worst_cases.t_s"] = T, t_s
+    schedules = {
+        "worst_case": ([[0.0, params.rho]], [[params.a_max, -params.a_brake_min]],
+                       np.zeros((1, 1)), [[-params.a_brake_max]], t_s),
+        "randomized": (z["starts_r"], z["accels_r"], z["starts_f"], z["accels_f"], z["horizon"]),
+    }
+    for kind, (starts_r, accels_r, starts_f, accels_f, t_end) in schedules.items():
+        prof_r = build_profiles(z["x_r"], z["v_r"], np.array(starts_r), np.array(accels_r), t_end)
+        prof_f = build_profiles(z["x_f"], z["v_f"], np.array(starts_f), np.array(accels_f), t_end)
+        for vehicle, prof in (("r", prof_r), ("f", prof_f)):
+            for field, dim, values in zip(("t0", "t1", "x0", "v0", "a"), PROFILE, prof):
+                out[f"{kind}.prof_{vehicle}.{field}"] = dim, values
+        col_t, min_gap = analyze_gaps(prof_r, prof_f, params.vehicle_length)
+        out[f"{kind}.collision_t"], out[f"{kind}.min_gap"] = (T, col_t), (X, min_gap)
+    return out
+
+
+def test_the_gap_kernels_scale_exactly():
+    misses, checks = [], 0
+    for length in (0.0, 4.5):
+        params, inputs = kernel_inputs(length)
+        base = kernel_outputs(params, inputs)
+        # no collision, and at least 0.5 m of free space: no COLLISION_EPS comparison is near
+        for kernel in ("worst_case_gap_analysis", "worst_case", "randomized"):
+            assert np.isnan(base[f"{kernel}.collision_t"][1]).all()
+            assert (base[f"{kernel}.min_gap"][1] - length >= 0.5).all()
+        for k in KERNEL_KS:
+            for rescaling, unit in (("lengths", lambda dim: (2.0 ** k) ** dim[0]),
+                                    ("times", lambda dim: (2.0 ** k) ** dim[1])):
+                got = kernel_outputs(*rescaled(params, inputs, unit))
+                for name, (dim, values) in base.items():
+                    checks += values.size
+                    if not np.array_equal(got[name][1], values * unit(dim), equal_nan=True):
+                        misses.append((length, k, rescaling, name))
+    assert checks > 16_000
+    assert misses == [], f"{len(misses)} outputs missed, first {misses[:3]}"
