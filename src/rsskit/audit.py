@@ -72,7 +72,7 @@ class AuditReport:
 
 
 def _default_time_tol(traj: Trajectory) -> float:
-    ts = [s.t for s in traj.samples]
+    ts = [t for t, _, _, _ in traj.samples]
     if len(ts) < 2:
         return 0.0
     dts = sorted(b - a for a, b in zip(ts, ts[1:]))
@@ -117,22 +117,22 @@ def check_compliance(
 
     failures = []  # (t, reason)
     ep_t = None  # start time of the current BC episode; None outside one
-    for s, ok in zip(traj.samples, holds):
-        if s.mode != BC:
+    for (t, state, a_r, mode), ok in zip(traj.samples, holds):
+        if mode != BC:
             ep_t = None
             if not ok:
-                failures.append((s.t, REASON_NO_RESPONSE))
+                failures.append((t, REASON_NO_RESPONSE))
             continue
         if ep_t is None:
-            ep_t, ep_ok = s.t, ok
+            ep_t, ep_ok = t, ok
         if ok:
             continue
         if not ep_ok:
-            failures.append((s.t, REASON_UNSAFE_START))
-        elif s.t - ep_t <= window:
+            failures.append((t, REASON_UNSAFE_START))
+        elif t - ep_t <= window:
             continue  # inside the response window
-        elif s.state.v_r > 0.0 and s.a_r > weak:
-            failures.append((s.t, REASON_WEAK_BRAKING))
+        elif state.v_r > 0.0 and a_r > weak:
+            failures.append((t, REASON_WEAK_BRAKING))
 
     violations = []
     for t, reason in failures:
@@ -148,7 +148,8 @@ def safety_metric(traj: Trajectory):
     """Per-sample margin timeline plus the overall score (minimum margin)."""
     if not traj.samples:
         raise EmptyTrajectory("cannot score an empty trajectory")
-    timeline = [(s.t, evaluate(traj.params, s.state).margin) for s in traj.samples]
+    params = traj.params
+    timeline = [(t, evaluate(params, state).margin) for t, state, _, _ in traj.samples]
     score = min(m for _, m in timeline)
     return timeline, score
 
@@ -230,10 +231,8 @@ def audit(
 ) -> AuditReport:
     """Assemble the full audit report for one trajectory."""
     params = traj.params
-    per_sample = tuple(
-        (s.t, ev.condition_holds, ev.margin, s.mode)
-        for s, ev in ((s, evaluate(params, s.state)) for s in traj.samples)
-    )
+    per_sample = tuple([(t, ok, m, mode) for t, state, _, mode in traj.samples
+                        for _, _, m, ok in (evaluate(params, state),)])
     holds = [ok for _, ok, _, _ in per_sample]
     compliant, violations = check_compliance(traj, accel_tol, time_tol, holds=holds)
     # safety_metric evaluates every sample a second time; the benchmark's

@@ -176,11 +176,13 @@ class ScenarioState(_StateFields):
     __slots__ = ()
 
     def __new__(cls, x_f, v_f, x_r, v_r):
-        # x * 0.0 is 0 if x is finite, else NaN; it raises for a big int or a non-number
+        # x * 0.0 and x - x are 0 if x is finite, else NaN; x * 0.0 raises for a
+        # big int or a non-number, x - x for numpy's bool, and a chain's bool()
+        # for an array
         try:
-            positions = x_f * 0.0 <= 0.0 and x_r * 0.0 <= 0.0
-            velocities = v_f * 0.0 <= 0.0 <= v_f and v_r * 0.0 <= 0.0 <= v_r
-        except (OverflowError, TypeError):
+            positions = x_f * 0.0 == x_f - x_f == x_r * 0.0 == x_r - x_r
+            velocities = v_f * 0.0 <= v_f - v_f <= v_f and v_r * 0.0 <= v_r - v_r <= v_r
+        except (OverflowError, TypeError, ValueError):
             positions = None
         if positions is None or x_f is True or x_f is False or v_f is True or v_f is False or (
                 x_r is True or x_r is False or v_r is True or v_r is False):

@@ -26,20 +26,26 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     overflow raise DomainError.
     """
     # written so that NaN fails too, and an int that no float holds; a bool
-    # or a value that is no number is no speed, as ScenarioState has it
+    # (numpy's refuses v - v), an array or a value that is no number is no
+    # speed, as ScenarioState has it
     try:
-        speeds = 0 <= v_r <= float_info.max and 0 <= v_f <= float_info.max
-    except TypeError:
+        speeds = v_r - v_r == 0 <= v_r <= float_info.max and v_f - v_f == 0 <= v_f <= float_info.max
+    except (TypeError, ValueError):
         speeds = False
     if not speeds or v_r is True or v_r is False or v_f is True or v_f is False:
         raise DomainError(f"velocities must be finite and >= 0, got v_r={shown(v_r)}, v_f={shown(v_f)}")
+    return _terms(params, v_r, v_f)
+
+
+def _terms(params: RssParams, v_r, v_f):
+    """travel_terms without its speed checks, for speeds a ScenarioState
+    or travel_terms has vouched for."""
     # as floats, as the array rule reads them: an int squares to an int
-    response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(
-        params, float(v_r), float(v_f))
+    terms = travel_arithmetic(params, float(v_r), float(v_f))
     # an overflowing term makes d_min inf or, as inf - inf, NaN
-    if not (pov_brake < inf and response_travel + response_gain + sv_brake < inf):
+    if not (terms[3] < inf and terms[0] + terms[1] + terms[2] < inf):
         raise DomainError(f"the safe distance overflows at v_r={v_r!r}, v_f={v_f!r}")
-    return response_travel, response_gain, sv_brake, pov_brake
+    return terms
 
 
 def travel_arithmetic(params: RssParams, v_r, v_f):
@@ -102,19 +108,18 @@ def margin(params: RssParams, state: ScenarioState) -> float:
     """The safety margin gap - vehicle_length - d_min, bit for bit as
     evaluate reports it; the condition holds iff it is > 0.  For callers
     that need neither d_min nor the gap."""
-    return (
-        state.x_f - state.x_r - params.vehicle_length
-        - max(0.0, safe_distance_raw(params, state.v_r, state.v_f))
-    )
+    x_f, v_f, x_r, v_r = state
+    response_travel, response_gain, sv_brake, pov_brake = _terms(params, v_r, v_f)
+    d_min = max(0.0, response_travel + response_gain + sv_brake - pov_brake)
+    return x_f - x_r - params.vehicle_length - d_min
 
 
 def evaluate(params: RssParams, state: ScenarioState) -> SafetyEvaluation:
-    d_min = max(0.0, safe_distance_raw(params, state.v_r, state.v_f))
-    gap = state.gap
+    """The rule at one state.  Its speeds are not checked again: a
+    ScenarioState is built only from speeds the rule accepts."""
+    x_f, v_f, x_r, v_r = state
+    response_travel, response_gain, sv_brake, pov_brake = _terms(params, v_r, v_f)
+    d_min = max(0.0, response_travel + response_gain + sv_brake - pov_brake)
+    gap = x_f - x_r
     margin = gap - params.vehicle_length - d_min
-    return SafetyEvaluation(
-        d_min=d_min,
-        gap=gap,
-        margin=margin,
-        condition_holds=margin > 0.0,
-    )
+    return tuple.__new__(SafetyEvaluation, (d_min, gap, margin, margin > 0.0))

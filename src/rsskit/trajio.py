@@ -18,10 +18,8 @@ _MODES = (AC, BC)
 
 def write_trajectory(traj: Trajectory, path) -> None:
     rows = [
-        "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\n"
-        % (s.t, st.x_f, st.v_f, st.x_r, st.v_r, s.a_r, s.mode)
-        for s in traj.samples
-        for st in (s.state,)
+        "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x_f, v_f, x_r, v_r, a_r, mode)
+        for t, (x_f, v_f, x_r, v_r), a_r, mode in traj.samples
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEADER + "\n" + "".join(rows))
@@ -50,13 +48,14 @@ def read_trajectory(path, params: RssParams) -> Trajectory:
                 header_seen = True
                 continue
             fields = line.split(",")
-            try:
-                t, x_f, v_f, x_r, v_r, a_r = map(float, fields[:6])
-                mode = fields[6].strip()
-            except (ValueError, IndexError):
+            try:  # a row of other than seven fields fails the unpacking
+                t, x_f, v_f, x_r, v_r, a_r, mode = fields
+                t, x_f, v_f, x_r, v_r, a_r, mode = (
+                    float(t), float(x_f), float(v_f), float(x_r), float(v_r), float(a_r), mode.strip())
+            except ValueError:
                 mode = None
             # one range test per row, written so that NaN fails too
-            if not (mode in _MODES and len(fields) == 7 and prev_t < t < inf
+            if not (mode in _MODES and prev_t < t < inf
                     and -inf < x_f < inf and -inf < x_r < inf and -inf < a_r < inf
                     and 0 <= v_f < inf and 0 <= v_r < inf):
                 raise TrajectoryFormatError(f"{path}:{lineno}: {_row_error(fields)}")
@@ -90,11 +89,10 @@ def write_metric_csv(traj: Trajectory, path, margins=None) -> None:
     to the caller).  margins, one per sample, are taken as given when
     passed, e.g. from an audit's per_sample."""
     if margins is None:
-        margins = [margin(traj.params, s.state) for s in traj.samples]
+        margins = [margin(traj.params, state) for _, state, _, _ in traj.samples]
     rows = [
-        "%.9g,%.9g,%.9g,%.9g,%.9g\n" % (s.t, m, x_f - x_r, v_r, v_f)
-        for s, m in zip(traj.samples, margins)
-        for x_f, v_f, x_r, v_r in (s.state,)
+        "%.9g,%.9g,%.9g,%.9g,%.9g\n" % (t, m, x_f - x_r, v_r, v_f)
+        for (t, (x_f, v_f, x_r, v_r), _, _), m in zip(traj.samples, margins)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,margin,gap,v_r,v_f\n" + "".join(rows))

@@ -553,8 +553,9 @@ def test_overflowing_gap_in_a_campaign_is_usage_error(tmp_path, capsys, command)
 
 @pytest.mark.parametrize("argv", [["verify"], ["falsify"], ["verify", "--kind", "supervised"]])
 def test_rho_whose_square_overflows_in_a_campaign_is_usage_error(tmp_path, capsys, argv):
-    # the scalar rule catches the OverflowError of rho ** 2 and refuses the
-    # state; the campaigns' array rule raised it: a traceback, exit 1
+    # rho * rho is inf, and the finiteness check of the travels refuses it as
+    # an overflowing safe distance; the campaigns' array rule once raised
+    # the OverflowError of rho ** 2: a traceback, exit 1
     (tmp_path / "params.json").write_text(json.dumps(dict(PARAMS, rho=1.7976931348623157e308)))
     (tmp_path / "campaign.json").write_text(json.dumps({"n_trials": 20, "include_grid": False}))
     assert main(argv + ["--params", str(tmp_path / "params.json"),

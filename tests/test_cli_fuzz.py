@@ -5,7 +5,8 @@ trajectory, campaign and supervisor files, valid and not.
 Whatever the input, the exit code is one of 0/1/2/3, nothing escapes as a
 traceback, and the verdict exits (0 and 1) agree with the evaluate-based
 reference compliance check on the same file: exit 1 only for a trajectory
-that really is non-compliant.  safe-distance exits 0 or 2, and on 0 prints
+that really is non-compliant.  A malformed trajectory row exits 2 with the
+message of the plain reference reader.  safe-distance exits 0 or 2, and on 0 prints
 the d_min of rule.safe_distance.  simulate exits 0, 2 or 3, and 0 only
 on a finite positive step and a finite horizon >= 0.  verify and falsify
 print "error:" on 2 and 3, and on 0 and 1 write a report that parses,
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from rsskit.cli import main
 from rsskit.core import AC, BC, load_params
+from rsskit.errors import RssError, TrajectoryFormatError
 from rsskit.rule import safe_distance
 from rsskit.trajio import HEADER
 
@@ -144,6 +146,14 @@ def test_audit_cli_exits_0_to_3_without_traceback(params, trajectory, options):
             argv.append(stray)
         code, out, err = _run(argv)
         assert code in (0, 1, 2, 3), (code, err)
+        if code == 2 and not absent and not err.startswith("usage:"):
+            # a bad row, once the params have loaded, has the plain reader's message
+            try:
+                reference_read_trajectory(traj_path, load_params(params_path))
+            except TrajectoryFormatError as exc:
+                assert err == f"error: {exc}\n"
+            except RssError:
+                pass
         if code in (0, 1):
             traj = reference_read_trajectory(traj_path, load_params(params_path))
             compliant, _ = reference_check_compliance(traj, 0.2 if tol is None else float(tol))

@@ -1,17 +1,22 @@
 """The supervisor's decisions and the compliance check read the safety
-margin through rule.margin instead of building a SafetyEvaluation.
+margin through rule.margin instead of building a SafetyEvaluation, and
+evaluate and margin read a state's speeds without checking them again.
 
-Each fast path is compared here with a copy of its evaluate-based form,
-kept in this file as the reference: the results must be identical, down
-to the float bits and the text of any InvariantBreach.
+Each fast path is compared here with a copy of its plainer form, kept in
+this file as the reference: the results must be identical, down to the
+float bits and the text of any InvariantBreach or DomainError.
 """
+import math
 import random
+import sys
 from dataclasses import replace
+
+import numpy as np
 
 from rsskit.audit import Violation, check_compliance
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import gentle_pov, piecewise_pov, worst_case_pov
-from rsskit.errors import InvariantBreach
+from rsskit.errors import DomainError, InvariantBreach
 from rsskit.response import (
     BRAKING,
     HALTED,
@@ -20,7 +25,7 @@ from rsskit.response import (
     begin_response,
     proper_response_command,
 )
-from rsskit.rule import evaluate, margin, safe_distance
+from rsskit.rule import SafetyEvaluation, evaluate, margin, safe_distance, safe_distance_raw
 from rsskit.supervisor import (
     SupervisorConfig,
     SupervisorState,
@@ -30,8 +35,22 @@ from rsskit.supervisor import (
     run_supervised,
     worst_case_successor,
 )
+from rsskit.trajio import read_trajectory, write_trajectory
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
+
+
+def reference_evaluate(params, state):
+    """evaluate as it read the speeds through safe_distance_raw's checks."""
+    d_min = max(0.0, safe_distance_raw(params, state.v_r, state.v_f))
+    gap = state.gap
+    margin = gap - params.vehicle_length - d_min
+    return SafetyEvaluation(d_min=d_min, gap=gap, margin=margin, condition_holds=margin > 0.0)
+
+
+def reference_margin(params, state):
+    return (state.x_f - state.x_r - params.vehicle_length
+            - max(0.0, safe_distance_raw(params, state.v_r, state.v_f)))
 
 
 def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
@@ -163,6 +182,69 @@ def test_margin_exactly_zero_fails_the_condition():
         for st in boundary_states(params):
             assert margin(params, st) == 0.0
             assert not evaluate(params, st).condition_holds
+
+
+def rule_outcome(fn, params, state):
+    """fn's result as the type and bits of each field, or its DomainError."""
+    try:
+        result = fn(params, state)
+    except DomainError as exc:
+        return "DomainError: " + str(exc)
+    fields = result if isinstance(result, tuple) else (result,)
+    return type(result), [(type(v), v.hex() if isinstance(v, float) else v) for v in fields]
+
+
+def assert_rule_matches_the_reference(params, states):
+    for st in states:
+        assert rule_outcome(evaluate, params, st) == rule_outcome(reference_evaluate, params, st), st
+        assert rule_outcome(margin, params, st) == rule_outcome(reference_margin, params, st), st
+
+
+def speed_kinds(rng, st):
+    """st with its speeds as floats, ints and numpy floats."""
+    v_r, v_f = round(st.v_r), round(st.v_f)
+    gap = st.x_f - st.x_r
+    return [st, ScenarioState(st.x_r + gap + rng.uniform(-2.0, 2.0), v_f, st.x_r, v_r),
+            ScenarioState(np.float64(st.x_f), np.float64(st.v_f), st.x_r, np.float64(st.v_r)),
+            ScenarioState(round(st.x_f), np.int64(v_f), round(st.x_r), v_r)]
+
+
+def test_evaluate_and_margin_match_the_checked_chain():
+    rng = random.Random(23)
+    lengths = set()
+    for i in range(40):
+        params = random_params(rng) if i else PAPER
+        lengths.add(params.vehicle_length > 0)
+        states = [random_state(rng, params) for _ in range(100)] + boundary_states(params)
+        assert_rule_matches_the_reference(params, [k for st in states for k in speed_kinds(rng, st)])
+    assert lengths == {False, True}
+
+
+def test_evaluate_and_margin_match_the_checked_chain_on_read_states(tmp_path):
+    rng = random.Random(29)
+    path = tmp_path / "traj.csv"
+    for i in range(10):
+        params = random_params(rng) if i else replace(PAPER, vehicle_length=4.5)
+        states = [random_state(rng, params, lo=-1e-6, hi=1e-6) for _ in range(100)]
+        samples = tuple(TrajectorySample(0.1 * j, st, 0.0, AC) for j, st in enumerate(states))
+        write_trajectory(Trajectory(samples, params), path)
+        assert_rule_matches_the_reference(params, [s.state for s in read_trajectory(path, params).samples])
+
+
+def test_evaluate_and_margin_match_the_checked_chain_at_the_overflow_edge():
+    # speeds within 0.1 % of sqrt(max float), and ints whose square no
+    # float holds: the same margins, or the same DomainError text
+    rng = random.Random(31)
+    root = math.sqrt(sys.float_info.max)
+    near = [root * rng.uniform(0.999, 1.001) for _ in range(200)]
+    speeds = [(v, 0.0) for v in near] + [(0.0, v) for v in near] + list(zip(near, near[::-1]))
+    speeds += [(10 ** 200, 0), (0, 10 ** 200), (int(root), 3), (3, int(root) + 1)]
+    raised = 0
+    for params in (PAPER, RssParams(0.3, 2.0, 0.1, 0.2, 4.5)):
+        states = [ScenarioState(1e300, v_f, -1e300, v_r) for v_r, v_f in speeds]
+        assert_rule_matches_the_reference(params, states)
+        raised += sum(isinstance(rule_outcome(evaluate, params, st), str) for st in states)
+    assert 0 < raised < 2 * len(speeds)
 
 
 def random_supervisor_state(rng):

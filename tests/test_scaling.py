@@ -18,14 +18,21 @@ normal and finite.
 The gap kernels compare gaps with the absolute COLLISION_EPS (1e-9 m), so
 they are checked only on starts whose free space stays at least 0.5 m:
 there a collision time is None and the minimum gap, its time and the halt
-times must scale exactly.
+times must scale exactly.  The audit finds a collision by COLLISION_EPS
+and GAP_RESOLUTION too, so it is checked under length rescaling only on
+recorded trajectories whose free space is at every sample either at most
+0 or at least 0.05 m, with its accel_tol scaled with the lengths.
 """
+import random
+
 import numpy as np
 
+from rsskit.audit import audit
 from rsskit.batch import analyze_gaps, build_profiles, classify_worst_cases, margins, safe_distances
-from rsskit.core import RssParams, ScenarioState
-from rsskit.dynamics import worst_case_gap_analysis
+from rsskit.core import RssParams, ScenarioState, Trajectory, TrajectorySample
+from rsskit.dynamics import worst_case_gap_analysis, worst_case_pov
 from rsskit.rule import margin, safe_distance
+from rsskit.supervisor import SupervisorConfig, adversarial_ac, benign_ac, run_supervised
 
 KS = (10, -10, -40)
 PARAMS, PAIRS = 2_000, 10  # 20,000 parameter sets and speed pairs
@@ -173,3 +180,60 @@ def test_the_gap_kernels_scale_exactly():
                         misses.append((length, k, rescaling, name))
     assert checks > 16_000
     assert misses == [], f"{len(misses)} outputs missed, first {misses[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# the audit
+
+AUDIT_KS = (3, -3, 10, -10)
+
+
+def recorded(length):
+    """Seeded paper-parameter trajectories at dt 0.05: supervised with the
+    benign and the adversarial AC, and unsupervised (colliding) with the
+    adversarial AC, from 1-20 m of free space above d_min.  A collision
+    run ends where the free space reaches COLLISION_EPS; its last sample
+    is moved 0.5 m into overlap, clear of that constant."""
+    rng, params = random.Random(15), RssParams(0.3, 2.0, 4.0, 8.0, length)
+    out = []
+    for ac, supervised in ((benign_ac, True), (adversarial_ac, True), (adversarial_ac, False)):
+        for _ in range(8):
+            v_r, v_f = rng.uniform(8.0, 32.0), rng.uniform(8.0, 32.0)
+            gap = safe_distance(params, v_r, v_f) + length + rng.uniform(1.0, 20.0)
+            trace = run_supervised(params, SupervisorConfig(), ScenarioState(gap, v_f, 0.0, v_r),
+                                   ac(params), worst_case_pov(params), dt=0.05, supervised=supervised)
+            samples = trace.to_trajectory().samples
+            if trace.collision:
+                last = samples[-1]
+                samples = samples[:-1] + (last._replace(state=last.state._replace(x_r=last.state.x_r + 0.5)),)
+            out.append(Trajectory(samples, params))
+    return out
+
+
+def lengths_scaled(traj, c):
+    p = traj.params
+    params = RssParams(p.rho, p.a_max * c, p.a_brake_min * c, p.a_brake_max * c, p.vehicle_length * c)
+    return Trajectory(tuple(TrajectorySample(t, ScenarioState(*(c * z for z in state)), c * a_r, mode)
+                            for t, state, a_r, mode in traj.samples), params)
+
+
+def test_the_audit_scales_exactly():
+    misses, checks, verdicts = [], 0, set()
+    for length in (0.0, 4.5):
+        for traj in recorded(length):
+            free = [x_f - x_r - length for _, (x_f, _, x_r, _), _, _ in traj.samples]
+            assert all(f <= 0.0 or f >= 0.05 for f in free)
+            base = audit(traj)
+            verdicts.add((base.compliant, base.liability))
+            for k in AUDIT_KS:
+                c = 2.0 ** k
+                got = audit(lengths_scaled(traj, c), accel_tol=0.2 * c)
+                want = tuple((t, ok, c * m, mode) for t, ok, m, mode in base.per_sample)
+                checks += 1
+                if (got.per_sample, got.metric_score) != (want, c * base.metric_score) or (
+                        got.compliant, got.violations, got.liability, got.principles) != (
+                        base.compliant, base.violations, base.liability, base.principles):
+                    misses.append((length, k, len(traj)))
+    # the supervised runs comply, and the unsupervised ones collide and make the SV liable
+    assert checks == 2 * 24 * len(AUDIT_KS) and verdicts == {(True, "None"), (False, "SvLiable")}
+    assert misses == [], f"{len(misses)} of {checks} audits missed, first {misses[:3]}"

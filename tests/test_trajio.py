@@ -76,6 +76,61 @@ def test_rejects_malformed(tmp_path, body):
         read_trajectory(path, PAPER)
 
 
+# (rows after the header, the error's text after "<path>:") for one bad row
+# among good ones, comment and blank lines counted in the line number
+ROW_ERRORS = [
+    ("0.1,41,19,2,20,-4", "3: expected 7 fields, got 6"),
+    ("0.1,41,19,2,20,-4,BC,1", "3: expected 7 fields, got 8"),
+    ("0.1,41,19,2,20", "3: expected 7 fields, got 5"),
+    ("0.1,41,nan,2,20,-4,BC", "3: non-finite value nan"),
+    ("0.1,41,19,2,20,inf,BC", "3: non-finite value inf"),
+    ("0.1,41,19,-inf,20,-4,BC", "3: non-finite value -inf"),
+    ("0.1,41,19,2,-20,-4,BC", "3: negative velocity"),
+    ("0.1,41,19,2,20,-4,XX", "3: unknown mode 'XX'"),
+    ("0.1,41,19,2,20,-4,", "3: unknown mode ''"),
+    ("0.1,41,19,2,20,-4,bc", "3: unknown mode 'bc'"),
+    ("0.1,4x,19,2,20,-4,BC", "3: could not convert string to float: '4x'"),
+    ("0,41,19,2,20,-4,BC", "3: timestamps must be strictly increasing"),
+    ("-0.5,41,19,2,20,-4,BC", "3: timestamps must be strictly increasing"),
+    ("# note\n\n  \n0,41,19,2,20,-4,BC", "6: timestamps must be strictly increasing"),
+    ("#,1,2\n0.1,41,nan,2,20,-4,AC", "4: non-finite value nan"),
+]
+
+
+@pytest.mark.parametrize("rows, message", ROW_ERRORS)
+def test_each_row_fault_has_its_message(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{HEADER}\n0,40,20,0,20,0.5,AC\n{rows}\n0.2,43,18,4,20,-4,BC\n")
+    with pytest.raises(TrajectoryFormatError) as exc:
+        read_trajectory(path, PAPER)
+    assert str(exc.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", ": missing header"),
+    ("# only a comment\n\n", ": missing header"),
+    ("\n# first\n0,40,20,0,20,0.5,AC\n", f":3: expected header {HEADER!r}, got '0,40,20,0,20,0.5,AC'"),
+    (f"{HEADER.upper()}\n", f":1: expected header {HEADER!r}, got {HEADER.upper()!r}"),
+    (f"# a note\n{HEADER}\n\n", ": no samples"),
+])
+def test_header_faults_have_their_messages(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(TrajectoryFormatError) as exc:
+        read_trajectory(path, PAPER)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_mode_and_fields_are_read_stripped(tmp_path):
+    # the row is stripped as a whole and the mode on its own, so a padded
+    # mode and padded numbers are read as written without the padding
+    path = tmp_path / "t.csv"
+    path.write_text(f"  {HEADER}  \n0,40,20,0,20,0.5, AC\n 0.1 ,41,19,2,20,-4, BC \n")
+    back = read_trajectory(path, PAPER)
+    assert [s.mode for s in back.samples] == [AC, BC]
+    assert back.samples[1] == (0.1, (41.0, 19.0, 2.0, 20.0), -4.0, BC)
+
+
 _ROW = ["0.1", "41", "19", "2", "20", "-4"]
 
 
