@@ -187,13 +187,11 @@ _AC, _WINDOW, _BRAKING, _HALTED = range(4)
 
 def safe_distances(params, v_r, v_f):
     """rule.safe_distance of each pair of speeds in [0, inf), bit for bit,
-    and whether it is defined: no travel overflows, where the scalar form
-    raises."""
+    and whether it is defined: the raw value is finite, as the scalar form
+    requires; the travels are >= 0, so one that overflows makes it inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):  # a square overflows to inf
-        response_travel, response_gain, sv_brake, pov_brake = travel_arithmetic(params, v_r, v_f)
-        sv_travel = response_travel + response_gain + sv_brake
-        raw = sv_travel - pov_brake
-    return np.where(raw > 0.0, raw, 0.0), (sv_travel < np.inf) & (pov_brake < np.inf)
+        raw = travel_arithmetic(params, v_r, v_f)[4]
+    return np.where(raw > 0.0, raw, 0.0), np.isfinite(raw)
 
 
 def margins(params, x, v):

@@ -177,9 +177,11 @@ class ScenarioState(_StateFields):
 
     def __new__(cls, x_f, v_f, x_r, v_r):
         # x * 0.0 and x - x are 0 if x is finite, else NaN; x * 0.0 raises for a
-        # big int or a non-number, x - x for numpy's bool, and a chain's bool()
-        # for an array
+        # big int or a non-number, x - x for numpy's bool, and hash() for a numpy
+        # array, whatever its shape
+        state = tuple.__new__(cls, (x_f, v_f, x_r, v_r))
         try:
+            hash(state)
             positions = x_f * 0.0 == x_f - x_f == x_r * 0.0 == x_r - x_r
             velocities = v_f * 0.0 <= v_f - v_f <= v_f and v_r * 0.0 <= v_r - v_r <= v_r
         except (OverflowError, TypeError, ValueError):
@@ -192,7 +194,7 @@ class ScenarioState(_StateFields):
             raise DomainError(f"positions must be finite, got x_f={x_f!r}, x_r={x_r!r}")
         if not velocities:
             raise DomainError(f"velocities must be finite and >= 0, got v_f={v_f!r}, v_r={v_r!r}")
-        return tuple.__new__(cls, (x_f, v_f, x_r, v_r))
+        return state
 
     @classmethod
     def _make(cls, iterable):

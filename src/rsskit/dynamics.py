@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .core import BC, AC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from .errors import DomainError, StepError
-from .rule import travel_terms
+from .rule import safe_distance_raw, travel_terms
 
 # Touching counts as collision (strict inequality reading of the safety
 # condition).  The epsilon absorbs float rounding at exact-boundary starts;
@@ -33,9 +33,9 @@ ALL_CASES = (CASE_1, CASE_2, CASE_3, CASE_4)
 
 
 def sv_stop_distance(params: RssParams, v_r: float) -> float:
-    """Worst-case SV travel: a_max for rho, then a_brake_min to a halt."""
-    response_travel, response_gain, sv_brake, _ = travel_terms(params, v_r, 0.0)
-    return response_travel + response_gain + sv_brake
+    """Worst-case SV travel: a_max for rho, then a_brake_min to a halt; the
+    raw safe distance behind a halted POV, since x - 0.0 is x."""
+    return safe_distance_raw(params, v_r, 0.0)
 
 
 def pov_stop_distance(params: RssParams, v_f: float) -> float:
@@ -278,8 +278,6 @@ def worst_case_execution(
             TrajectorySample(t, ScenarioState(xf, vf, xr, vr), ar, BC)
         )
     collision = CollisionEvent(col_t, col_gap) if col_t is not None else None
-    if collision is not None:
-        min_gap, min_gap_t = col_gap, col_t
     return ExecutionTrace(
         samples=tuple(samples),
         params=params,

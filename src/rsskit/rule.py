@@ -20,15 +20,21 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
     """The formula's four travels: (SV response travel, SV response
     acceleration gain, SV braking travel, POV braking travel).
 
-    travel_arithmetic is the one definition of the formula; the
-    breakdown, the raw value and the two stopping distances in dynamics
-    are sums of these terms.  Speeds outside [0, inf) and terms that
-    overflow raise DomainError.
+    travel_arithmetic is the one definition of the formula and of the
+    travels' sum, the raw value that every d_min here, in batch and in
+    dynamics' SV stopping distance reads.  Speeds outside [0, inf) and
+    terms that overflow raise DomainError.
     """
+    return _checked(params, v_r, v_f)[:4]
+
+
+def _checked(params: RssParams, v_r, v_f):
+    """_terms of bare speeds, once they pass the checks ScenarioState makes."""
     # written so that NaN fails too, and an int that no float holds; a bool
-    # (numpy's refuses v - v), an array or a value that is no number is no
-    # speed, as ScenarioState has it
+    # (numpy's refuses v - v), an array (unhashable, whatever its shape) or a
+    # value that is no number is no speed, as ScenarioState has it
     try:
+        hash((v_r, v_f))
         speeds = v_r - v_r == 0 <= v_r <= float_info.max and v_f - v_f == 0 <= v_f <= float_info.max
     except (TypeError, ValueError):
         speeds = False
@@ -38,49 +44,46 @@ def travel_terms(params: RssParams, v_r: float, v_f: float):
 
 
 def _terms(params: RssParams, v_r, v_f):
-    """travel_terms without its speed checks, for speeds a ScenarioState
-    or travel_terms has vouched for."""
+    """travel_arithmetic of speeds a ScenarioState or _checked has vouched
+    for, with the overflow check."""
     # as floats, as the array rule reads them: an int squares to an int
     terms = travel_arithmetic(params, float(v_r), float(v_f))
-    # an overflowing term makes d_min inf or, as inf - inf, NaN
-    if not (terms[3] < inf and terms[0] + terms[1] + terms[2] < inf):
+    # an overflowing term makes the raw value infinite or, as inf - inf, NaN
+    if not -inf < terms[4] < inf:
         raise DomainError(f"the safe distance overflows at v_r={v_r!r}, v_f={v_f!r}")
     return terms
 
 
 def travel_arithmetic(params: RssParams, v_r, v_f):
-    """travel_terms' arithmetic without its checks, on floats or numpy
-    arrays.  It squares by multiplication, which IEEE rounds correctly in
-    Python and numpy alike, so both engines' terms agree bit for bit and
-    scale exactly under power-of-two unit rescaling; a square that
-    overflows is inf."""
+    """The four travels, as travel_terms gives them, then the raw value
+    response_travel + response_gain + sv_brake - pov_brake, without checks,
+    on floats or numpy arrays.  It squares by multiplication, which IEEE
+    rounds correctly in Python and numpy alike, so both engines agree bit
+    for bit and scale exactly under power-of-two unit rescaling; a square
+    that overflows is inf."""
     v_peak = v_r + params.a_max * params.rho
-    return (
-        v_r * params.rho,
-        0.5 * params.a_max * (params.rho * params.rho),
-        v_peak * v_peak / (2.0 * params.a_brake_min),
-        v_f * v_f / (2.0 * params.a_brake_max),
-    )
+    response_travel, response_gain = v_r * params.rho, 0.5 * params.a_max * (params.rho * params.rho)
+    sv_brake, pov_brake = v_peak * v_peak / (2.0 * params.a_brake_min), v_f * v_f / (2.0 * params.a_brake_max)
+    raw = response_travel + response_gain + sv_brake - pov_brake
+    return response_travel, response_gain, sv_brake, pov_brake, raw
 
 
 def safe_distance_terms(params: RssParams, v_r: float, v_f: float) -> dict:
     """Term-by-term breakdown of the safe-distance formula (for diagnostics)."""
-    terms = travel_terms(params, v_r, v_f)
-    raw = terms[0] + terms[1] + terms[2] - terms[3]  # safe_distance_raw's sum
+    terms = _checked(params, v_r, v_f)
     return {
         "response_travel": terms[0],
         "response_gain": terms[1],
         "sv_brake_travel": terms[2],
         "pov_brake_travel": terms[3],
-        "raw": raw,
-        "d_min": max(0.0, raw),
+        "raw": terms[4],
+        "d_min": max(0.0, terms[4]),
     }
 
 
 def safe_distance_raw(params: RssParams, v_r: float, v_f: float) -> float:
     """The pre-clamp inner expression; may be negative."""
-    response_travel, response_gain, sv_brake, pov_brake = travel_terms(params, v_r, v_f)
-    return response_travel + response_gain + sv_brake - pov_brake
+    return _checked(params, v_r, v_f)[4]
 
 
 def safe_distance(params: RssParams, v_r: float, v_f: float) -> float:
@@ -109,17 +112,14 @@ def margin(params: RssParams, state: ScenarioState) -> float:
     evaluate reports it; the condition holds iff it is > 0.  For callers
     that need neither d_min nor the gap."""
     x_f, v_f, x_r, v_r = state
-    response_travel, response_gain, sv_brake, pov_brake = _terms(params, v_r, v_f)
-    d_min = max(0.0, response_travel + response_gain + sv_brake - pov_brake)
-    return x_f - x_r - params.vehicle_length - d_min
+    return x_f - x_r - params.vehicle_length - max(0.0, _terms(params, v_r, v_f)[4])
 
 
 def evaluate(params: RssParams, state: ScenarioState) -> SafetyEvaluation:
     """The rule at one state.  Its speeds are not checked again: a
     ScenarioState is built only from speeds the rule accepts."""
     x_f, v_f, x_r, v_r = state
-    response_travel, response_gain, sv_brake, pov_brake = _terms(params, v_r, v_f)
-    d_min = max(0.0, response_travel + response_gain + sv_brake - pov_brake)
+    d_min = max(0.0, _terms(params, v_r, v_f)[4])
     gap = x_f - x_r
     margin = gap - params.vehicle_length - d_min
     return tuple.__new__(SafetyEvaluation, (d_min, gap, margin, margin > 0.0))

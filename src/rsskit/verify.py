@@ -126,10 +126,10 @@ def _uniform(a, b, u):
 
 
 def _safe_distances(params, v_r, v_f):
-    """batch.safe_distances of drawn speeds, and where rule.safe_distance
-    gives it: the speeds pass travel_terms' checks and no travel overflows."""
+    """batch.safe_distances of drawn speeds, and where rule.safe_distance gives
+    it: speeds >= 0 whose safe distance is defined, which makes them finite."""
     d_min, defined = safe_distances(params, v_r, v_f)
-    return d_min, defined & (0 <= v_r) & (v_r < inf) & (0 <= v_f) & (v_f < inf)
+    return d_min, defined & (0 <= v_r) & (0 <= v_f)
 
 
 def _starts(params, cfg, u):

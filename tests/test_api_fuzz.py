@@ -3,7 +3,8 @@ CampaignConfig, a Trajectory of drawn TrajectorySamples, and the three
 campaign entry points.
 
 Each field is drawn from unbounded ints, bools, every float (NaN, inf,
-subnormals, +-max), numeric strings and None, and two times in three from
+subnormals, +-max), numeric strings, None, numpy floats and bools, and 0-d,
+one-element and two-element numpy float arrays, and two times in three from
 in-range numbers, so that enough calls get past the first check.
 Whatever the values, a call returns a value or raises an RssError, never
 another exception, and what it returns encodes through report.report_text
@@ -16,6 +17,7 @@ and the default configs with about one field in twelve drawn instead.
 import dataclasses
 import sys
 
+import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
 import rsskit
@@ -35,6 +37,12 @@ NOT_INTS = [
     st.sampled_from([MAX, -MAX, 5e-324, -5e-324, 2.2e-308, -0.0]),
     st.one_of(st.integers(), st.floats()).map(str),
     st.none(),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    # arrays of in-range numbers, which get past a check that reads them as one number
+    st.floats(0.0, 50.0).map(np.array),
+    st.floats(0.0, 50.0).map(lambda x: np.array([x])),
+    st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2).map(np.array),
 ]
 VALUES = st.one_of(st.integers(), *NOT_INTS)
 PLAIN = st.one_of(st.floats(0.01, 50.0), st.integers(1, 50))

@@ -316,6 +316,9 @@ def test_safe_distances_match_the_scalar_bit_for_bit(params):
         "log_uniform": np.exp2(rng.uniform(-1074.0, 1024.0, size)),
         "overflow_edge": first_overflowing_square() * rng.uniform(0.999, 1.001, size),
         "subnormal": rng.uniform(0.0, 2.0 ** -1022, size),
+        # speeds outside the domain, half of them: the scalar raises, the row is undefined
+        "inf": np.where(rng.random(size) < 0.5, np.inf, rng.uniform(0.0, 60.0, size)),
+        "nan": np.where(rng.random(size) < 0.5, np.nan, rng.uniform(0.0, 60.0, size)),
     }
     for name, v in families.items():
         # each speed as v_r and as v_f, against another of the family and 0
@@ -330,7 +333,7 @@ def test_safe_distances_match_the_scalar_bit_for_bit(params):
                 want.append(None)
         assert defined.tolist() == [w is not None for w in want], name
         assert d_min[defined].tolist() == [w for w in want if w is not None], name
-        if name == "log_uniform" or (name == "overflow_edge" and params is PAPER):
+        if name in ("log_uniform", "inf", "nan") or (name == "overflow_edge" and params is PAPER):
             assert 0 < defined.sum() < len(want), name  # the edge is among the draws
 
 

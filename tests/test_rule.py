@@ -154,13 +154,14 @@ def test_int_speeds_whose_square_no_float_holds_are_a_domain_error(v_r, v_f):
 
 
 @pytest.mark.parametrize("bad", ["a", None, 1j, [1.0], True, False, 10 ** 5000,
-                                 np.True_, np.False_, np.array([1.0, 2.0])],
+                                 np.True_, np.False_, np.array([1.0, 2.0]), np.array(1.0), np.array([1.0])],
                          ids=["str", "None", "complex", "list", "True", "False", "int_5000_digits",
-                              "np_True", "np_False", "np_array"])
+                              "np_True", "np_False", "np_array", "np_0d_array", "np_1_element_array"])
 def test_speeds_that_scenario_state_refuses_are_a_domain_error(bad):
     # a non-number raised TypeError from the range check, a bool, numpy's
     # too, read as 0 or 1 m/s, and a 5,000-digit int's message and the
-    # truth value of a numpy array raised ValueError
+    # truth value of a numpy array raised ValueError; a 0-d array was read
+    # as its element, and float() of a one-element one raised TypeError
     entries = [lambda: safe_distance(PAPER, bad, 1.0), lambda: safe_distance(PAPER, 1.0, bad),
                lambda: safe_distance_raw(PAPER, bad, 1.0), lambda: safe_distance_terms(PAPER, 1.0, bad),
                lambda: sv_stop_distance(PAPER, bad), lambda: pov_stop_distance(PAPER, bad)]

@@ -58,20 +58,23 @@ def test_every_route_rejects_bad_states(values, message, route):
 
 # a bool, numpy's too, an int that no float holds, or a value that is no
 # number; their comparisons with inf accepted the first two and raised
-# TypeError on the rest, and numpy's ValueError on an array
+# TypeError on the rest, and numpy's ValueError on an array of two or more
+# elements, while a 0-d or one-element array passed them
 BAD_TYPES = [
     (True, 20.0, 0.0, 20.0), (40.0, 20.0, 0.0, False), (10 ** 400, 20.0, 0.0, 20.0),
     (40.0, 20.0, -10 ** 5000, 20.0), ("a", 20.0, 0.0, 20.0), (40.0, None, 0.0, 20.0),
     (40.0, 20.0, 0.0, 1j), (40.0, "20", 0.0, 20.0),
     (40.0, np.True_, 0.0, 20.0), (np.False_, 20.0, 0.0, 20.0),
     (40.0, 20.0, 0.0, np.array([1.0, 2.0])), (40.0, 20.0, np.array([0.0, 1.0]), 20.0),
+    (40.0, np.array(20.0), 0.0, 20.0), (40.0, 20.0, 0.0, np.array([20.0])), (np.array([40.0]), 20.0, 0.0, 20.0),
 ]
 
 
 @pytest.mark.parametrize(
     "values", BAD_TYPES,
     ids=["bool_x_f", "bool_v_r", "big_x_f", "big_x_r", "str_x_f", "none_v_f", "complex_v_r", "str_v_f",
-         "np_bool_v_f", "np_bool_x_f", "np_array_v_r", "np_array_x_r"],
+         "np_bool_v_f", "np_bool_x_f", "np_array_v_r", "np_array_x_r",
+         "np_0d_array_v_f", "np_1_element_array_v_r", "np_1_element_array_x_f"],
 )
 @pytest.mark.parametrize(
     "route", ["positional", "keyword", "_make", "_make_iterator", "_replace"]
