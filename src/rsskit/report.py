@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from itertools import chain, repeat
 
 from . import __version__
 
@@ -58,35 +59,49 @@ def _has_container(types) -> bool:
 
 def _walk(obj, depth: int):
     """(canonical_json(obj), json.dumps(obj, sort_keys=True, indent=2) as
-    nested at `depth`), from one encode call per flat container."""
+    nested at `depth`), from one encode call per flat container or column."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         text = _STRICT(obj)
         return text, text
     is_dict = isinstance(obj, dict)
-    types = {type(v) for v in (obj.values() if is_dict else obj)}
+    types = set(map(type, obj.values() if is_dict else obj))
     pad = "\n" + "  " * (depth + 1)
-    flat = not _has_container(types)
-    rows = (not (flat or is_dict) and all(issubclass(t, dict) for t in types) and all(obj)
-            and not _has_container({type(v) for r in obj for v in r.values()}))
-    if not (flat or rows):
-        if is_dict:  # {k: 0} encodes as {<key>:\n0}, with json's coercion of k
-            parts = [(_STRICT({k: 0})[1:-4], *_walk(v, depth + 1))
-                     for k, v in sorted(obj.items())]
-        else:
-            parts = [(None, *_walk(v, depth + 1)) for v in obj]
-        canonical = ",".join(c if k is None else f"{k}:{c}" for k, c, _ in parts)
-        indented = ("," + pad).join(i if k is None else f"{k}: {i}" for k, _, i in parts)
-        opener, closer = "{}" if is_dict else "[]"
-        return opener + canonical + closer, opener + pad + indented + pad[:-2] + closer
-    text = _STRICT(obj)
-    # flat: one item per line; rows of flat dicts: also open each row
-    # boundary, the only place "}," meets a newline
-    inner = pad + "  " if rows else pad
-    body = text[1:-1].replace(":\n", ": ").replace(",\n", "," + inner)
-    if rows:
-        body = "{" + inner + body[1:-1].replace(
-            "}," + inner + "{", pad + "}," + pad + "{" + inner) + pad + "}"
-    return text.replace("\n", ""), text[0] + pad + body + pad[:-2] + text[-1]
+    if not _has_container(types):  # one item per line
+        text = _STRICT(obj)
+        body = text[1:-1].replace(":\n", ": ").replace(",\n", "," + pad)
+        return text.replace("\n", ""), text[0] + pad + body + pad[:-2] + text[-1]
+    if types == {dict} and not is_dict and (columns := _columns(obj, pad)):
+        return columns
+    if is_dict:  # {k: 0} encodes as {<key>:\n0}, with json's coercion of k
+        parts = [(_STRICT({k: 0})[1:-4], *_walk(v, depth + 1)) for k, v in sorted(obj.items())]
+    else:
+        parts = [(None, *_walk(v, depth + 1)) for v in obj]
+    canonical = ",".join(c if k is None else f"{k}:{c}" for k, c, _ in parts)
+    indented = ("," + pad).join(i if k is None else f"{k}: {i}" for k, _, i in parts)
+    opener, closer = "{}" if is_dict else "[]"
+    return opener + canonical + closer, opener + pad + indented + pad[:-2] + closer
+
+
+def _columns(rows, pad: str):
+    """_walk's texts of a list of exact dicts that share one set of str keys
+    and hold no container, from one encode per key; None for any other."""
+    if (set(map(type, rows[0])) != {str} or set(map(len, rows)) != {len(rows[0])}
+            or _has_container(set(map(type, chain.from_iterable(map(dict.values, rows)))))):
+        return None
+    keys = sorted(rows[0])
+    try:
+        columns = [list(map(dict.__getitem__, rows, repeat(k))) for k in keys]
+        tokens = [_STRICT(column)[1:-1].split(",\n") for column in columns]
+    except (KeyError, ValueError, TypeError):  # another key set of that size, or
+        return None  # a value json refuses: the generic walk raises it in row order
+    inner, texts = pad + "  ", []
+    for opener, comma, colon, close in (("{", ",", ":", "},"),
+                                        (pad + "{" + inner, "," + inner, ": ", pad + "},")):
+        # per key a head and its token, then the row's close; the last close's comma goes
+        heads = [(comma if i else opener) + _STRICT(k) + colon for i, k in enumerate(keys)]
+        streams = [s for head, column in zip(heads, tokens) for s in (repeat(head), column)]
+        texts.append("".join(chain.from_iterable(zip(*streams, repeat(close))))[:-1])
+    return "[" + texts[0] + "]", "[" + texts[1] + pad[:-2] + "]"
 
 
 def dump_report(report: dict) -> str:

@@ -5,12 +5,14 @@ campaign entry points.
 Each field is drawn from unbounded ints, bools, every float (NaN, inf,
 subnormals, +-max), numeric strings, None, numpy floats and bools, and 0-d,
 one-element and two-element numpy float arrays, and two times in three from
-in-range numbers, so that enough calls get past the first check.
+in-range numbers, so that enough calls get past the first check.  Each
+constructor gets its own budget for each of those kinds.
 Whatever the values, a call returns a value or raises an RssError, never
 another exception, and what it returns encodes through report.report_text
 in the role it has in a report: a parameter set as the params, a config as
 the config, a state as outcome values and a campaign outcome as the
-outcome.  A Trajectory that builds must audit to a report or an RssError.
+outcome.  A Trajectory that builds must audit to a report or an RssError,
+and the report must encode as rsskit audit --out encodes it.
 The campaigns run at most 20 trials, from the paper's parameters
 and the default configs with about one field in twelve drawn instead.
 """
@@ -44,7 +46,8 @@ NOT_INTS = [
     st.floats(0.0, 50.0).map(lambda x: np.array([x])),
     st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2).map(np.array),
 ]
-VALUES = st.one_of(st.integers(), *NOT_INTS)
+KINDS = [st.integers(), *NOT_INTS]
+VALUES = st.one_of(KINDS)
 PLAIN = st.one_of(st.floats(0.01, 50.0), st.integers(1, 50))
 FIELD = st.sampled_from([PLAIN, PLAIN, VALUES]).flatmap(lambda s: s)
 # an int drawn for n_trials is at most 20
@@ -110,15 +113,26 @@ def _encode(value):
     assert isinstance(text, str)
 
 
-@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
-@given(st.sampled_from(CONSTRUCTORS).flatmap(
-    lambda cls: st.tuples(st.just(cls), _fields(cls, _defaults(cls), 2))))
-def test_constructors_return_a_value_or_raise_an_rss_error(case):
-    cls, fields = case
-    value = _call(cls, **fields)
-    event(f"{cls.__name__} {'refused' if value is None else 'built'}")
-    if value is not None:
-        _encode(value)
+def _constructor_fuzz(cls, kind):
+    field = st.sampled_from([PLAIN, PLAIN, kind]).flatmap(lambda s: s)
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(_fields(cls, _defaults(cls), 2, **dict.fromkeys(_names(cls), field)))
+    def check(fields):
+        value = _call(cls, **fields)
+        event(f"{cls.__name__} {'refused' if value is None else 'built'}")
+        if value is not None:
+            _encode(value)
+
+    return check
+
+
+def test_constructors_return_a_value_or_raise_an_rss_error():
+    # a budget per class and value kind, so that every kind reaches every
+    # field; one shared budget gave ScenarioState about 80 examples
+    for cls in CONSTRUCTORS:
+        for kind in KINDS:
+            _constructor_fuzz(cls, kind)()
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -127,7 +141,10 @@ def test_trajectories_of_drawn_samples_audit_or_raise_an_rss_error(samples):
     traj = _call(Trajectory, samples, PAPER)
     event(f"Trajectory {'refused' if traj is None else 'built'}")
     if traj is not None:
-        _call(audit, traj)
+        report = _call(audit, traj)
+        if report is not None:  # encoded as rsskit audit --out encodes it
+            config = {"trajectory": "t.csv", "accel_tol": 0.2}
+            assert isinstance(report_text("audit", PAPER, config, report.to_dict()), str)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)

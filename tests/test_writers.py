@@ -7,15 +7,17 @@ form it replaced, kept in this file as the reference: the output must be
 identical, byte for byte, and config_hash must be the sha256 of
 canonical_json.
 """
+import collections
 import hashlib
 import json
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
-from rsskit import __version__
+from rsskit import __version__, report
 from rsskit.audit import audit
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import gentle_pov, worst_case_pov
@@ -193,6 +195,82 @@ def test_dump_report_rejects_what_json_dumps_rejects():
         with pytest.raises(TypeError):
             dump_report(bad)
         check_walk(bad)
+
+
+# --- lists of rows sharing one key set: the walk's column path -------------
+
+# key parts that a textual splice of rows would trip on
+_KEY_PARTS = ["%", "%s", '"', "'", "\n", '"},\n  {"', "k", "ü", ": "]
+
+
+def _column_value(rng):
+    if rng.random() < 0.3:
+        return rng.choice([np.float64(rng.uniform(-1e3, 1e3)), np.float64(1.5), -0.0,
+                           5e-324, 2**63, -(10**30)])
+    return _scalar(rng)
+
+
+def _rows(rng):
+    """1-5 dicts sharing one set of str keys, each row in its own insertion
+    order; some lists break the key set or hold values json refuses."""
+    keys = sorted({"".join(rng.choices(_KEY_PARTS, k=rng.randrange(1, 4)))
+                   for _ in range(rng.randrange(1, 5))})
+    rows = [{k: _column_value(rng) for k in rng.sample(keys, len(keys))}
+            for _ in range(rng.randrange(1, 6))]
+    kind = rng.randrange(4)
+    if kind == 0:  # one row lacks a key and has another, at equal length
+        row = rng.choice(rows)
+        del row[rng.choice(keys)]
+        row["other"] = 0.5
+    elif kind == 1 and len(keys) > 1 and len(rows) > 1:
+        # a non-finite value, then an unencodable one in an earlier column
+        # of a later row: json raises for the first in row order
+        col, row = rng.randrange(1, len(keys)), rng.randrange(len(rows) - 1)
+        rows[row][keys[col]] = rng.choice([math.nan, math.inf, -math.inf])
+        later = rows[rng.randrange(row + 1, len(rows))]
+        later[keys[rng.randrange(col)]] = rng.choice([np.int64(3), object()])
+    return rows
+
+
+_COLUMN_CASES = [
+    [{"a": 1.0, "b": math.nan}, {"a": np.int64(3), "b": 1.0}],  # ValueError, not TypeError
+    [{"a": object()}, {"a": math.nan}],
+    [{"b": 1, "a": "x"}, {"a": "y", "b": 2}, {"b": 3, "a": "z"}],
+    [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+    [{"a": 1}, {"a": 2, "b": 3}],
+    [{"a": 1}, {}],
+    [{1: "x"}, {True: "y"}],
+    [collections.OrderedDict(a=1), {"a": 2}],
+    ({"a": 1}, {"a": 2}),
+    [{"a": [1]}, {"a": [2]}],
+    [{"t": np.float64(0.5), "m": 2**63}, {"t": -0.0, "m": -(10**30)}, {"t": 5e-324, "m": 0}],
+    [{"%s": '"},\n  {"', "\n": "},\n{"}, {"\n": ": ", "%s": "%"}],
+]
+
+
+def test_lists_of_same_keyed_rows_give_the_plain_texts_and_errors(monkeypatch):
+    taken = []
+
+    def spy(rows, pad, columns=report._columns):
+        out = columns(rows, pad)
+        taken.append(out is not None and len(rows) > 1)
+        return out
+
+    monkeypatch.setattr(report, "_columns", spy)
+    rng = random.Random(31)
+    cases = _COLUMN_CASES + [_rows(rng) for _ in range(2_000)]
+    raised, several = set(), 0
+    for i, rows in enumerate(cases):
+        taken.clear()
+        check_walk(rows)
+        several += any(taken)
+        check_walk({"deeper": {"rows": rows}})
+        raised.add(check_sealed(PAPER, {"accel_tol": 0.2}, {"per_sample": rows, "i": i}))
+    assert raised == {None, ValueError, TypeError}
+    # json refuses the first case with the ValueError that the CLI maps to exit 2
+    assert check_sealed(PAPER, {}, {"rows": _COLUMN_CASES[0]}) is ValueError
+    # 730 of the 2,012 lists have several rows and go the column way
+    assert several > 500
 
 
 def _trajectories():
