@@ -9,6 +9,7 @@ numpy is executed only by verify, falsify and simulate --pov random:SEED.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -223,9 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one tree per process: nothing in it depends on when it was built or on a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantBreach as exc:

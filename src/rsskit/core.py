@@ -123,8 +123,11 @@ def shown(value) -> str:
         return "a value too long to write out"
 
 
+_NUMBER = (int, float)  # bools refused: the one type test of every field that holds a number
+
+
 def _finite(v) -> bool:  # compared: math.isfinite raises on an int too big for a float
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return isinstance(v, _NUMBER) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def lazy_module(name: str):
@@ -176,16 +179,15 @@ class ScenarioState(_StateFields):
     __slots__ = ()
 
     def __new__(cls, x_f, v_f, x_r, v_r):
-        # x * 0.0 and x - x are 0 if x is finite, else NaN; x * 0.0 raises for a
-        # big int or a non-number, x - x for numpy's bool, and hash() for a numpy
-        # array, whatever its shape
-        state = tuple.__new__(cls, (x_f, v_f, x_r, v_r))
-        try:
-            hash(state)
-            positions = x_f * 0.0 == x_f - x_f == x_r * 0.0 == x_r - x_r
-            velocities = v_f * 0.0 <= v_f - v_f <= v_f and v_r * 0.0 <= v_r - v_r <= v_r
-        except (OverflowError, TypeError, ValueError):
-            positions = None
+        # _finite's test: an int or float, then not a bool; x * 0.0 and x - x are 0
+        # if x is finite, else NaN, and x * 0.0 raises for an int too big for a float
+        positions = None
+        if isinstance(x_f, _NUMBER) and isinstance(v_f, _NUMBER) and isinstance(x_r, _NUMBER) and isinstance(v_r, _NUMBER):
+            try:
+                positions = x_f * 0.0 == x_f - x_f == x_r * 0.0 == x_r - x_r
+                velocities = v_f * 0.0 <= v_f - v_f <= v_f and v_r * 0.0 <= v_r - v_r <= v_r
+            except OverflowError:
+                positions = None
         if positions is None or x_f is True or x_f is False or v_f is True or v_f is False or (
                 x_r is True or x_r is False or v_r is True or v_r is False):
             raise DomainError(f"positions and velocities must be numbers a float holds, not booleans, got "
@@ -194,7 +196,7 @@ class ScenarioState(_StateFields):
             raise DomainError(f"positions must be finite, got x_f={x_f!r}, x_r={x_r!r}")
         if not velocities:
             raise DomainError(f"velocities must be finite and >= 0, got v_f={v_f!r}, v_r={v_r!r}")
-        return state
+        return tuple.__new__(cls, (x_f, v_f, x_r, v_r))
 
     @classmethod
     def _make(cls, iterable):

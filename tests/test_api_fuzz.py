@@ -3,8 +3,9 @@ CampaignConfig, a Trajectory of drawn TrajectorySamples, and the three
 campaign entry points.
 
 Each field is drawn from unbounded ints, bools, every float (NaN, inf,
-subnormals, +-max), numeric strings, None, numpy floats and bools, and 0-d,
-one-element and two-element numpy float arrays, and two times in three from
+subnormals, +-max), numeric strings, None, numpy floats and bools, numpy
+int64 and float32, Fractions, and 0-d, one-element and two-element numpy
+float arrays, and two times in three from
 in-range numbers, so that enough calls get past the first check.  Each
 constructor gets its own budget for each of those kinds.
 Whatever the values, a call returns a value or raises an RssError, never
@@ -41,6 +42,10 @@ NOT_INTS = [
     st.none(),
     st.floats().map(np.float64),
     st.booleans().map(np.bool_),
+    # numbers that are neither int nor float, which a report cannot encode
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.fractions(),
     # arrays of in-range numbers, which get past a check that reads them as one number
     st.floats(0.0, 50.0).map(np.array),
     st.floats(0.0, 50.0).map(lambda x: np.array([x])),
@@ -56,11 +61,15 @@ TRIALS = st.one_of(st.integers(max_value=20), *NOT_INTS)
 CONSTRUCTORS = [getattr(rsskit, name) for name in rsskit.__all__
                 if isinstance(getattr(rsskit, name), type)] + [CampaignConfig]
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
-# a sample's state and mode are valid two times in three, else any value
+# a sample's state and mode are valid two times in three, else any value;
+# its time is also drawn as the two other kinds Trajectory accepts, a numpy
+# float and an int beyond 2**53, so that both reach the audit and its report
 STATE = st.just(ScenarioState(40.0, 20.0, 0.0, 20.0))
 MODE = st.sampled_from([AC, BC])
+TIME = st.sampled_from([FIELD, FIELD, st.floats(0.01, 50.0).map(np.float64),
+                        st.integers(2 ** 53 + 1, 2 ** 1023)]).flatmap(lambda s: s)
 SAMPLES = st.lists(st.builds(
-    TrajectorySample, FIELD, st.sampled_from([STATE, STATE, VALUES]).flatmap(lambda s: s),
+    TrajectorySample, TIME, st.sampled_from([STATE, STATE, VALUES]).flatmap(lambda s: s),
     FIELD, st.sampled_from([MODE, MODE, st.one_of(st.text(max_size=2), VALUES)]).flatmap(lambda s: s)),
     min_size=1, max_size=3)
 CAMPAIGN = {"seed": 0, "n_trials": 20, "include_grid": False}

@@ -576,3 +576,45 @@ def test_campaign_report_that_cannot_be_encoded_is_usage_error(
     assert "Traceback" not in err
     assert "cannot write the verify report: Out of range float values" in err
     assert not report.exists()
+
+
+def _exit_code(fn, *args):
+    try:
+        return fn(*args)
+    except SystemExit as exc:
+        return ("SystemExit", exc.code)
+
+
+def test_main_parses_each_call_as_a_fresh_parser_does(params_file, tmp_path, capsys, monkeypatch):
+    # main keeps one argparse tree per process; each call must parse as a
+    # tree built for it alone would, with no value left over from the last
+    crash, traj, metric = (str(tmp_path / name) for name in ("crash.csv", "traj.csv", "metric.csv"))
+    start = ["--gap", "40", "--v-r", "20", "--v-f", "20", "--ac", "adversarial"]
+    calls = [  # (argv, $RSSKIT_PARAMS, main's result)
+        (["simulate", "--params", params_file, "--no-supervisor", "--dt", "x", "--out", crash], None,
+         ("SystemExit", 2)),
+        (["audit", "--help"], None, ("SystemExit", 0)),
+        (["simulate", "--params", params_file, *start, "--no-supervisor", "--out", crash], None, 0),
+        (["simulate", "--params", params_file, *start, "--out", traj], None, 0),
+        (["audit", "--params", params_file, "--trajectory", crash, "--metric-csv", metric], None, 1),
+        (["audit", "--params", params_file, "--trajectory", traj], None, 0),
+        (["safe-distance", "--v-r", "20", "--v-f", "20"], params_file, 0),
+        (["safe-distance", "--params", params_file, "--v-r", "10", "--v-f", "0"], None, 0),
+    ]
+    assert cli._parser() is cli._parser()
+    parse, parsed = cli._parser().parse_args, []
+    monkeypatch.setattr(cli._parser(), "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+    for argv, env, result in calls:
+        if env is None:
+            monkeypatch.delenv("RSSKIT_PARAMS", raising=False)
+        else:
+            monkeypatch.setenv("RSSKIT_PARAMS", env)
+        before = len(parsed)
+        assert _exit_code(main, argv) == result, argv
+        out = capsys.readouterr()
+        fresh = _exit_code(cli.build_parser().parse_args, argv)
+        if isinstance(result, tuple):  # refused or answered while parsing
+            assert fresh == result and len(parsed) == before and capsys.readouterr() == out, argv
+        else:
+            assert len(parsed) == before + 1 and vars(parsed[-1]) == vars(fresh), argv
+    assert cli._parser() is cli._parser()

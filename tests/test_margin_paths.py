@@ -206,7 +206,7 @@ def speed_kinds(rng, st):
     gap = st.x_f - st.x_r
     return [st, ScenarioState(st.x_r + gap + rng.uniform(-2.0, 2.0), v_f, st.x_r, v_r),
             ScenarioState(np.float64(st.x_f), np.float64(st.v_f), st.x_r, np.float64(st.v_r)),
-            ScenarioState(round(st.x_f), np.int64(v_f), round(st.x_r), v_r)]
+            ScenarioState(round(st.x_f), v_f, round(st.x_r), v_r)]
 
 
 def test_evaluate_and_margin_match_the_checked_chain():
