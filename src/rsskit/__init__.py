@@ -26,7 +26,6 @@ from .dynamics import (
     integrate,
     pov_stop_distance,
     sv_stop_distance,
-    worst_case_execution,
 )
 from .supervisor import SupervisorConfig, SupervisorState, decide, run_supervised
 from .audit import AuditReport, audit, check_compliance, safety_metric
@@ -57,5 +56,4 @@ __all__ = [
     "safety_metric",
     "sv_stop_distance",
     "validate_params",
-    "worst_case_execution",
 ]

@@ -1,4 +1,4 @@
-"""Longitudinal kinematics: closed-form worst-case executions, an exact
+"""Longitudinal kinematics: the closed-form worst case, an exact
 piecewise-constant-acceleration motion engine, a fixed-step integrator
 for arbitrary behaviors, POV behavior models, and collision detection.
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .core import BC, AC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from .core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from .errors import DomainError, StepError
 from .rule import safe_distance_raw, travel_terms
 
@@ -209,7 +209,6 @@ class ExecutionTrace:
     samples: tuple
     params: RssParams
     collision: Optional[CollisionEvent] = None
-    sv_halt_time: Optional[float] = None
     min_gap: float = math.inf
     min_gap_time: float = 0.0
     bc_engagements: int = 0
@@ -224,72 +223,23 @@ def worst_case_sv_halt(params: RssParams, v_r: float) -> float:
     return params.rho + v_peak / params.a_brake_min if v_peak > 0.0 else 0.0
 
 
-def _worst_case_run(params: RssParams, start: ScenarioState):
-    """Closed-form worst case up to the SV halt.
+def worst_case_gap_analysis(params: RssParams, start: ScenarioState):
+    """Closed-form worst case up to the SV halt: the SV at a_max for rho,
+    then braking at a_brake_min; the POV braking at a_brake_max.
 
-    Returns (segs_r, segs_f, analyze_gap result, t_sv_halt, t_pov_halt).
+    Returns (collision_t, gap_at_collision, min_gap, min_gap_t, t_sv_halt,
+    t_pov_halt), the first four from analyze_gap.
     """
     t_sv_halt = worst_case_sv_halt(params, start.v_r)
-    t_pov_halt = start.v_f / params.a_brake_max
     sched_r = ((0.0, params.a_max), (params.rho, -params.a_brake_min))
     segs_r = build_profile(start.x_r, start.v_r, sched_r, t_sv_halt)
     segs_f = build_profile(start.x_f, start.v_f, ((0.0, -params.a_brake_max),), t_sv_halt)
     gap = analyze_gap(segs_r, segs_f, params.vehicle_length)
-    return segs_r, segs_f, gap, t_sv_halt, t_pov_halt
-
-
-def worst_case_gap_analysis(params: RssParams, start: ScenarioState):
-    """Closed-form worst-case run without building a sampled trace.
-
-    Returns (collision_t, gap_at_collision, min_gap, min_gap_t, t_sv_halt,
-    t_pov_halt).  Used by the verification campaigns, where sampled traces
-    would only add overhead.
-    """
-    _, _, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
-    return gap + (t_sv_halt, t_pov_halt)
-
-
-def worst_case_execution(
-    params: RssParams, start: ScenarioState, dt: float = 1e-3
-) -> ExecutionTrace:
-    """Closed-form worst-case run, sampled at dt.
-
-    The SV accelerates at a_max for exactly rho then brakes at
-    a_brake_min; the POV brakes at a_brake_max.  The trace ends at SV
-    halt or at the collision, whichever comes first.
-    """
-    segs_r, segs_f, gap, t_sv_halt, t_pov_halt = _worst_case_run(params, start)
-    col_t, col_gap, min_gap, min_gap_t = gap
-    end = col_t if col_t is not None else t_sv_halt
-    check_step(dt, end)
-
-    ts = []
-    k = 0
-    while k * dt < end - 1e-12:
-        ts.append(k * dt)
-        k += 1
-    ts.append(end)
-
-    samples = []
-    for t in ts:
-        xr, vr, ar = profile_state(segs_r, t)
-        xf, vf, _ = profile_state(segs_f, t)
-        samples.append(
-            TrajectorySample(t, ScenarioState(xf, vf, xr, vr), ar, BC)
-        )
-    collision = CollisionEvent(col_t, col_gap) if col_t is not None else None
-    return ExecutionTrace(
-        samples=tuple(samples),
-        params=params,
-        collision=collision,
-        sv_halt_time=t_sv_halt if col_t is None or col_t >= t_sv_halt else None,
-        min_gap=min_gap,
-        min_gap_time=min_gap_t,
-    )
+    return gap + (t_sv_halt, start.v_f / params.a_brake_max)
 
 
 def classify_worst_case(params: RssParams, start: ScenarioState) -> str:
-    """Velocity-pattern case of the worst-case execution from `start`.
+    """Velocity-pattern case of the closed-form worst case from `start`.
 
     The sign history of the relative velocity w = v_r - v_f decides the
     case: always nonnegative (Case1), always negative until the SV halts
@@ -478,7 +428,6 @@ def run_fixed_step(
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []
     collision = None
-    sv_halt = None
     min_gap = math.inf
     min_gap_t = 0.0
 
@@ -493,8 +442,6 @@ def run_fixed_step(
         if g <= COLLISION_EPS:
             collision = CollisionEvent(t, state.gap)
             break
-        if sv_halt is None and v_r <= 0.0:
-            sv_halt = t
         if i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
@@ -514,7 +461,6 @@ def run_fixed_step(
         samples=tuple(samples),
         params=params,
         collision=collision,
-        sv_halt_time=sv_halt,
         min_gap=min_gap + length,
         min_gap_time=min_gap_t,
     )

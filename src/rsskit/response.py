@@ -8,6 +8,7 @@ to its bounds; the worst case is holding a_max.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .core import RssParams
@@ -63,8 +64,8 @@ def advance_phase(
     response time is always admissible); it must end once elapsed + dt
     reaches rho.
     """
-    if dt <= 0:
-        raise StepError(f"dt must be > 0, got {dt!r}")
+    if not 0.0 < dt < math.inf:
+        raise StepError(f"dt must be finite and > 0, got {dt!r}")
     if phase.kind == RESPONSE_WINDOW:
         elapsed = phase.elapsed + dt
         if elapsed >= params.rho:

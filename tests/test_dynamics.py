@@ -23,7 +23,6 @@ from rsskit.dynamics import (
     pov_stop_distance,
     profile_state,
     sv_stop_distance,
-    worst_case_execution,
     worst_case_gap_analysis,
     worst_case_pov,
 )
@@ -224,17 +223,18 @@ def test_profile_state_matches_linear_scan():
 # --- worst-case execution --------------------------------------------------
 
 def test_worked_boundary_case_just_safe():
-    trace = worst_case_execution(PAPER, state(34.136, 20.0, 20.0))
-    assert trace.collision is None
-    assert trace.min_gap == pytest.approx(0.001, abs=1e-9)
-    assert trace.min_gap_time == pytest.approx(trace.sv_halt_time, abs=1e-9)
-    assert trace.sv_halt_time == pytest.approx(0.3 + 20.6 / 4.0, abs=1e-12)
+    col_t, _, min_gap, min_gap_t, t_sv_halt, _ = worst_case_gap_analysis(
+        PAPER, state(34.136, 20.0, 20.0))
+    assert col_t is None
+    assert min_gap == pytest.approx(0.001, abs=1e-9)
+    assert min_gap_t == pytest.approx(t_sv_halt, abs=1e-9)
+    assert t_sv_halt == pytest.approx(0.3 + 20.6 / 4.0, abs=1e-12)
 
 
 def test_worked_boundary_case_just_unsafe():
-    trace = worst_case_execution(PAPER, state(34.0, 20.0, 20.0))
-    assert trace.collision is not None
-    assert trace.collision.gap <= 2e-9
+    col_t, col_gap, _, _, _, _ = worst_case_gap_analysis(PAPER, state(34.0, 20.0, 20.0))
+    assert col_t is not None
+    assert col_gap <= 2e-9
 
 
 def test_exact_boundary_touch_counts_as_collision():
@@ -242,24 +242,6 @@ def test_exact_boundary_touch_counts_as_collision():
     col_t, _, min_gap, _, _, _ = worst_case_gap_analysis(PAPER, state(d, 20.0, 20.0))
     assert col_t is not None
     assert abs(min_gap) <= 2e-9
-
-
-def test_gap_analysis_agrees_with_sampled_execution():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        v_r, v_f = rng.uniform(0.0, 35.0, size=2)
-        gap = safe_distance(PAPER, v_r, v_f) + rng.uniform(0.01, 20.0)
-        st = state(gap, v_r, v_f)
-        col_t, _, min_gap, min_t, _, _ = worst_case_gap_analysis(PAPER, st)
-        trace = worst_case_execution(PAPER, st, dt=1e-2)
-        assert col_t is None
-        assert trace.collision is None
-        assert trace.min_gap == pytest.approx(min_gap, abs=1e-9)
-
-
-def test_worst_case_rejects_bad_dt():
-    with pytest.raises(StepError):
-        worst_case_execution(PAPER, state(40.0, 20.0, 20.0), dt=0.0)
 
 
 # --- case classification ---------------------------------------------------
@@ -277,11 +259,6 @@ def test_worst_case_rejects_bad_dt():
 )
 def test_classify_worst_case_examples(v_r, v_f, case):
     assert classify_worst_case(PAPER, state(200.0, v_r, v_f)) == case
-
-
-def test_classify_case_on_trace():
-    trace = worst_case_execution(PAPER, state(100.0, 10.0, 12.0))
-    assert classify_worst_case(trace.params, trace.samples[0].state) == CASE_2
 
 
 def test_classification_is_exhaustive():
@@ -320,15 +297,14 @@ def test_integrate_braking_stop_is_exact():
     final = trace.samples[-1].state
     assert final.v_r == 0.0
     assert final.x_r == pytest.approx(12.5, abs=1e-12)
-    assert trace.sv_halt_time is not None
 
 
 def test_integrate_matches_closed_form_on_boundary_case():
     st = state(34.136, 20.0, 20.0)
-    ref = worst_case_execution(PAPER, st)
+    _, _, ref, _, _, _ = worst_case_gap_analysis(PAPER, st)
     trace = integrate(PAPER, st, worst_sv_policy(PAPER), worst_case_pov(PAPER), 1e-3, 8.0)
     assert trace.collision is None
-    assert abs(trace.min_gap - ref.min_gap) < 0.01
+    assert abs(trace.min_gap - ref) < 0.01
 
 
 def test_integrate_collision_detection():
@@ -382,8 +358,6 @@ def test_run_length_is_bounded():
     with pytest.raises(StepError, match="more than"):
         integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0,
                   STEADY_POV, 1e-300, 1.0)
-    with pytest.raises(StepError, match="more than"):
-        worst_case_execution(PAPER, state(40.0, 20.0, 20.0), dt=1e-300)
 
 
 def test_pov_command_clamped_to_model():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rsskit.errors import StepError
@@ -63,9 +65,11 @@ def test_many_small_steps_accumulate(params):
     assert ph.kind == BRAKING
 
 
-def test_rejects_bad_dt(params):
-    with pytest.raises(StepError):
-        advance_phase(params, begin_response(), 0.0, 1.0)
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+def test_rejects_bad_dt(params, dt):
+    # a NaN window clock never reached rho, so the window never ended
+    with pytest.raises(StepError, match="finite and > 0"):
+        advance_phase(params, begin_response(), dt, 1.0)
 
 
 def test_full_throttle_window_holds_a_max(params):

@@ -21,14 +21,20 @@ there a collision time is None and the minimum gap, its time and the halt
 times must scale exactly.  The audit finds a collision by COLLISION_EPS
 and GAP_RESOLUTION too, so it is checked under length rescaling only on
 recorded trajectories whose free space is at every sample either at most
-0 or at least 0.05 m, with its accel_tol scaled with the lengths.
+0 or at least 0.05 m, with its accel_tol scaled with the lengths.  The
+supervised engines are checked under length rescaling, with the
+switchback_margin scaled too; see test_the_supervised_engines_scale_exactly
+for what they are compared on.
 """
 import random
 
 import numpy as np
 
 from rsskit.audit import audit
-from rsskit.batch import analyze_gaps, build_profiles, classify_worst_cases, margins, safe_distances
+from rsskit.batch import (
+    analyze_gaps, build_profiles, classify_worst_cases, margins, safe_distances, supervised_lockstep,
+    unsupervised_runs,
+)
 from rsskit.core import RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import worst_case_gap_analysis, worst_case_pov
 from rsskit.rule import margin, safe_distance
@@ -237,3 +243,85 @@ def test_the_audit_scales_exactly():
     # the supervised runs comply, and the unsupervised ones collide and make the SV liable
     assert checks == 2 * 24 * len(AUDIT_KS) and verdicts == {(True, "None"), (False, "SvLiable")}
     assert misses == [], f"{len(misses)} of {checks} audits missed, first {misses[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# the supervised engines
+
+SUPERVISED_KS = (3, -3, 6, -6)
+LOCKSTEP_KS = (3, -3, 6, -6, 10, -10)
+LOCKSTEP_STARTS = 500  # a vehicle_length
+
+
+def paper_by(c, length):
+    """The paper parameters with vehicle_length, lengths scaled by c."""
+    return RssParams(0.3, 2.0 * c, 4.0 * c, 8.0 * c, length * c)
+
+
+def supervised_runs(c, length, dt, ac):
+    """Seeded paper-parameter run_supervised traces, lengths scaled by c:
+    the switchback_margin (1 m) too, and speeds drawn in 8-32 m/s from
+    0.5-20 m of free space above d_min."""
+    rng = random.Random(33)
+    params = paper_by(c, length)
+    cfg = SupervisorConfig(switchback_margin=c)
+    traces = []
+    for _ in range(5):
+        v_r, v_f = rng.uniform(8.0, 32.0), rng.uniform(8.0, 32.0)
+        gap = safe_distance(paper_by(1.0, length), v_r, v_f) + length + rng.uniform(0.5, 20.0)
+        start = ScenarioState(c * gap, c * v_f, 0.0, c * v_r)
+        traces.append(run_supervised(params, cfg, start, ac(params), worst_case_pov(params), dt=dt))
+    return traces
+
+
+def lockstep_starts(length):
+    """Seeded campaign-like starts (x_f, v_f, x_r, v_r): speeds in 0-40 m/s,
+    0-50 m of free space above d_min."""
+    rng = np.random.default_rng(33)
+    params = paper_by(1.0, length)
+    v_r, v_f = rng.uniform(0.0, 40.0, (2, LOCKSTEP_STARTS))
+    gap = safe_distances(params, v_r, v_f)[0] + length + 50.0 * (1.0 - rng.random(LOCKSTEP_STARTS))
+    return np.stack((gap, v_f, np.zeros(LOCKSTEP_STARTS), v_r), axis=1)
+
+
+def lockstep_outcomes(c, length, starts):
+    """supervised_lockstep's (fallback, engagements, compliant) and
+    unsupervised_runs' fallback flags and collision presence, lengths
+    scaled by c, at the campaigns' dt 0.05 and t_end 60 s."""
+    params = paper_by(c, length)
+    cfg = SupervisorConfig(switchback_margin=c)
+    fallback, engagements, compliant = supervised_lockstep(params, cfg, starts * c, 0.05, 60.0)
+    neg_fallback, collision = unsupervised_runs(params, cfg, starts * c, 0.05, 60.0)
+    return (list(fallback), list(engagements), list(compliant), neg_fallback,
+            [event is not None for event in collision])
+
+
+def test_the_supervised_engines_scale_exactly():
+    """run_supervised's samples must scale exactly, with the same
+    bc_engagements and collision presence; the lockstep engines' outcomes
+    must not move.  unsupervised_runs' collision times are not compared:
+    they are located where the free space reaches the absolute
+    COLLISION_EPS (1e-9 m), so they move with the scale."""
+    misses, engaged = [], 0
+    for length in (0.0, 4.5):
+        for dt in (0.01, 0.05):
+            for ac in (benign_ac, adversarial_ac):
+                base = supervised_runs(1.0, length, dt, ac)
+                engaged += sum(trace.bc_engagements for trace in base)
+                for k in SUPERVISED_KS:
+                    c = 2.0 ** k
+                    for j, (got, want) in enumerate(zip(supervised_runs(c, length, dt, ac), base)):
+                        if (got.to_trajectory().samples, got.bc_engagements, got.collision is None) != (
+                                lengths_scaled(want.to_trajectory(), c).samples, want.bc_engagements,
+                                want.collision is None):
+                            misses.append(("run_supervised", length, dt, ac.__name__, k, j))
+        starts = lockstep_starts(length)
+        base = lockstep_outcomes(1.0, length, starts)
+        # the lockstep engine runs every row itself, and every negative control collides
+        assert not any(base[0]) and not any(base[3]) and all(base[4])
+        for k in LOCKSTEP_KS:
+            if lockstep_outcomes(2.0 ** k, length, starts) != base:
+                misses.append(("lockstep", length, k))
+    # the runs engage the baseline controller, so its phases are exercised
+    assert engaged > 0
+    assert misses == [], f"{len(misses)} checks missed, first {misses[:3]}"

@@ -2,7 +2,7 @@ import pytest
 
 from rsskit.cli import main
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from rsskit.dynamics import worst_case_execution
+from rsskit.dynamics import integrate, worst_case_pov
 from rsskit.errors import DomainError, TrajectoryFormatError
 from rsskit.report import dump_report, make_report
 from rsskit.trajio import HEADER, read_trajectory, write_metric_csv, write_trajectory
@@ -37,7 +37,8 @@ def test_round_trip(tmp_path):
 
 def test_round_trip_preserves_9_digits(tmp_path):
     path = tmp_path / "traj.csv"
-    trace = worst_case_execution(PAPER, state(34.136, 20.0, 20.0), dt=0.01)
+    worst_sv = lambda t, s: PAPER.a_max if t < PAPER.rho else -PAPER.a_brake_min
+    trace = integrate(PAPER, state(34.136, 20.0, 20.0), worst_sv, worst_case_pov(PAPER), 0.01, 5.5)
     write_trajectory(trace.to_trajectory(), path)
     back = read_trajectory(path, PAPER)
     for a, b in zip(trace.samples, back.samples):
