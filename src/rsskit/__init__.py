@@ -22,7 +22,6 @@ from .core import (
 from .rule import SafetyEvaluation, evaluate, safe_distance, safe_distance_raw
 from .dynamics import (
     ExecutionTrace,
-    PovBehavior,
     integrate,
     pov_stop_distance,
     sv_stop_distance,
@@ -35,7 +34,6 @@ __all__ = [
     "BC",
     "AuditReport",
     "ExecutionTrace",
-    "PovBehavior",
     "RssParams",
     "SafetyEvaluation",
     "ScenarioState",

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from .errors import DomainError, StepError
-from .rule import safe_distance_raw, travel_terms
+from .rule import safe_distance_raw, safe_distance_terms
 
 # Touching counts as collision (strict inequality reading of the safety
 # condition).  The epsilon absorbs float rounding at exact-boundary starts;
@@ -40,7 +40,7 @@ def sv_stop_distance(params: RssParams, v_r: float) -> float:
 
 def pov_stop_distance(params: RssParams, v_f: float) -> float:
     """POV travel under maximum emergency braking."""
-    return travel_terms(params, 0.0, v_f)[3]
+    return safe_distance_terms(params, 0.0, v_f)["pov_brake_travel"]
 
 
 # ---------------------------------------------------------------------------
@@ -274,47 +274,36 @@ def classify_worst_case(params: RssParams, start: ScenarioState) -> str:
 
 
 # ---------------------------------------------------------------------------
-# POV behavior models
+# POV behavior models: (t, position, velocity) -> acceleration policies,
+# each command clamped by run_fixed_step to [-a_brake_max, POV_A_FWD_MAX].
 
 # The largest forward acceleration of every POV behavior [m/s^2].
 POV_A_FWD_MAX = 2.0
 
 
-@dataclass(frozen=True)
-class PovBehavior:
-    """Front-vehicle behavior: an acceleration policy plus its braking bound.
-
-    The policy maps (t, position, velocity) to an acceleration, which is
-    clamped to [-brake_limit, POV_A_FWD_MAX].  brake_limit is normally the
-    scenario's a_brake_max; exceeding it puts the POV outside the model.
-    """
-
-    policy: Callable[[float, float, float], float]
-    brake_limit: float
-
-    def command(self, t: float, x: float, v: float) -> float:
-        return min(POV_A_FWD_MAX, max(-self.brake_limit, self.policy(t, x, v)))
-
-
-def worst_case_pov(params: RssParams) -> PovBehavior:
+def worst_case_pov(params: RssParams) -> Callable[[float, float, float], float]:
     """Emergency braking to a halt: the worst admissible POV behavior."""
-    return PovBehavior(lambda t, x, v: -params.a_brake_max, params.a_brake_max)
+    return lambda t, x, v: -params.a_brake_max
 
 
-def gentle_pov(params: RssParams) -> PovBehavior:
-    return PovBehavior(lambda t, x, v: -1.0, params.a_brake_max)
+def gentle_pov(params: RssParams) -> Callable[[float, float, float], float]:
+    return lambda t, x, v: -1.0
 
 
-def piecewise_pov(params: RssParams, schedule) -> PovBehavior:
-    """Piecewise-constant acceleration schedule [(start time, accel), ...]."""
+def piecewise_pov(params: RssParams, schedule) -> Callable[[float, float, float], float]:
+    """Piecewise-constant acceleration schedule [(start time, accel), ...],
+    its first piece held from t = 0 on."""
     starts = [t for t, _ in schedule]
     accels = [a for _, a in schedule]
+    if not starts or not all(map(math.isfinite, starts + accels)) or sorted(set(starts)) != starts:
+        raise DomainError(f"a POV schedule needs finite accelerations at finite, strictly increasing start times, "
+                          f"got {schedule!r}")
 
     def policy(t, x, v):
         i = max(0, bisect_right(starts, t) - 1)
         return accels[i]
 
-    return PovBehavior(policy, params.a_brake_max)
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +396,7 @@ def run_fixed_step(
     params: RssParams,
     start: ScenarioState,
     control: Callable[[int, float, ScenarioState], tuple],
-    pov_behavior: PovBehavior,
+    pov_policy: Callable[[float, float, float], float],
     dt: float,
     t_end: float,
 ) -> ExecutionTrace:
@@ -417,14 +406,15 @@ def run_fixed_step(
     control(i, t, state), which returns (a_r, mode, settled): the SV
     acceleration held over the step, the control mode recorded with the
     sample, and whether the controller may stop here once both vehicles
-    have halted.  The POV command is sampled at the same instant; within
-    a step the kinematics are exact.  The run takes full dt steps until
-    t_end is reached, and ends early at a settled halt or at a collision
-    (gap falling to vehicle_length), which refine_crossing locates inside
-    the step.
+    have halted.  The POV command pov_policy(t, x_f, v_f), sampled at the
+    same instant, is clamped to [-a_brake_max, POV_A_FWD_MAX]: braking
+    harder would leave the RSS model.  Within a step the kinematics are
+    exact.  The run takes full dt steps until t_end is reached, and ends
+    early at a settled halt or at a collision (gap falling to
+    vehicle_length), which refine_crossing locates inside the step.
     """
     n_steps = check_step(dt, t_end)
-    length = params.vehicle_length
+    length, pov_brake = params.vehicle_length, -params.a_brake_max
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []
     collision = None
@@ -445,7 +435,7 @@ def run_fixed_step(
         if i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
-        a_f = pov_behavior.command(t, x_f, v_f)
+        a_f = min(POV_A_FWD_MAX, max(pov_brake, pov_policy(t, x_f, v_f)))
         nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
         nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:
@@ -470,7 +460,7 @@ def integrate(
     params: RssParams,
     start: ScenarioState,
     sv_policy: Callable[[float, ScenarioState], float],
-    pov_behavior: PovBehavior,
+    pov_policy: Callable[[float, float, float], float],
     dt: float,
     t_end: float,
 ) -> ExecutionTrace:
@@ -483,4 +473,4 @@ def integrate(
     def control(i, t, state):
         return sv_policy(t, state), AC, False
 
-    return run_fixed_step(params, start, control, pov_behavior, dt, t_end)
+    return run_fixed_step(params, start, control, pov_policy, dt, t_end)

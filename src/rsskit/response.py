@@ -8,11 +8,10 @@ to its bounds; the worst case is holding a_max.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .core import RssParams
-from .errors import StepError
+from .dynamics import check_step
 
 RESPONSE_WINDOW = "response_window"
 BRAKING = "braking"
@@ -64,8 +63,7 @@ def advance_phase(
     response time is always admissible); it must end once elapsed + dt
     reaches rho.
     """
-    if not 0.0 < dt < math.inf:
-        raise StepError(f"dt must be finite and > 0, got {dt!r}")
+    check_step(dt)
     if phase.kind == RESPONSE_WINDOW:
         elapsed = phase.elapsed + dt
         if elapsed >= params.rho:

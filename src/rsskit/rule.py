@@ -16,18 +16,6 @@ from .core import RssParams, ScenarioState, shown
 from .errors import DomainError
 
 
-def travel_terms(params: RssParams, v_r: float, v_f: float):
-    """The formula's four travels: (SV response travel, SV response
-    acceleration gain, SV braking travel, POV braking travel).
-
-    travel_arithmetic is the one definition of the formula and of the
-    travels' sum, the raw value that every d_min here, in batch and in
-    dynamics' SV stopping distance reads.  Speeds outside [0, inf) and
-    terms that overflow raise DomainError.
-    """
-    return _checked(params, v_r, v_f)[:4]
-
-
 def _checked(params: RssParams, v_r, v_f):
     """_terms of bare speeds, once they pass the checks ScenarioState makes."""
     # written so that NaN fails too, and an int that no float holds; a bool
@@ -55,9 +43,12 @@ def _terms(params: RssParams, v_r, v_f):
 
 
 def travel_arithmetic(params: RssParams, v_r, v_f):
-    """The four travels, as travel_terms gives them, then the raw value
-    response_travel + response_gain + sv_brake - pov_brake, without checks,
-    on floats or numpy arrays.  It squares by multiplication, which IEEE
+    """The formula's four travels (SV response travel, SV response
+    acceleration gain, SV braking travel, POV braking travel), then the raw
+    value response_travel + response_gain + sv_brake - pov_brake, unchecked,
+    on floats or numpy arrays: the one definition of the formula and of the
+    travels' sum, which every d_min here, in batch and in dynamics' SV
+    stopping distance reads.  It squares by multiplication, which IEEE
     rounds correctly in Python and numpy alike, so both engines agree bit
     for bit and scale exactly under power-of-two unit rescaling; a square
     that overflows is inf."""

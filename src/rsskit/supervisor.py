@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional, Tuple
 
 from .core import AC, BC, RssParams, ScenarioState, read_value
-from .dynamics import ExecutionTrace, PovBehavior, advance_vehicle, check_step, run_fixed_step
+from .dynamics import ExecutionTrace, advance_vehicle, check_step, run_fixed_step
 from .errors import ConfigError, InvariantBreach
 from .response import (
     BRAKING,
@@ -170,7 +170,7 @@ def run_supervised(
     cfg: SupervisorConfig,
     start: ScenarioState,
     ac_policy: Callable[[float, ScenarioState], float],
-    pov_behavior: PovBehavior,
+    pov_policy: Callable[[float, float, float], float],
     dt: float = 1e-3,
     t_end: Optional[float] = None,
     supervised: bool = True,
@@ -235,5 +235,5 @@ def run_supervised(
         return cmd, AC, decision
 
     policy = supervisor_policy if supervised else pass_through
-    trace = run_fixed_step(params, start, policy, pov_behavior, dt, t_end)
+    trace = run_fixed_step(params, start, policy, pov_policy, dt, t_end)
     return replace(trace, bc_engagements=sup.engagements)

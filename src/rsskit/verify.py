@@ -18,7 +18,7 @@ from .batch import (
     analyze_gaps, build_profiles, classify_worst_cases, safe_distances, supervised_lockstep,
     unsupervised_runs,
 )
-from .dynamics import ALL_CASES, worst_case_gap_analysis, worst_case_pov
+from .dynamics import ALL_CASES, POV_A_FWD_MAX, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError, RssError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
@@ -52,7 +52,7 @@ class CampaignConfig:
     v_max: float = 40.0
     margin_max: float = 50.0
     sim_dt: float = 0.05
-    a_fwd_max: float = 2.0
+    a_fwd_max: float = POV_A_FWD_MAX
     pov_segments_min: int = 3
     pov_segments_max: int = 8
     include_grid: bool = True

@@ -449,7 +449,7 @@ CAMPAIGNS = [
     (3, 0.0, {"n_trials": 300, "margin_max": 1e-12}),
 ]
 # a random trial whose safe distance is not defined: both forms raise
-# rule.travel_terms' DomainError for the first such trial in order
+# the rule's DomainError for the first such trial in order
 UNDEFINED = [
     (0, 0.0, {"n_trials": 100, "v_min": -1.0}),
     (1, 4.5, {"n_trials": 100, "v_min": 1e154, "v_max": 1e155}),  # terms overflow

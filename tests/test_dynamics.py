@@ -361,7 +361,29 @@ def test_run_length_is_bounded():
 
 
 def test_pov_command_clamped_to_model():
-    pov = piecewise_pov(PAPER, [(0.0, -100.0)])
-    assert pov.command(0.0, 0.0, 10.0) == -PAPER.a_brake_max
-    pov = piecewise_pov(PAPER, [(0.0, 100.0)])
-    assert pov.command(0.0, 0.0, 10.0) == POV_A_FWD_MAX
+    # the loop clamps every POV command to [-a_brake_max, POV_A_FWD_MAX]:
+    # a command past a bound drives the POV exactly as the bound does
+    sv = lambda t, s: 0.0
+    for command, bound in ((-100.0, -PAPER.a_brake_max), (100.0, POV_A_FWD_MAX)):
+        run = integrate(PAPER, state(1000.0, 0.0, 10.0), sv, piecewise_pov(PAPER, [(0.0, command)]), 0.1, 1.0)
+        ref = integrate(PAPER, state(1000.0, 0.0, 10.0), sv, piecewise_pov(PAPER, [(0.0, bound)]), 0.1, 1.0)
+        assert run.samples == ref.samples and len(run.samples) == 11
+        for s in run.samples:
+            assert s.state.v_f == pytest.approx(10.0 + bound * s.t, abs=1e-12)
+
+
+@pytest.mark.parametrize("schedule", [
+    [], [(0.0, math.nan)], [(0.0, math.inf)], [(math.nan, 1.0)], [(-math.inf, 1.0)],
+    [(0.0, 1.0), (2.0, -1.0), (1.0, 0.0)], [(0.0, 1.0), (0.0, -1.0)], [(0.0, 1.0), (-0.0, -1.0)],
+])
+def test_piecewise_pov_rejects_schedules_it_cannot_follow(schedule):
+    # an empty schedule raised IndexError at the first step, a NaN
+    # acceleration read as braking at a_brake_max, and start times out of
+    # order made bisect pick arbitrary pieces
+    with pytest.raises(DomainError, match="POV schedule"):
+        piecewise_pov(PAPER, schedule)
+
+
+def test_piecewise_pov_holds_its_first_piece_before_its_start():
+    pov = piecewise_pov(PAPER, [(1.0, 1.5), (2.0, -3.0)])
+    assert [pov(t, 0.0, 10.0) for t in (0.0, 1.0, 1.5, 2.0, 9.0)] == [1.5, 1.5, 1.5, -3.0, -3.0]

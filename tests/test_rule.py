@@ -14,7 +14,6 @@ from rsskit.rule import (
     safe_distance,
     safe_distance_raw,
     safe_distance_terms,
-    travel_terms,
 )
 
 from conftest import state
@@ -71,7 +70,7 @@ def test_rejects_negative_velocities():
 def test_rejects_non_finite_velocities(v_r, v_f):
     # NaN gave d_min 0, an infinite v_r gave inf and an infinite v_f gave 0
     with pytest.raises(DomainError, match="finite"):
-        travel_terms(PAPER, v_r, v_f)
+        safe_distance_terms(PAPER, v_r, v_f)
     with pytest.raises(DomainError):
         safe_distance(PAPER, v_r, v_f)
 
@@ -87,6 +86,12 @@ def test_rejects_speeds_whose_terms_overflow():
     weak = RssParams(0.3, 2.0, 0.1, 0.2)
     with pytest.raises(DomainError, match="overflows"):
         evaluate(weak, state(10.0, 1e154, 1e154))
+
+
+def travels(params, v_r, v_f):
+    """The four checked travels of safe_distance_terms, in formula order."""
+    terms = safe_distance_terms(params, v_r, v_f)
+    return terms["response_travel"], terms["response_gain"], terms["sv_brake_travel"], terms["pov_brake_travel"]
 
 
 def reference_travel_terms(params, v_r, v_f):
@@ -106,7 +111,7 @@ def test_overflow_check_changes_no_in_range_bit():
         params = RssParams(*rng.uniform([0.01, 0.0, 0.1], [3.0, 10.0, 10.0]),
                            a_brake_max=20.0 + rng.uniform(0.0, 10.0))
         v_r, v_f = 10.0 ** rng.uniform(-3.0, 153.0, size=2)
-        assert travel_terms(params, v_r, v_f) == reference_travel_terms(params, v_r, v_f)
+        assert travels(params, v_r, v_f) == reference_travel_terms(params, v_r, v_f)
 
 
 def test_the_overflow_edge_is_a_domain_error_in_both_engines():
@@ -128,7 +133,7 @@ def test_the_overflow_edge_is_a_domain_error_in_both_engines():
         d_min, defined = safe_distances(params, v_r, v_f)
         for j, (a, b) in enumerate(speeds):
             try:
-                terms = travel_terms(params, a, b)
+                terms = travels(params, a, b)
             except DomainError:
                 raised += 1
                 assert not defined[j]

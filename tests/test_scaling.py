@@ -21,16 +21,20 @@ there a collision time is None and the minimum gap, its time and the halt
 times must scale exactly.  The audit finds a collision by COLLISION_EPS
 and GAP_RESOLUTION too, so it is checked under length rescaling only on
 recorded trajectories whose free space is at every sample either at most
-0 or at least 0.05 m, with its accel_tol scaled with the lengths.  The
-supervised engines are checked under length rescaling, with the
-switchback_margin scaled too; see test_the_supervised_engines_scale_exactly
-for what they are compared on.
+0 or at least 0.05 m, with its accel_tol scaled with the lengths.  It is
+checked under time rescaling on the same kind of runs at dt 0.01 and
+0.05, with accel_tol scaled too, where only the absolute 1e-12 s slack of
+its violation merge could move a verdict; merge_slack_cannot_decide rules
+that out for each run.  The supervised engines are checked under length
+rescaling, with the switchback_margin scaled too; see
+test_the_supervised_engines_scale_exactly for what they are compared on.
 """
 import random
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from rsskit.audit import audit
+from rsskit.audit import _default_time_tol, audit
 from rsskit.batch import (
     analyze_gaps, build_profiles, classify_worst_cases, margins, safe_distances, supervised_lockstep,
     unsupervised_runs,
@@ -192,10 +196,11 @@ def test_the_gap_kernels_scale_exactly():
 # the audit
 
 AUDIT_KS = (3, -3, 10, -10)
+TIME_KS = (3, -3, 6, -6)
 
 
-def recorded(length):
-    """Seeded paper-parameter trajectories at dt 0.05: supervised with the
+def recorded(length, dt=0.05):
+    """Seeded paper-parameter trajectories at step dt: supervised with the
     benign and the adversarial AC, and unsupervised (colliding) with the
     adversarial AC, from 1-20 m of free space above d_min.  A collision
     run ends where the free space reaches COLLISION_EPS; its last sample
@@ -207,7 +212,7 @@ def recorded(length):
             v_r, v_f = rng.uniform(8.0, 32.0), rng.uniform(8.0, 32.0)
             gap = safe_distance(params, v_r, v_f) + length + rng.uniform(1.0, 20.0)
             trace = run_supervised(params, SupervisorConfig(), ScenarioState(gap, v_f, 0.0, v_r),
-                                   ac(params), worst_case_pov(params), dt=0.05, supervised=supervised)
+                                   ac(params), worst_case_pov(params), dt=dt, supervised=supervised)
             samples = trace.to_trajectory().samples
             if trace.collision:
                 last = samples[-1]
@@ -242,6 +247,70 @@ def test_the_audit_scales_exactly():
                     misses.append((length, k, len(traj)))
     # the supervised runs comply, and the unsupervised ones collide and make the SV liable
     assert checks == 2 * 24 * len(AUDIT_KS) and verdicts == {(True, "None"), (False, "SvLiable")}
+    assert misses == [], f"{len(misses)} of {checks} audits missed, first {misses[:3]}"
+
+
+def times_scaled(traj, s):
+    p = traj.params
+    params = RssParams(p.rho * s, p.a_max / (s * s), p.a_brake_min / (s * s), p.a_brake_max / (s * s),
+                       p.vehicle_length)
+    return Trajectory(tuple(TrajectorySample(s * t, ScenarioState(x_f, v_f / s, x_r, v_r / s), a_r / (s * s), mode)
+                            for t, (x_f, v_f, x_r, v_r), a_r, mode in traj.samples), params)
+
+
+def braking_short(traj, short):
+    """traj with every braking command at a_brake_min made `short` m/s**2
+    weaker, or None if it has none."""
+    brake = -traj.params.a_brake_min
+    samples = tuple(smp._replace(a_r=brake + short) if smp.a_r == brake else smp for smp in traj.samples)
+    return None if samples == traj.samples else Trajectory(samples, traj.params)
+
+
+def merge_slack_cannot_decide(traj):
+    """check_compliance merges two failures of one reason when their times
+    differ by at most 2 * time_tol + 1e-12 s, an absolute slack that is
+    1e-12 / s s in the units of the trajectory rescaled by s.  No pair of
+    sample times here differs by more than 2 * time_tol + 1e-14 s and at
+    most 2 * time_tol + 1e-10 s, so for s in 2**+-6 the merges cannot move."""
+    ts = [t for t, _, _, _ in traj.samples]
+    twice = 2 * _default_time_tol(traj)
+    for i, t in enumerate(ts):
+        for u in ts[bisect_left(ts, t + twice - 1e-9):bisect_right(ts, t + twice + 1e-9)]:
+            if 1e-14 < u - t - twice <= 1e-10:
+                return False
+    return True
+
+
+def test_the_audit_scales_exactly_in_time():
+    """Times by s = 2**k with accel_tol by 1/s**2: margins, verdicts,
+    compliance and liability must not move, and violation times and the
+    median-step time_tol must scale by s.  The recorded trajectories are
+    joined by copies whose braking falls 0.1 m/s**2 (inside accel_tol) and
+    0.3 m/s**2 (outside it) short of a_brake_min, so that the weak-braking
+    check runs past the response window."""
+    misses, checks, verdicts, violations = [], 0, set(), 0
+    for dt in (0.01, 0.05):
+        for length in (0.0, 4.5):
+            trajs = recorded(length, dt)
+            trajs += [t for t in (braking_short(traj, short) for traj in trajs for short in (0.1, 0.3)) if t]
+            for traj in trajs:
+                assert merge_slack_cannot_decide(traj)
+                base = audit(traj)
+                verdicts.add((base.compliant, base.liability))
+                violations += len(base.violations)
+                for k in TIME_KS:
+                    s = 2.0 ** k
+                    got = audit(times_scaled(traj, s), accel_tol=0.2 / (s * s))
+                    want = tuple((s * t, ok, m, mode) for t, ok, m, mode in base.per_sample)
+                    scaled = tuple((s * v.t_start, s * v.t_end, v.reason) for v in base.violations)
+                    checks += 1
+                    if (got.per_sample, got.metric_score, got.compliant, got.liability, got.principles) != (
+                            want, base.metric_score, base.compliant, base.liability, base.principles) or tuple(
+                            (v.t_start, v.t_end, v.reason) for v in got.violations) != scaled:
+                        misses.append((dt, length, k, len(traj)))
+    # 16 of each 24 runs, the supervised ones, brake at a_brake_min and get two copies
+    assert checks == 2 * 2 * 56 * len(TIME_KS) and violations > 0
+    assert verdicts == {(True, "None"), (False, "None"), (False, "SvLiable")}
     assert misses == [], f"{len(misses)} of {checks} audits missed, first {misses[:3]}"
 
 
