@@ -7,8 +7,8 @@ numpy is imported lazily: importing this module does not execute it."""
 from __future__ import annotations
 
 from .audit import DEFAULT_ACCEL_TOL
-from .core import np
-from .dynamics import COLLISION_EPS, CollisionEvent, _overflow, check_step, crossing
+from .core import AC, np
+from .dynamics import COLLISION_EPS, _overflow, crossing
 from .rule import travel_arithmetic
 from .supervisor import WINDOW_SLACK, decision_grid
 
@@ -238,7 +238,7 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     weakly late in its episode; only its fallback flag is meaningful, and
     the scalar path must run it.
     """
-    k, cfg = decision_grid(params, cfg, dt, t_end)
+    k, cfg, n_steps = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_ac = min(hi, max(lo, params.a_max))  # decide's clamped command
     brake = -params.a_brake_min
@@ -249,7 +249,6 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
     lookahead = np.array([[params.a_max], [-params.a_brake_max]])  # worst_case_successor
     n = len(starts)
     fallback, compliant, engagements = np.zeros(n, bool), np.ones(n, bool), np.zeros(n, int)
-    n_steps = check_step(dt, t_end)
     # each row's sample s, its state (row 0 the SV, row 1 the POV), and the
     # supervisor after step s: phase, window clock, engagements, episode start
     rows, s, x, v = np.arange(n), np.zeros(n, int), starts[:, [2, 0]].T, starts[:, [3, 1]].T
@@ -330,16 +329,15 @@ def supervised_lockstep(params, cfg, starts, dt, t_end):
 def unsupervised_runs(params, cfg, starts, dt, t_end):
     """run_supervised(..., supervised=False) of adversarial_ac against
     worst_case_pov for each row (x_f, v_f, x_r, v_r) of starts, as
-    (fallback, collision) lists.  Both commands are constant, so
-    constant_runs gives every step end; the first in contact before a
-    settled decision step or the last step is located by dynamics.crossing.
-    A row falls back, for the scalar path to run, where its start margin is
-    not defined or not > 0, where it starts in contact or where a value
-    overflows."""
-    k, cfg = decision_grid(params, cfg, dt, t_end)
+    (fallback, collision sample or None) lists.  Both commands are
+    constant, so constant_runs gives every step end; the first in contact
+    before a settled decision step or the last step is located by
+    dynamics.crossing.  A row falls back, for the scalar path to run, where
+    its start margin is not defined or not > 0, where it starts in contact
+    or where a value overflows."""
+    k, cfg, n_steps = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_r, a_f, length = min(hi, max(lo, params.a_max)), -params.a_brake_max, params.vehicle_length
-    n_steps = check_step(dt, t_end)
     x, v = starts[:, [2, 0]].T, starts[:, [3, 1]].T
     (m,), (ok,) = margins(params, x, v)
     fallback = ~(ok & (m > 0.0)) | (x[1] - x[0] - length <= COLLISION_EPS)
@@ -358,8 +356,7 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
         for r in np.flatnonzero(decided & ~bad & ~end[first, np.arange(len(rows))]):
             j = int(first[r])
             (x_r, x_f), (v_r, v_f) = xs[:, j, r].tolist(), vs[:, j, r].tolist()
-            t_c, state = crossing((i0 + j) * dt, x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
-            collision[rows[r]] = CollisionEvent(t_c, state.gap)
+            collision[rows[r]] = crossing((i0 + j) * dt, x_r, v_r, a_r, x_f, v_f, a_f, dt, length, AC)
         keep = ~(decided | bad)
         rows, x, v, i0 = rows[keep], xs[:, -1, keep], vs[:, -1, keep], i0 + n
     return fallback.tolist(), collision

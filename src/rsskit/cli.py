@@ -18,7 +18,7 @@ from .core import ScenarioState, load_json, load_params, np, read_record
 from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
 from .errors import DomainError, InvariantBreach, RssError
 from .report import report_text
-from .rule import evaluate, safe_distance_terms
+from .rule import safe_distance_terms
 from .supervisor import (
     SupervisorConfig,
     adversarial_ac,
@@ -101,9 +101,6 @@ def cmd_simulate(args) -> int:
     params = _load_params_arg(args)
     cfg = _load_supervisor_config(args.supervisor_config)
     start = ScenarioState(args.gap, args.v_f, 0.0, args.v_r)
-    if not evaluate(params, start).condition_holds:
-        print("error: start state violates the safety condition", file=sys.stderr)
-        return EXIT_PRECONDITION
     if args.ac == "adversarial":
         ac = adversarial_ac(params)
     elif args.ac == "benign":

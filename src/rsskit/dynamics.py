@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from .core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample, _finite, shown
 from .errors import DomainError, StepError
 from .rule import safe_distance_raw, safe_distance_terms
 
@@ -197,18 +197,12 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
 # execution traces
 
 @dataclass(frozen=True)
-class CollisionEvent:
-    t: float
-    gap: float
-
-
-@dataclass(frozen=True)
 class ExecutionTrace:
     """Immutable result of one simulated execution."""
 
     samples: tuple
     params: RssParams
-    collision: Optional[CollisionEvent] = None
+    collision: Optional[TrajectorySample] = None
     min_gap: float = math.inf
     min_gap_time: float = 0.0
     bc_engagements: int = 0
@@ -293,11 +287,11 @@ def gentle_pov(params: RssParams) -> Callable[[float, float, float], float]:
 def piecewise_pov(params: RssParams, schedule) -> Callable[[float, float, float], float]:
     """Piecewise-constant acceleration schedule [(start time, accel), ...],
     its first piece held from t = 0 on."""
-    starts = [t for t, _ in schedule]
-    accels = [a for _, a in schedule]
-    if not starts or not all(map(math.isfinite, starts + accels)) or sorted(set(starts)) != starts:
+    pairs = all(isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_finite, p)) for p in schedule)
+    starts, accels = ([t for t, _ in schedule], [a for _, a in schedule]) if pairs else ([], [])
+    if not starts or sorted(set(starts)) != starts:
         raise DomainError(f"a POV schedule needs finite accelerations at finite, strictly increasing start times, "
-                          f"got {schedule!r}")
+                          f"got {shown(schedule)}")
 
     def policy(t, x, v):
         i = max(0, bisect_right(starts, t) - 1)
@@ -384,12 +378,12 @@ def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
     return tau
 
 
-def crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, step, length):
-    """(time, state) where the step from time t crosses into collision."""
+def crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, step, length, mode):
+    """The sample where the step from time t crosses into collision."""
     tau = refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length)
     cx_r, cv_r, _ = advance_vehicle(x_r, v_r, a_r, tau)
     cx_f, cv_f, _ = advance_vehicle(x_f, v_f, a_f, tau)
-    return t + tau, ScenarioState(cx_f, cv_f, cx_r, cv_r)
+    return TrajectorySample(t + tau, ScenarioState(cx_f, cv_f, cx_r, cv_r), a_r, mode)
 
 
 def run_fixed_step(
@@ -407,11 +401,12 @@ def run_fixed_step(
     acceleration held over the step, the control mode recorded with the
     sample, and whether the controller may stop here once both vehicles
     have halted.  The POV command pov_policy(t, x_f, v_f), sampled at the
-    same instant, is clamped to [-a_brake_max, POV_A_FWD_MAX]: braking
-    harder would leave the RSS model.  Within a step the kinematics are
-    exact.  The run takes full dt steps until t_end is reached, and ends
-    early at a settled halt or at a collision (gap falling to
-    vehicle_length), which refine_crossing locates inside the step.
+    same instant, must be a finite number and is clamped to [-a_brake_max,
+    POV_A_FWD_MAX]: braking harder would leave the RSS model.  Within a
+    step the kinematics are exact.  The run takes full dt steps until t_end
+    is reached, and ends early at a settled halt or at a collision (gap
+    falling to vehicle_length), which refine_crossing locates inside the
+    step; the sample in contact is the trace's collision.
     """
     n_steps = check_step(dt, t_end)
     length, pov_brake = params.vehicle_length, -params.a_brake_max
@@ -430,20 +425,22 @@ def run_fixed_step(
             min_gap, min_gap_t = g, t
         samples.append(TrajectorySample(t, state, a_r, mode))
         if g <= COLLISION_EPS:
-            collision = CollisionEvent(t, state.gap)
+            collision = samples[-1]
             break
         if i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
-        a_f = min(POV_A_FWD_MAX, max(pov_brake, pov_policy(t, x_f, v_f)))
+        a_f = pov_policy(t, x_f, v_f)
+        if not _finite(a_f):
+            raise DomainError(f"the POV command at t = {t!r} s must be a finite number, got {shown(a_f)}")
+        a_f = min(POV_A_FWD_MAX, max(pov_brake, a_f))
         nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
         nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:
-            t_c, cstate = crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, dt, length)
-            samples.append(TrajectorySample(t_c, cstate, a_r, mode))
-            collision = CollisionEvent(t_c, cstate.gap)
-            if cstate.gap - length < min_gap:
-                min_gap, min_gap_t = cstate.gap - length, t_c
+            collision = crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, dt, length, mode)
+            samples.append(collision)
+            if collision.state.gap - length < min_gap:
+                min_gap, min_gap_t = collision.state.gap - length, collision.t
             break
         x_r, v_r, x_f, v_f = nx_r, nv_r, nx_f, nv_f
 

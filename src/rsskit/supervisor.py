@@ -151,18 +151,18 @@ def benign_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
 
 def decision_grid(
     params: RssParams, cfg: SupervisorConfig, dt: float, t_end: Optional[float]
-) -> Tuple[int, SupervisorConfig]:
-    """(k, cfg with period k * dt) for a run at step dt: decisions every
-    k = round(period / dt) steps look ahead over the realized interval.
-    Raises StepError or ConfigError where run_supervised refuses dt,
-    t_end or cfg."""
-    check_step(dt, 0.0 if t_end is None else t_end)
+) -> Tuple[int, SupervisorConfig, int]:
+    """(k, cfg with period k * dt, check_step's step count to t_end) for a
+    run at step dt: decisions every k = round(period / dt) steps look ahead
+    over the realized interval.  Raises StepError or ConfigError where
+    run_supervised refuses dt, t_end or cfg."""
+    n_steps = check_step(dt, 0.0 if t_end is None else t_end)
     cfg.validate_against(params)
     steps_per_period = max(1, int(round(cfg.period / dt)))
     # when dt divides rho, k * dt may land a few ulps above it
     cfg = replace(cfg, period=steps_per_period * dt)
     cfg.validate_against(params, WINDOW_SLACK)
-    return steps_per_period, cfg
+    return steps_per_period, cfg, n_steps
 
 
 def run_supervised(
@@ -188,7 +188,7 @@ def run_supervised(
     vehicles have halted, at a decision step with no response episode
     mid-flight.
     """
-    steps_per_period, cfg = decision_grid(params, cfg, dt, t_end)
+    steps_per_period, cfg, _ = decision_grid(params, cfg, dt, t_end)
     start_ev = evaluate(params, start)
     if not start_ev.condition_holds:
         raise InvariantBreach(

@@ -34,12 +34,10 @@ CASE_COVERAGE_PAIRS = ((20.0, 10.0), (10.0, 12.0), (10.0, 14.0), (5.0, 30.0))
 MAX_POV_SEGMENTS = 1000
 # Random trials per draw matrix and batch-kernel call at up to 8 POV segments,
 # which peaks under 5 MB traced by tracemalloc, grid included; longer POV
-# schedules run proportionally fewer.  Trial i reads row i whatever the chunk.
+# schedules run proportionally fewer.  Supervised episodes run CHUNK per draw
+# and engine call, which bounds the step blocks' arrays: 10k episodes peak at
+# 40 MB resident (2.7 MB traced).  Trial i reads row i whatever the chunk.
 CHUNK = 1024
-# Episodes per draw of supervised starts and per engine call, which bounds the
-# step blocks' arrays: 10k supervised episodes peak at 44 MB resident (6.9 MB
-# traced by tracemalloc), and at 63 MB (26 MB) in one call.
-ROWS = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ def verify_supervised_safety(
     full audit compliance.  With supervised=False this is the negative
     control and collisions are expected.
 
-    ROWS episodes at a time run in lockstep (batch.supervised_lockstep)
+    CHUNK episodes at a time run in lockstep (batch.supervised_lockstep)
     or, in the negative control, in batch.unsupervised_runs; those they
     hand back run through run_supervised and check_compliance in trial
     order, so errors and counterexamples are the scalar path's.
@@ -332,11 +330,11 @@ def verify_supervised_safety(
     engine = supervised_lockstep if supervised else unsupervised_runs
     outcome = CampaignOutcome("supervised" if supervised else "supervised_negative",
                               stats={"collisions": 0, "noncompliant": 0, "bc_engagements": 0})
-    for lo in range(0, cfg.n_trials, ROWS):  # a chunk's row i is trial lo + i, whatever ROWS
-        starts, ok = _starts(params, cfg, rng.random((min(ROWS, cfg.n_trials - lo), 3)))
+    for lo in range(0, cfg.n_trials, CHUNK):  # a chunk's row i is trial lo + i, whatever CHUNK
+        starts, ok = _starts(params, cfg, rng.random((min(CHUNK, cfg.n_trials - lo), 3)))
         n = len(ok) if ok.all() else int(ok.argmin())  # the trials before the first refused one
         fallback, eng, compliant = np.zeros(n, bool), np.zeros(n, int), np.ones(n, bool)
-        collision = np.full(n, None, object)
+        collision = [None] * n  # a list: a numpy array would try to unpack each sample tuple
         if n:  # the chunk's first start is not refused
             parts = engine(params, sup_cfg, starts[:n], cfg.sim_dt, 60.0)
             for z, part in zip((fallback, eng, compliant) if supervised else (fallback, collision), parts):
@@ -347,7 +345,7 @@ def verify_supervised_safety(
             eng[j], collision[j] = trace.bc_engagements, trace.collision
             compliant[j] = not supervised or check_compliance(trace.to_trajectory())[0]
         _refuse(params, starts, ok)  # once the trials before it have run
-        collided = np.array([c is not None for c in collision.tolist()], bool)
+        collided = np.array([c is not None for c in collision], bool)
         for j in np.flatnonzero((collided & supervised) | ~compliant).tolist():
             g, f, _, r = starts[j].tolist()
             ce = {"v_r": r, "v_f": f, "gap": g, "behavior": "adversarial_ac"}

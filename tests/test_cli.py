@@ -61,6 +61,24 @@ def test_simulate_unsafe_start_exits_3(params_file, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-supervisor"]])
+def test_simulate_unsafe_start_is_refused_by_the_run(params_file, tmp_path, capsys, flags):
+    # run_supervised refuses the start, negative control included, and its
+    # InvariantBreach carries the margin
+    rc = main(["simulate", "--params", params_file, "--gap", "30", "--v-r", "20", "--v-f", "20",
+               "--out", str(tmp_path / "t.csv"), *flags])
+    assert rc == 3
+    assert "margin -4.135" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_bad_dt_exits_2_before_the_start_check(params_file, tmp_path):
+    # the step is checked before the start, so an unsafe start at dt 0 is a usage error
+    rc = main(["simulate", "--params", params_file, "--gap", "30", "--v-r", "20", "--v-f", "20",
+               "--dt", "0", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+
+
 def test_simulate_audit_round_trip(params_file, tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     rc = main([

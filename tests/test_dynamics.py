@@ -372,14 +372,24 @@ def test_pov_command_clamped_to_model():
             assert s.state.v_f == pytest.approx(10.0 + bound * s.t, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", [math.nan, math.inf, -math.inf, None, "1", True])
+def test_pov_command_must_be_a_finite_number(command):
+    # a NaN command read as braking at a_brake_max: max(-a_brake_max, nan)
+    # returns its first argument
+    with pytest.raises(DomainError, match=r"POV command at t = 0\.0 s must be a finite number, got "):
+        integrate(PAPER, state(1000.0, 0.0, 10.0), lambda t, s: 0.0, lambda t, x, v: command, 0.1, 0.5)
+
+
 @pytest.mark.parametrize("schedule", [
     [], [(0.0, math.nan)], [(0.0, math.inf)], [(math.nan, 1.0)], [(-math.inf, 1.0)],
     [(0.0, 1.0), (2.0, -1.0), (1.0, 0.0)], [(0.0, 1.0), (0.0, -1.0)], [(0.0, 1.0), (-0.0, -1.0)],
+    [(0.0, "a")], [(0.0, 1.0, 2.0)], [None], [(True, 1.0)], [(0.0, 10 ** 400)],
 ])
 def test_piecewise_pov_rejects_schedules_it_cannot_follow(schedule):
     # an empty schedule raised IndexError at the first step, a NaN
     # acceleration read as braking at a_brake_max, and start times out of
-    # order made bisect pick arbitrary pieces
+    # order made bisect pick arbitrary pieces; an entry that is not a pair
+    # of numbers raised TypeError or ValueError, and a bool start was taken
     with pytest.raises(DomainError, match="POV schedule"):
         piecewise_pov(PAPER, schedule)
 

@@ -35,7 +35,7 @@ from rsskit.supervisor import (
     SupervisorConfig, adversarial_ac, decision_grid, run_supervised, worst_case_successor,
 )
 from rsskit.verify import (
-    ROWS, CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety,
+    CHUNK, CampaignConfig, CampaignOutcome, _state_key, verify_supervised_safety,
 )
 
 PAPER = RssParams(0.3, 2.0, 4.0, 8.0)
@@ -176,12 +176,12 @@ def test_campaign_does_not_depend_on_the_chunk(name, supervised, monkeypatch):
     sup_cfg = SupervisorConfig(**sup_fields)
     cfg = CampaignConfig(seed=len(name), n_trials=min(n, 500), **fields)
     want = result(scalar_campaign, params, sup_cfg, cfg, supervised=supervised)
-    monkeypatch.setattr(verify, "ROWS", 7)
+    monkeypatch.setattr(verify, "CHUNK", 7)
     assert result(verify_supervised_safety, params, sup_cfg, cfg, supervised=supervised) == want
 
 
 def test_negative_control_memory_is_bounded_in_trials():
-    # the episodes run ROWS at a time, so four times as many trials do not
+    # the episodes run CHUNK at a time, so four times as many trials do not
     # raise the peak much; in one engine call it grew with the trial count.
     # The SV brakes at 3 m/s^2, so that only about a quarter of the episodes
     # collide and locating the crossings keeps the test short.
@@ -196,11 +196,11 @@ def test_negative_control_memory_is_bounded_in_trials():
         finally:
             tracemalloc.stop()
 
-    assert peak(4 * ROWS) < 2 * peak(ROWS)
+    assert peak(4 * CHUNK) < 2 * peak(CHUNK)
 
 
 def scalar_collision(params, sup_cfg, start, dt, t_end=60.0):
-    """The CollisionEvent of the scalar negative-control episode, or None."""
+    """The collision sample of the scalar negative-control episode, or None."""
     return run_supervised(params, sup_cfg, start, adversarial_ac(params), worst_case_pov(params),
                           dt=dt, t_end=t_end, supervised=False).collision
 
@@ -213,7 +213,7 @@ def scalar_collision(params, sup_cfg, start, dt, t_end=60.0):
     (COASTING, {"period": 0.25}, 0.125),
 ], ids=["length4.5", "dt0.03", "coasting_sv", "braking_sv", "dyadic_dt"])
 def test_negative_control_collisions_match_the_scalar_ones(params, sup_fields, dt, monkeypatch):
-    """Each episode's CollisionEvent, or None where it settles, equals the
+    """Each episode's collision sample, or None where it settles, equals the
     scalar run's, and refine_crossing runs once per collision."""
     rng = np.random.default_rng(int(dt * 1000))
     starts = []
@@ -548,7 +548,7 @@ def tight_starts(params, seed, count=40):
 def test_rows_match_the_scalar_run_at_the_fold_edges(params, sup_fields, dt, between):
     sup_cfg = SupervisorConfig(**sup_fields)
     if between:  # the window's rho / dt steps are no multiple of the decision steps
-        k, _ = decision_grid(params, sup_cfg, dt, 60.0)
+        k, _, _ = decision_grid(params, sup_cfg, dt, 60.0)
         assert round(params.rho / dt) % k != 0
     starts = tight_starts(params, int(dt * 1000) + len(sup_fields))
     got, want = lockstep_or_scalar(params, starts, sup_cfg, dt)

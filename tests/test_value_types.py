@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rsskit.core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from rsskit.errors import DomainError
+from rsskit.errors import DomainError, EmptyTrajectory
 from rsskit.response import BRAKING, ResponsePhase
 from rsskit.rule import SafetyEvaluation
 
@@ -118,6 +118,12 @@ def test_trajectory_refuses_samples_that_are_not_trajectory_samples(samples):
     # found by tests/test_api_fuzz.py: Trajectory(0, ...) raised TypeError
     # from tuple(), and Trajectory("12", ...) AttributeError from "1".t
     with pytest.raises(DomainError, match="tuple or list of TrajectorySamples"):
+        Trajectory(samples, RssParams(0.3, 2.0, 4.0, 8.0))
+
+
+@pytest.mark.parametrize("samples", [(), []], ids=["tuple", "list"])
+def test_trajectory_refuses_no_samples(samples):
+    with pytest.raises(EmptyTrajectory, match="at least one sample"):
         Trajectory(samples, RssParams(0.3, 2.0, 4.0, 8.0))
 
 

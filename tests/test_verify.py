@@ -249,7 +249,7 @@ def test_supervised_campaign_draws_a_bounded_block(monkeypatch, supervised):
         with pytest.raises(Stop):
             verify_supervised_safety(PAPER, SupervisorConfig(), CampaignConfig(n_trials=n_trials),
                                      supervised=supervised)
-    assert sizes == [(verify.ROWS, 3)] * 2
+    assert sizes == [(verify.CHUNK, 3)] * 2
 
 
 def test_supervised_campaign_small():
@@ -259,6 +259,25 @@ def test_supervised_campaign_small():
     assert out.stats["collisions"] == 0
     assert out.stats["noncompliant"] == 0
     assert out.stats["bc_engagements"] >= 1
+
+
+def test_a_noncompliant_episode_is_a_counterexample(monkeypatch):
+    # the engine's compliance verdict alone, with no collision, makes one
+    engine, seen = verify.supervised_lockstep, []
+
+    def third_noncompliant(params, sup_cfg, starts, dt, t_end):
+        fallback, eng, compliant = engine(params, sup_cfg, starts, dt, t_end)
+        assert not fallback[2]  # else the scalar path would decide its compliance
+        seen.append(starts[2].tolist())
+        compliant[2] = False
+        return fallback, eng, compliant
+
+    monkeypatch.setattr(verify, "supervised_lockstep", third_noncompliant)
+    out = verify_supervised_safety(PAPER, SupervisorConfig(), CampaignConfig(seed=4, n_trials=5))
+    (gap, v_f, _, v_r), = seen
+    assert out.counterexamples == [{"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
+                                    "collision_t": None, "source": "noncompliant"}]
+    assert out.stats["noncompliant"] == 1 and out.stats["collisions"] == 0 and not out.ok
 
 
 def test_supervised_negative_control_small():
