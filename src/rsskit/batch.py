@@ -331,10 +331,10 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
     worst_case_pov for each row (x_f, v_f, x_r, v_r) of starts, as
     (fallback, collision sample or None) lists.  Both commands are
     constant, so constant_runs gives every step end; the first in contact
-    before a settled decision step or the last step is located by
-    dynamics.crossing.  A row falls back, for the scalar path to run, where
-    its start margin is not defined or not > 0, where it starts in contact
-    or where a value overflows."""
+    before a settled decision step (both halted, the command not forward)
+    or the last step is located by dynamics.crossing.  A row falls back,
+    for the scalar path to run, where its start margin is not defined or
+    not > 0, where it starts in contact or where a value overflows."""
     k, cfg, n_steps = decision_grid(params, cfg, dt, t_end)
     lo, hi = cfg.bounds(params)
     a_r, a_f, length = min(hi, max(lo, params.a_max)), -params.a_brake_max, params.vehicle_length
@@ -350,7 +350,7 @@ def unsupervised_runs(params, cfg, starts, dt, t_end):
             bad = ~np.isfinite(xs + vs).all(axis=(0, 1))
             hit = xs[1, 1:] - xs[0, 1:] - length <= COLLISION_EPS
         i = np.arange(i0, i0 + n)[:, None]
-        end = (i == n_steps) | ((i % k == 0) & (vs[0, :-1] <= 0.0) & (vs[1, :-1] <= 0.0))
+        end = (i == n_steps) | ((i % k == 0) & (vs[0, :-1] <= 0.0) & (vs[1, :-1] <= 0.0) & (a_r <= 0.0))
         first, decided = (end | hit).argmax(axis=0), (end | hit).any(axis=0)
         fallback[rows[bad]] = True
         for r in np.flatnonzero(decided & ~bad & ~end[first, np.arange(len(rows))]):

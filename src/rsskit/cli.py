@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
         params, cfg, start, ac, pov,
         dt=args.dt, t_end=args.t_end, supervised=not args.no_supervisor,
     )
-    write_trajectory(trace.to_trajectory(), args.out)
+    write_trajectory(trace, args.out)
     print(f"collision: {'yes' if trace.collision else 'no'}")
     print(f"min gap: {trace.min_gap:.9g} m at t = {trace.min_gap_time:.9g} s")
     print(f"BC engagements: {trace.bc_engagements}")

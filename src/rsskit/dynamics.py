@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .core import AC, RssParams, ScenarioState, Trajectory, TrajectorySample, _finite, shown
+from .core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample, _finite, shown
 from .errors import DomainError, StepError
 from .rule import safe_distance_raw, safe_distance_terms
 
@@ -197,18 +198,34 @@ def analyze_gap(segs_r, segs_f, length: float = 0.0):
 # execution traces
 
 @dataclass(frozen=True)
-class ExecutionTrace:
-    """Immutable result of one simulated execution."""
+class ExecutionTrace(Trajectory):
+    """The Trajectory of one simulated execution.  Its summaries are read from
+    the samples, each gap net of vehicle_length as run_fixed_step compares it."""
 
-    samples: tuple
-    params: RssParams
-    collision: Optional[TrajectorySample] = None
-    min_gap: float = math.inf
-    min_gap_time: float = 0.0
-    bc_engagements: int = 0
+    @property
+    def collision(self) -> Optional[TrajectorySample]:
+        """The first sample in contact, else None."""
+        length = self.params.vehicle_length
+        return next((s for s in self.samples if s.state.gap - length <= COLLISION_EPS), None)
+
+    @property
+    def min_gap(self) -> float:
+        length = self.params.vehicle_length
+        return min(s.state.gap - length for s in self.samples) + length
+
+    @property
+    def min_gap_time(self) -> float:
+        """The time of the first sample at min_gap."""
+        length = self.params.vehicle_length
+        return min(self.samples, key=lambda s: s.state.gap - length).t
+
+    @property
+    def bc_engagements(self) -> int:
+        """The number of maximal runs of BC samples."""
+        return sum(mode == BC for mode, _ in groupby(s.mode for s in self.samples))
 
     def to_trajectory(self) -> Trajectory:
-        return Trajectory(self.samples, self.params)
+        return Trajectory._trusted(self.samples, self.params)
 
 
 def worst_case_sv_halt(params: RssParams, v_r: float) -> float:
@@ -412,22 +429,13 @@ def run_fixed_step(
     length, pov_brake = params.vehicle_length, -params.a_brake_max
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []
-    collision = None
-    min_gap = math.inf
-    min_gap_t = 0.0
 
     for i in range(n_steps + 1):
         t = i * dt
         state = ScenarioState(x_f, v_f, x_r, v_r)
         a_r, mode, settled = control(i, t, state)
-        g = state.gap - length
-        if g < min_gap:
-            min_gap, min_gap_t = g, t
         samples.append(TrajectorySample(t, state, a_r, mode))
-        if g <= COLLISION_EPS:
-            collision = samples[-1]
-            break
-        if i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
+        if state.gap - length <= COLLISION_EPS or i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
         a_f = pov_policy(t, x_f, v_f)
@@ -437,20 +445,11 @@ def run_fixed_step(
         nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
         nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:
-            collision = crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, dt, length, mode)
-            samples.append(collision)
-            if collision.state.gap - length < min_gap:
-                min_gap, min_gap_t = collision.state.gap - length, collision.t
+            samples.append(crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, dt, length, mode))
             break
         x_r, v_r, x_f, v_f = nx_r, nv_r, nx_f, nv_f
 
-    return ExecutionTrace(
-        samples=tuple(samples),
-        params=params,
-        collision=collision,
-        min_gap=min_gap + length,
-        min_gap_time=min_gap_t,
-    )
+    return ExecutionTrace._trusted(tuple(samples), params)
 
 
 def integrate(

@@ -81,12 +81,12 @@ class SupervisorConfig:
 
 @dataclass(frozen=True)
 class SupervisorState:
-    """Current control mode plus episode bookkeeping."""
+    """Current control mode, the BC-mode response episode and the last
+    clamped AC command; a run's engagements are counted from its samples."""
 
     mode: str = AC
     phase: Optional[ResponsePhase] = None
     held_command: float = 0.0
-    engagements: int = 0
 
 
 def worst_case_successor(
@@ -123,13 +123,13 @@ def decide(
                 f"(margin {m!r}); the supervised loop is misconfigured"
             )
         if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
-            return SupervisorState(AC, sup.phase, clamped, sup.engagements), clamped
-        sup = SupervisorState(BC, begin_response(), clamped, sup.engagements + 1)
+            return SupervisorState(AC, sup.phase, clamped), clamped
+        sup = SupervisorState(BC, begin_response(), clamped)
     elif sup.phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin:
         # BC mode: switch back only once braking has begun, the margin
         # clears the hysteresis threshold, and the lookahead is clean.
         if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
-            return SupervisorState(AC, None, clamped, sup.engagements), clamped
+            return SupervisorState(AC, None, clamped), clamped
     cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
     return sup, cmd
 
@@ -186,7 +186,8 @@ def run_supervised(
     With supervised=False the (clamped) AC command passes straight
     through -- the negative control.  The run ends early once both
     vehicles have halted, at a decision step with no response episode
-    mid-flight.
+    mid-flight; unsupervised, at one whose command is not forward.  The
+    trace counts BC engagements from the modes of its samples.
     """
     steps_per_period, cfg, _ = decision_grid(params, cfg, dt, t_end)
     start_ev = evaluate(params, start)
@@ -214,7 +215,7 @@ def run_supervised(
         decision = i % steps_per_period == 0
         if decision:
             if phase is not None:
-                sup = SupervisorState(BC, phase, sup.held_command, sup.engagements)
+                sup = SupervisorState(BC, phase, sup.held_command)
             sup, cmd = decide(params, cfg, sup, state, ac_policy(t, state), t)
             phase = sup.phase
         elif phase is not None:
@@ -232,8 +233,7 @@ def run_supervised(
         decision = i % steps_per_period == 0
         if decision:
             cmd = min(hi, max(lo, ac_policy(t, state)))
-        return cmd, AC, decision
+        return cmd, AC, decision and cmd <= 0.0
 
     policy = supervisor_policy if supervised else pass_through
-    trace = run_fixed_step(params, start, policy, pov_policy, dt, t_end)
-    return replace(trace, bc_engagements=sup.engagements)
+    return run_fixed_step(params, start, policy, pov_policy, dt, t_end)

@@ -343,7 +343,7 @@ def verify_supervised_safety(
             trace = run_supervised(params, sup_cfg, ScenarioState(*starts[j].tolist()), adversarial_ac(params),
                                    worst_case_pov(params), dt=cfg.sim_dt, t_end=60.0, supervised=supervised)
             eng[j], collision[j] = trace.bc_engagements, trace.collision
-            compliant[j] = not supervised or check_compliance(trace.to_trajectory())[0]
+            compliant[j] = not supervised or check_compliance(trace)[0]
         _refuse(params, starts, ok)  # once the trials before it have run
         collided = np.array([c is not None for c in collision], bool)
         for j in np.flatnonzero((collided & supervised) | ~compliant).tolist():

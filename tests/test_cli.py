@@ -72,6 +72,14 @@ def test_simulate_unsafe_start_is_refused_by_the_run(params_file, tmp_path, caps
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_simulate_negative_control_at_rest_collides(params_file, tmp_path, capsys):
+    # a stopped SV commanded forward into a stopped POV is no settled halt
+    rc = main(["simulate", "--params", params_file, "--no-supervisor", "--ac", "adversarial",
+               "--gap", "10", "--v-r", "0", "--v-f", "0", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert "collision: yes" in capsys.readouterr().out
+
+
 def test_simulate_bad_dt_exits_2_before_the_start_check(params_file, tmp_path):
     # the step is checked before the start, so an unsafe start at dt 0 is a usage error
     rc = main(["simulate", "--params", params_file, "--gap", "30", "--v-r", "20", "--v-f", "20",

@@ -67,11 +67,11 @@ def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
             return replace(sup, held_command=clamped), clamped
-        sup = SupervisorState(BC, begin_response(), clamped, sup.engagements + 1)
+        sup = SupervisorState(BC, begin_response(), clamped)
     elif sup.phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
-            return SupervisorState(AC, None, clamped, sup.engagements), clamped
+            return SupervisorState(AC, None, clamped), clamped
     cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
     return sup, cmd
 
@@ -249,12 +249,11 @@ def test_evaluate_and_margin_match_the_checked_chain_at_the_overflow_edge():
 
 def random_supervisor_state(rng):
     held = rng.uniform(-6.0, 6.0)
-    engagements = rng.randrange(5)
     if rng.random() < 0.5:
         phase = None if rng.random() < 0.9 else ResponsePhase(HALTED, 0.3)
-        return SupervisorState(AC, phase, held, engagements)
+        return SupervisorState(AC, phase, held)
     kind = rng.choice([RESPONSE_WINDOW, BRAKING, HALTED])
-    return SupervisorState(BC, ResponsePhase(kind, rng.uniform(0.0, 0.3)), held, engagements)
+    return SupervisorState(BC, ResponsePhase(kind, rng.uniform(0.0, 0.3)), held)
 
 
 def outcome(fn, *args):

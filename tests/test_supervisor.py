@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from rsskit.core import AC, BC, RssParams
-from rsskit.audit import check_compliance
-from rsskit.dynamics import gentle_pov, worst_case_gap_analysis, worst_case_pov
-from rsskit.errors import ConfigError, InvariantBreach, StepError
+from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from rsskit.audit import audit, check_compliance
+from rsskit.batch import unsupervised_runs
+from rsskit.dynamics import ExecutionTrace, gentle_pov, worst_case_gap_analysis, worst_case_pov
+from rsskit.errors import ConfigError, DomainError, EmptyTrajectory, InvariantBreach, StepError
 from rsskit.response import BRAKING, HALTED, ResponsePhase
 from rsskit.rule import evaluate, safe_distance
 from rsskit.supervisor import (
@@ -54,7 +57,6 @@ def test_decide_stays_in_ac_when_lookahead_clean():
     new, cmd = decide(PAPER, CFG, sup, state(60.0, 20.0, 20.0), 1.5)
     assert new.mode == AC
     assert cmd == 1.5
-    assert new.engagements == 0
 
 
 def test_decide_clamps_ac_command():
@@ -73,7 +75,6 @@ def test_decide_engages_before_violation():
     assert not evaluate(PAPER, succ).condition_holds
     new, cmd = decide(PAPER, CFG, SupervisorState(), st, 2.0)
     assert new.mode == BC
-    assert new.engagements == 1
     assert new.phase is not None
 
 
@@ -92,14 +93,13 @@ def test_no_switchback_during_response_window():
 
 
 def test_switchback_requires_margin_and_clean_lookahead():
-    sup = SupervisorState(mode=BC, phase=ResponsePhase(HALTED), engagements=1)
+    sup = SupervisorState(mode=BC, phase=ResponsePhase(HALTED))
     # halted with small margin: stay in BC
     new, _ = decide(PAPER, CFG, sup, state(0.5, 0.0, 0.0), 2.0, t=5.0)
     assert new.mode == BC
     # halted with ample margin: release
     new, cmd = decide(PAPER, CFG, sup, state(50.0, 0.0, 0.0), 2.0, t=5.0)
     assert new.mode == AC
-    assert new.engagements == 1
     assert cmd == 2.0
 
 
@@ -126,6 +126,65 @@ def test_negative_control_collides():
     assert trace.collision is not None
     assert all(s.mode == AC for s in trace.samples)
     assert trace.bc_engagements == 0
+
+
+def test_negative_control_at_rest_is_driven_into_the_stopped_pov():
+    # both vehicles stopped and the SV commanded +a_max: the run once
+    # settled at its first sample, so the negative control never collided
+    start, dt = state(10.0, 0.0, 0.0), 0.01
+    trace = run_supervised(PAPER, CFG, start, adversarial_ac(PAPER), worst_case_pov(PAPER),
+                           dt=dt, t_end=60.0, supervised=False)
+    assert trace.collision is not None
+    assert trace.collision.t == pytest.approx(math.sqrt(10.0), abs=dt)  # a_max t^2 / 2 = 10
+    fallback, got = unsupervised_runs(PAPER, CFG, np.array([start]), dt, 60.0)
+    assert fallback == [False] and got == [trace.collision]
+    # a command that is not forward still settles at rest
+    coasting = RssParams(0.3, 0.0, 4.0, 8.0)
+    trace = run_supervised(coasting, CFG, start, adversarial_ac(coasting), worst_case_pov(coasting),
+                           dt=dt, t_end=60.0, supervised=False)
+    assert len(trace) == 1 and trace.collision is None
+    assert unsupervised_runs(coasting, CFG, np.array([start]), dt, 60.0) == ([False], [None])
+
+
+def sample(t, gap, mode=AC):
+    return TrajectorySample(t, ScenarioState(gap, 10.0, 0.0, 10.0), 0.0, mode)
+
+
+def test_a_hand_built_trace_is_checked_when_built():
+    good = sample(0.0, 40.0)
+    with pytest.raises(DomainError):
+        ExecutionTrace((good, (0.1, good.state, 0.0, AC)), PAPER)
+    with pytest.raises(DomainError):
+        ExecutionTrace((good._replace(a_r=math.nan),), PAPER)
+    with pytest.raises(EmptyTrajectory):
+        ExecutionTrace((), PAPER)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        ExecutionTrace((good, sample(0.0, 30.0)), PAPER)
+    trace = ExecutionTrace([good], PAPER)
+    assert isinstance(trace, Trajectory) and trace.samples == (good,)
+
+
+def test_trace_summaries_are_read_from_the_samples():
+    modes = [BC, AC, AC, BC, BC, AC]
+    gaps = [40.0, 30.0, 35.0, 30.0, 50.0, 31.0]
+    trace = ExecutionTrace([sample(0.1 * i, g, m) for i, (g, m) in enumerate(zip(gaps, modes))], PAPER)
+    assert trace.bc_engagements == 2
+    assert trace.collision is None
+    # a tied minimum is reported at its earliest time
+    assert (trace.min_gap, trace.min_gap_time) == (30.0, 0.1)
+    # contact is a gap within COLLISION_EPS of the vehicle length, here at sample 0
+    params = RssParams(0.3, 2.0, 4.0, 8.0, 4.5)
+    contact = ExecutionTrace([sample(0.0, 4.5), sample(0.1, 4.5), sample(0.2, 20.0)], params)
+    assert contact.collision is contact.samples[0]
+    assert (contact.min_gap, contact.min_gap_time) == (4.5, 0.0)
+
+
+def test_a_trace_audits_as_its_trajectory():
+    # a colliding run, so the liability pass takes prefixes of the trace
+    trace = run_supervised(PAPER, CFG, state(40.0, 20.0, 20.0), adversarial_ac(PAPER),
+                           worst_case_pov(PAPER), dt=0.01, supervised=False)
+    assert trace.collision is not None and type(trace.to_trajectory()) is Trajectory
+    assert audit(trace) == audit(trace.to_trajectory())
 
 
 def test_benign_ac_keeps_supervisor_quiet():
