@@ -4,7 +4,9 @@ Exit-code contract: 0 = success / property holds, 1 = property failed
 (non-compliant audit, counterexamples found, falsification incomplete),
 2 = usage or validation error, 3 = simulate start state violates the
 safety condition.  This lets the verification suite double as a CI gate.
-numpy is executed only by verify, falsify and simulate --pov random:SEED.
+A command executes only the modules it runs: verify and batch only verify
+and falsify, numpy only those and simulate --pov random:SEED, trajio only
+simulate and audit, report only audit and the campaigns.
 """
 from __future__ import annotations
 
@@ -14,10 +16,9 @@ import os
 import sys
 
 from .audit import DEFAULT_ACCEL_TOL, audit as run_audit
-from .core import ScenarioState, load_json, load_params, np, read_record
+from .core import ScenarioState, lazy_module, load_json, load_params, np, read_record
 from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
 from .errors import DomainError, InvariantBreach, RssError
-from .report import report_text
 from .rule import safe_distance_terms
 from .supervisor import (
     SupervisorConfig,
@@ -25,14 +26,8 @@ from .supervisor import (
     benign_ac,
     run_supervised,
 )
-from .trajio import read_trajectory, write_metric_csv, write_trajectory
-from .verify import (
-    CampaignConfig,
-    campaign_from_dict,
-    falsify_below_threshold,
-    verify_safety_theorem,
-    verify_supervised_safety,
-)
+
+verify, trajio, report = map(lazy_module, ("rsskit.verify", "rsskit.trajio", "rsskit.report"))
 
 PARAMS_ENV = "RSSKIT_PARAMS"
 
@@ -60,8 +55,8 @@ def _load_supervisor_config(path):
 
 def _load_campaign(path):
     if not path:
-        return CampaignConfig()
-    return campaign_from_dict(load_json(path, "campaign"))
+        return verify.CampaignConfig()
+    return verify.campaign_from_dict(load_json(path, "campaign"))
 
 
 def cmd_safe_distance(args) -> int:
@@ -112,7 +107,7 @@ def cmd_simulate(args) -> int:
         params, cfg, start, ac, pov,
         dt=args.dt, t_end=args.t_end, supervised=not args.no_supervisor,
     )
-    write_trajectory(trace, args.out)
+    trajio.write_trajectory(trace, args.out)
     print(f"collision: {'yes' if trace.collision else 'no'}")
     print(f"min gap: {trace.min_gap:.9g} m at t = {trace.min_gap_time:.9g} s")
     print(f"BC engagements: {trace.bc_engagements}")
@@ -122,7 +117,7 @@ def cmd_simulate(args) -> int:
 
 def _write_report(path, kind, params, config, outcome) -> None:
     try:
-        text = report_text(kind, params, config, outcome)
+        text = report.report_text(kind, params, config, outcome)
     except ValueError as exc:  # NaN, or a value that overflowed to +-inf
         raise DomainError(f"cannot write the {kind} report: {exc}") from exc
     if path:
@@ -132,18 +127,18 @@ def _write_report(path, kind, params, config, outcome) -> None:
 
 def cmd_audit(args) -> int:
     params = _load_params_arg(args)
-    traj = read_trajectory(args.trajectory, params)
-    report = run_audit(traj, accel_tol=args.accel_tol)
+    traj = trajio.read_trajectory(args.trajectory, params)
+    outcome = run_audit(traj, accel_tol=args.accel_tol)
     config = {"trajectory": os.path.basename(args.trajectory), "accel_tol": args.accel_tol}
-    _write_report(args.out, "audit", params, config, report.to_dict())
+    _write_report(args.out, "audit", params, config, outcome.to_dict())
     if args.metric_csv:
-        write_metric_csv(traj, args.metric_csv, [m for _, _, m, _ in report.per_sample])
-    print(f"compliant: {report.compliant}")
-    print(f"metric score: {report.metric_score:.9g} m")
-    print(f"liability: {report.liability}")
-    for v in report.violations:
+        trajio.write_metric_csv(traj, args.metric_csv, [m for _, _, m, _ in outcome.per_sample])
+    print(f"compliant: {outcome.compliant}")
+    print(f"metric score: {outcome.metric_score:.9g} m")
+    print(f"liability: {outcome.liability}")
+    for v in outcome.violations:
         print(f"violation: [{v.t_start:.9g}, {v.t_end:.9g}] {v.reason}")
-    return EXIT_OK if report.compliant else EXIT_PROPERTY_FAILED
+    return EXIT_OK if outcome.compliant else EXIT_PROPERTY_FAILED
 
 
 def cmd_campaign(args) -> int:
@@ -151,12 +146,12 @@ def cmd_campaign(args) -> int:
     params = _load_params_arg(args)
     campaign = _load_campaign(args.campaign)
     if args.command == "falsify":
-        outcome = falsify_below_threshold(params, campaign)
+        outcome = verify.falsify_below_threshold(params, campaign)
     elif args.kind == "supervised":
         sup_cfg = _load_supervisor_config(args.supervisor_config)
-        outcome = verify_supervised_safety(params, sup_cfg, campaign)
+        outcome = verify.verify_supervised_safety(params, sup_cfg, campaign)
     else:
-        outcome = verify_safety_theorem(params, campaign)
+        outcome = verify.verify_safety_theorem(params, campaign)
     _write_report(args.out, args.command, params, campaign.to_dict(), outcome.to_dict())
     print(f"trials: {outcome.trials_run}")
     label = "collision-free survivors" if args.command == "falsify" else "counterexamples"

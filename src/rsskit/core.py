@@ -132,14 +132,18 @@ def _finite(v) -> bool:  # compared: math.isfinite raises on an int too big for 
 
 def lazy_module(name: str):
     """sys.modules[name], else a module that importlib's LazyLoader runs on
-    its first attribute access; one that cannot be found raises now."""
+    its first attribute access, bound on its package as an import binds a
+    submodule; one that cannot be found raises now."""
     if sys.modules.get(name) is None:
         spec = importlib.util.find_spec(name)
         if spec is None:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        if package:
+            setattr(sys.modules[package], child, module)
     return sys.modules[name]
 
 

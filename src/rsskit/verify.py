@@ -5,7 +5,8 @@ Monte-Carlo plus deterministic-grid checking of: the safety guarantee
 executions), its tightness (gaps at or below the threshold collide under
 the worst case), and supervised-loop safety with adversarial advanced
 controllers.  Campaigns are reproducible: the same seed and config yield
-identical outcomes.  numpy is executed when the first campaign runs.
+identical outcomes.  The array engines of batch, and numpy with them, are
+executed when the first campaign runs.
 """
 from __future__ import annotations
 
@@ -13,15 +14,13 @@ from math import inf, isnan
 from dataclasses import asdict, dataclass, field, fields
 
 from .audit import check_compliance
-from .core import RssParams, ScenarioState, np, read_record, read_value, shown
-from .batch import (
-    analyze_gaps, build_profiles, classify_worst_cases, safe_distances, supervised_lockstep,
-    unsupervised_runs,
-)
+from .core import RssParams, ScenarioState, lazy_module, np, read_record, read_value, shown
 from .dynamics import ALL_CASES, POV_A_FWD_MAX, worst_case_gap_analysis, worst_case_pov
 from .errors import ConfigError, RssError
 from .rule import safe_distance
 from .supervisor import SupervisorConfig, adversarial_ac, run_supervised
+
+batch = lazy_module("rsskit.batch")  # the array engines; executed on the first campaign
 
 GRID_SPEEDS = tuple(float(v) for v in range(0, 45, 5))
 GRID_MARGINS = (1e-3, 1.0, 10.0)
@@ -126,7 +125,7 @@ def _uniform(a, b, u):
 def _safe_distances(params, v_r, v_f):
     """batch.safe_distances of drawn speeds, and where rule.safe_distance gives
     it: speeds >= 0 whose safe distance is defined, which makes them finite."""
-    d_min, defined = safe_distances(params, v_r, v_f)
+    d_min, defined = batch.safe_distances(params, v_r, v_f)
     return d_min, defined & (0 <= v_r) & (0 <= v_f)
 
 
@@ -191,7 +190,7 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
     length, n_f = params.vehicle_length, cfg.pov_segments_max
 
     def trials(cols, prof_r, prof_f, behavior, n_grid):
-        col_t, min_gap = analyze_gaps(prof_r, prof_f, length)
+        col_t, min_gap = batch.analyze_gaps(prof_r, prof_f, length)
         for i in np.flatnonzero(~np.isnan(col_t)).tolist():
             v_r, v_f, gap, t = (c[i].item() for c in (*cols, col_t))
             outcome.counterexamples.append(
@@ -206,13 +205,13 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         starts, ok = _starts(params, cfg, u[:, :3])
         _refuse(params, starts, ok)  # before the rows run
         gap, v_f, _, v_r = np.concatenate((grid, starts)).T
-        case, t_end = classify_worst_cases(params, v_r, v_f)
+        case, t_end = batch.classify_worst_cases(params, v_r, v_f)
         for name, count in zip(ALL_CASES, np.bincount(case, minlength=len(ALL_CASES)).tolist()):
             outcome.cases_seen[name] += count
         outcome.trials_run += len(gap)
-        prof_r = build_profiles(np.zeros(len(gap)), v_r, np.array([[0.0, params.rho]]),
-                                np.array([[params.a_max, -params.a_brake_min]]), t_end)
-        prof_f = build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
+        prof_r = batch.build_profiles(np.zeros(len(gap)), v_r, np.array([[0.0, params.rho]]),
+                                      np.array([[params.a_max, -params.a_brake_min]]), t_end)
+        prof_f = batch.build_profiles(gap, v_f, np.zeros((1, 1)), np.array([[-params.a_brake_max]]), t_end)
         worst_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "worst_case", len(grid))[len(grid):]
         n, horizon = len(u), t_end[len(grid):] + 1.0
         gap, v_f, _, v_r = starts.T
@@ -221,8 +220,8 @@ def verify_safety_theorem(params: RssParams, cfg: CampaignConfig) -> CampaignOut
         j = 1 + (u[:, 3 + 2 * n_f] * 3).astype(int)
         starts_r, accels_r = _schedules(u[:, 4 + 2 * n_f:], j, 4, np.full(n, params.rho), -params.a_brake_min,
                                         params.a_max, (params.rho, -params.a_brake_min))
-        prof_r = build_profiles(np.zeros(n), v_r, starts_r, accels_r, horizon)
-        prof_f = build_profiles(gap, v_f, starts_f, accels_f, horizon)
+        prof_r = batch.build_profiles(np.zeros(n), v_r, starts_r, accels_r, horizon)
+        prof_f = batch.build_profiles(gap, v_f, starts_f, accels_f, horizon)
         rand_min_gap = trials((v_r, v_f, gap), prof_r, prof_f, "randomized", 0)
         outcome.stats["randomized_trials"] += n
         below = rand_min_gap < worst_min_gap - 1e-9
@@ -327,7 +326,7 @@ def verify_supervised_safety(
     order, so errors and counterexamples are the scalar path's.
     """
     rng = np.random.default_rng(cfg.seed)
-    engine = supervised_lockstep if supervised else unsupervised_runs
+    engine = batch.supervised_lockstep if supervised else batch.unsupervised_runs
     outcome = CampaignOutcome("supervised" if supervised else "supervised_negative",
                               stats={"collisions": 0, "noncompliant": 0, "bc_engagements": 0})
     for lo in range(0, cfg.n_trials, CHUNK):  # a chunk's row i is trial lo + i, whatever CHUNK

@@ -487,7 +487,7 @@ def test_campaign_matches_the_scalar_form(seed, length, fields, monkeypatch):
         batch_gaps.extend(min_gap.tolist())
         return col_t, min_gap
 
-    monkeypatch.setattr(verify, "analyze_gaps", recording)
+    monkeypatch.setattr(verify.batch, "analyze_gaps", recording)
     params = RssParams(0.3, 2.0, 4.0, 8.0, length)
     cfg = CampaignConfig(seed=seed, **fields)
     got = outcome_or_error(verify_safety_theorem, params, cfg)
@@ -640,7 +640,7 @@ def test_safety_campaign_draws_are_uniform(monkeypatch):
     # the stream's statistical contract, on the profiles of seeded trials:
     # each chunk builds the worst case's two, then the window's and the POV's
     calls, real = [], build_profiles
-    monkeypatch.setattr(verify, "build_profiles", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(verify.batch, "build_profiles", lambda *args: calls.append(args) or real(*args))
     cfg = CampaignConfig(seed=0, n_trials=20_000, include_grid=False)
     verify_safety_theorem(PAPER, cfg)
     window, pov = (tuple(map(np.concatenate, zip(*calls[i::4]))) for i in (2, 3))

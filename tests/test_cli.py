@@ -594,7 +594,7 @@ def test_campaign_report_that_cannot_be_encoded_is_usage_error(
         params_file, tmp_path, capsys, monkeypatch):
     # campaigns wrote through make_report, whose hash refused a NaN with a
     # ValueError traceback
-    monkeypatch.setattr(cli, "verify_safety_theorem", lambda params, cfg: CampaignOutcome(
+    monkeypatch.setattr(cli.verify, "verify_safety_theorem", lambda params, cfg: CampaignOutcome(
         "safety_theorem", stats={"x": math.nan}))
     report = tmp_path / "verify.json"
     assert main(["verify", "--params", params_file, "--out", str(report)]) == 2

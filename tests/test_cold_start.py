@@ -8,6 +8,11 @@ numpy is loaded.  numpy counts as executed once any "numpy." submodule is
 in sys.modules: the lazy module's own attributes are never read, since
 that would load it.  numpy stays a hard dependency: with a meta path
 finder that refuses it, importing rsskit.cli raises ModuleNotFoundError.
+
+rsskit's own verify, batch, trajio and report modules are bound the same
+way, so a command executes only the module files it runs.  An audit hook
+on the "exec" event records each file as it executes, reading only the
+code object, so recording never loads a lazy module.
 """
 import contextlib
 import io
@@ -38,8 +43,16 @@ COMMANDS = [
 FILES = ["worst.csv", "gentle.csv", "audit.json", "metric.csv", "random.csv", "verify.json"]
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 ran = lambda: any(key.startswith("numpy.") for key in sys.modules)
+executed = []  # the basenames of the rsskit files executed, in order
+package = os.path.join(sys.argv[1], "rsskit")
+
+def record(event, args):
+    if event == "exec" and os.path.dirname(getattr(args[0], "co_filename", "")) == package:
+        executed.append(os.path.basename(args[0].co_filename))
+
+sys.addaudithook(record)
 
 class Refuse:
     def find_spec(self, name, path=None, target=None):
@@ -56,9 +69,15 @@ except ModuleNotFoundError:
 del sys.meta_path[0]
 for key in [k for k in sys.modules if k == "rsskit" or k.startswith("rsskit.")]:
     del sys.modules[key]
-result = {"refused": refused, "before": ran()}
+result = {"refused": refused, "before": ran(), "executed": {}}
+executed.clear()
+
+def step(name):
+    result["executed"][name] = executed[:]
+    executed.clear()
 
 import rsskit.cli
+step("import")
 from rsskit.core import validate_params
 from rsskit.supervisor import SupervisorConfig
 from rsskit.verify import CampaignConfig
@@ -66,11 +85,13 @@ params = validate_params(json.loads(sys.argv[2]))
 SupervisorConfig().validate_against(params)
 CampaignConfig(seed=0, n_trials=1000)
 result["probe"] = ran()
+step("probe")
 for name, argv, _ in json.loads(sys.argv[3]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = rsskit.cli.main(argv + ["--params", "params.json"])
     result[name] = [rc, out.getvalue(), ran()]
+    step(name)
 print(json.dumps(result))
 """
 
@@ -111,3 +132,33 @@ def test_numpy_is_executed_only_by_the_array_engines(tmp_path, monkeypatch):
     assert result["audit"][0] == 0 and result["verify"][0] == 0
     for name in FILES:
         assert _read(cold / name) == _read(warm / name), name
+
+    # the array engines and the file writers are executed where they run
+    executed = result["executed"]
+    assert "cli.py" in executed["import"] and "verify.py" not in executed["import"]
+    assert not {"batch.py", "trajio.py", "report.py"} & {*executed["import"], *executed["probe"]}
+    for name in ("safe_distance", "worst", "gentle", "audit"):
+        assert "batch.py" not in executed[name], name
+    assert "trajio.py" in executed["worst"] and "report.py" in executed["audit"]
+    assert "batch.py" in executed["verify"]
+
+
+BINDING_CHILD = """
+import importlib, inspect, sys
+sys.path.insert(0, sys.argv[1])
+import rsskit.cli
+import rsskit.verify
+rsskit.verify.CampaignConfig  # executes verify, which binds batch lazily
+import rsskit.batch
+assert callable(rsskit.batch.analyze_gaps) and callable(rsskit.trajio.read_trajectory)
+from rsskit import audit
+assert inspect.isfunction(audit) and inspect.ismodule(importlib.import_module("rsskit.audit"))
+"""
+
+
+def test_a_lazily_bound_module_is_an_attribute_of_its_package():
+    # import finds a lazy module in sys.modules and, unlike a first import,
+    # binds nothing on the package, so lazy_module binds it there itself
+    child = subprocess.run([sys.executable, "-c", BINDING_CHILD, SRC],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr

@@ -208,8 +208,8 @@ def test_grid_rides_in_the_first_chunk(monkeypatch):
     # and the trials, one randomized call, each building two profiles
     calls = []
     for name in ("analyze_gaps", "build_profiles"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        real = getattr(verify.batch, name)
+        monkeypatch.setattr(verify.batch, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     verify_safety_theorem(PAPER, CampaignConfig(n_trials=1000))
     assert (calls.count("analyze_gaps"), calls.count("build_profiles")) == (2, 4)
 
@@ -217,7 +217,7 @@ def test_grid_rides_in_the_first_chunk(monkeypatch):
     def colliding(prof_r, prof_f, length):
         return np.zeros(prof_r.shape[1]), np.zeros(prof_r.shape[1])
 
-    monkeypatch.setattr(verify, "analyze_gaps", colliding)
+    monkeypatch.setattr(verify.batch, "analyze_gaps", colliding)
     outcome = verify_safety_theorem(PAPER, CampaignConfig(n_trials=1000))
     kinds = Counter((ce["behavior"], ce["source"]) for ce in outcome.counterexamples)
     assert kinds == {("worst_case", "grid"): 247, ("worst_case", "random"): 1000, ("randomized", "random"): 1000}
@@ -263,7 +263,7 @@ def test_supervised_campaign_small():
 
 def test_a_noncompliant_episode_is_a_counterexample(monkeypatch):
     # the engine's compliance verdict alone, with no collision, makes one
-    engine, seen = verify.supervised_lockstep, []
+    engine, seen = verify.batch.supervised_lockstep, []
 
     def third_noncompliant(params, sup_cfg, starts, dt, t_end):
         fallback, eng, compliant = engine(params, sup_cfg, starts, dt, t_end)
@@ -272,7 +272,7 @@ def test_a_noncompliant_episode_is_a_counterexample(monkeypatch):
         compliant[2] = False
         return fallback, eng, compliant
 
-    monkeypatch.setattr(verify, "supervised_lockstep", third_noncompliant)
+    monkeypatch.setattr(verify.batch, "supervised_lockstep", third_noncompliant)
     out = verify_supervised_safety(PAPER, SupervisorConfig(), CampaignConfig(seed=4, n_trials=5))
     (gap, v_f, _, v_r), = seen
     assert out.counterexamples == [{"v_r": v_r, "v_f": v_f, "gap": gap, "behavior": "adversarial_ac",
