@@ -30,10 +30,6 @@ class ResponsePhase(NamedTuple):
     elapsed: float = 0.0
 
 
-def begin_response() -> ResponsePhase:
-    return ResponsePhase(RESPONSE_WINDOW)
-
-
 def proper_response_command(
     params: RssParams,
     phase: ResponsePhase,

@@ -23,10 +23,9 @@ from .response import (
     RESPONSE_WINDOW,
     ResponsePhase,
     advance_phase,
-    begin_response,
     proper_response_command,
 )
-from .rule import evaluate, margin, safe_distance
+from .rule import margin, safe_distance
 
 # Sums of dt land a few ulps off rho even when dt divides it exactly; a
 # response window longer than rho by less than this is not an overrun.
@@ -81,12 +80,15 @@ class SupervisorConfig:
 
 @dataclass(frozen=True)
 class SupervisorState:
-    """Current control mode, the BC-mode response episode and the last
-    clamped AC command; a run's engagements are counted from its samples."""
+    """The response episode, None in AC mode, and the last clamped AC
+    command; the mode is read from the episode."""
 
-    mode: str = AC
     phase: Optional[ResponsePhase] = None
     held_command: float = 0.0
+
+    @property
+    def mode(self) -> str:
+        return AC if self.phase is None else BC
 
 
 def worst_case_successor(
@@ -116,22 +118,19 @@ def decide(
     clamped = min(hi, max(lo, ac_command))
 
     m = margin(params, state)
-    if sup.mode == AC:
-        if not m > 0.0:
-            raise InvariantBreach(
-                f"AC-mode decision at t={t!r} with the safety condition violated "
-                f"(margin {m!r}); the supervised loop is misconfigured"
-            )
-        if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
-            return SupervisorState(AC, sup.phase, clamped), clamped
-        sup = SupervisorState(BC, begin_response(), clamped)
-    elif sup.phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin:
-        # BC mode: switch back only once braking has begun, the margin
-        # clears the hysteresis threshold, and the lookahead is clean.
-        if margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
-            return SupervisorState(AC, None, clamped), clamped
-    cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
-    return sup, cmd
+    if sup.phase is None and not m > 0.0:
+        raise InvariantBreach(
+            f"AC-mode decision at t={t!r} with the safety condition violated "
+            f"(margin {m!r}); the supervised loop is misconfigured"
+        )
+    # AC holds, or BC releases once braking has begun and the margin clears
+    # the hysteresis threshold, only while the lookahead is clean.
+    ac_allowed = sup.phase is None or (sup.phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin)
+    if ac_allowed and margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
+        return SupervisorState(None, clamped), clamped
+    if sup.phase is None:
+        sup = SupervisorState(ResponsePhase(RESPONSE_WINDOW), clamped)
+    return sup, proper_response_command(params, sup.phase, state.v_r, sup.held_command)
 
 
 def adversarial_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
@@ -140,10 +139,10 @@ def adversarial_ac(params: RssParams) -> Callable[[float, ScenarioState], float]
 
 
 def benign_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
-    """Gap-tracking controller aiming at 1.5 times the safe distance."""
+    """Gap-tracking controller aiming at 1.5 times the safe distance of free space."""
 
     def policy(t, state):
-        target = 1.5 * safe_distance(params, state.v_r, state.v_f)
+        target = 1.5 * safe_distance(params, state.v_r, state.v_f) + params.vehicle_length
         return 0.5 * (state.gap - target) + (state.v_f - state.v_r)
 
     return policy
@@ -190,11 +189,11 @@ def run_supervised(
     trace counts BC engagements from the modes of its samples.
     """
     steps_per_period, cfg, _ = decision_grid(params, cfg, dt, t_end)
-    start_ev = evaluate(params, start)
-    if not start_ev.condition_holds:
+    m = margin(params, start)
+    if not m > 0.0:
         raise InvariantBreach(
             f"supervised run must start with the safety condition true "
-            f"(margin {start_ev.margin!r})"
+            f"(margin {m!r})"
         )
     if t_end is None:
         v_peak = start.v_r + params.a_max * params.rho
@@ -204,29 +203,23 @@ def run_supervised(
 
     lo, hi = cfg.bounds(params)
     braking = ResponsePhase(BRAKING)
-    sup = SupervisorState()
-    phase = None  # sup.phase, advanced step by step between decisions
-    cmd = 0.0
+    phase, held, cmd = None, 0.0, 0.0  # phase: the response episode, None in AC mode
 
     def supervisor_policy(i, t, state):
-        nonlocal sup, phase, cmd
+        nonlocal phase, held, cmd
         if phase is not None:
             phase = advance_phase(params, phase, dt, state.v_r)
         decision = i % steps_per_period == 0
         if decision:
-            if phase is not None:
-                sup = SupervisorState(BC, phase, sup.held_command)
-            sup, cmd = decide(params, cfg, sup, state, ac_policy(t, state), t)
-            phase = sup.phase
+            sup, cmd = decide(params, cfg, SupervisorState(phase, held), state, ac_policy(t, state), t)
+            phase, held = sup.phase, sup.held_command
         elif phase is not None:
-            cmd = proper_response_command(params, phase, state.v_r, sup.held_command)
-        if (
-            phase is not None
-            and phase.kind == RESPONSE_WINDOW
-            and phase.elapsed + dt > params.rho + WINDOW_SLACK
-        ):
+            cmd = proper_response_command(params, phase, state.v_r, held)
+        if phase is None:
+            return cmd, AC, decision
+        if phase.kind == RESPONSE_WINDOW and phase.elapsed + dt > params.rho + WINDOW_SLACK:
             cmd = proper_response_command(params, braking, state.v_r, 0.0)
-        return cmd, sup.mode, decision and (phase is None or phase.kind == HALTED)
+        return cmd, BC, decision and phase.kind == HALTED
 
     def pass_through(i, t, state):
         nonlocal cmd

@@ -21,8 +21,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rsskit
 from rsskit.cli import main
+from rsskit.core import lazy_module
 
 SRC = str(Path(rsskit.__file__).resolve().parent.parent)
 PAPER = {"rho": 0.3, "a_max": 2.0, "a_brake_min": 4.0, "a_brake_max": 8.0}
@@ -162,3 +165,11 @@ def test_a_lazily_bound_module_is_an_attribute_of_its_package():
     child = subprocess.run([sys.executable, "-c", BINDING_CHILD, SRC],
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+def test_a_module_that_cannot_be_found_raises_and_binds_nothing():
+    name = "rsskit.no_such_module"
+    with pytest.raises(ModuleNotFoundError) as raised:
+        lazy_module(name)
+    assert raised.value.name == name
+    assert name not in sys.modules and not hasattr(rsskit, "no_such_module")

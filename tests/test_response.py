@@ -7,20 +7,20 @@ from rsskit.response import (
     BRAKING,
     HALTED,
     RESPONSE_WINDOW,
+    ResponsePhase,
     advance_phase,
-    begin_response,
     proper_response_command,
 )
 
 
 def test_begin_response(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     assert ph.kind == RESPONSE_WINDOW
     assert ph.elapsed == 0.0
 
 
 def test_window_command_is_policy_clamped(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     assert proper_response_command(params, ph, 10.0, params.a_max) == params.a_max
     assert proper_response_command(params, ph, 10.0, 0.0) == 0.0
     # out-of-range window commands are clamped to the capability bounds
@@ -30,7 +30,7 @@ def test_window_command_is_policy_clamped(params):
 
 
 def test_braking_command(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     ph = advance_phase(params, ph, params.rho, 12.0)
     assert ph.kind == BRAKING
     # past the window the window command is ignored
@@ -40,7 +40,7 @@ def test_braking_command(params):
 
 
 def test_window_ends_exactly_at_rho(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     ph = advance_phase(params, ph, 0.2, 10.0)
     assert ph.kind == RESPONSE_WINDOW
     assert ph.elapsed == pytest.approx(0.2)
@@ -50,7 +50,7 @@ def test_window_ends_exactly_at_rho(params):
 
 
 def test_halt_is_absorbing(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     ph = advance_phase(params, ph, params.rho, 5.0)
     ph = advance_phase(params, ph, 0.1, 0.0)
     assert ph.kind == HALTED
@@ -59,7 +59,7 @@ def test_halt_is_absorbing(params):
 
 
 def test_many_small_steps_accumulate(params):
-    ph = begin_response()
+    ph = ResponsePhase(RESPONSE_WINDOW)
     for _ in range(30):
         ph = advance_phase(params, ph, 0.01, 10.0)
     assert ph.kind == BRAKING
@@ -69,9 +69,9 @@ def test_many_small_steps_accumulate(params):
 def test_rejects_bad_dt(params, dt):
     # a NaN window clock never reached rho, so the window never ended
     with pytest.raises(StepError, match="finite and > 0"):
-        advance_phase(params, begin_response(), dt, 1.0)
+        advance_phase(params, ResponsePhase(RESPONSE_WINDOW), dt, 1.0)
 
 
 def test_full_throttle_window_holds_a_max(params):
     # the worst admissible window behavior: holding a_max
-    assert proper_response_command(params, begin_response(), 3.0, params.a_max) == params.a_max
+    assert proper_response_command(params, ResponsePhase(RESPONSE_WINDOW), 3.0, params.a_max) == params.a_max

@@ -93,7 +93,7 @@ def test_no_switchback_during_response_window():
 
 
 def test_switchback_requires_margin_and_clean_lookahead():
-    sup = SupervisorState(mode=BC, phase=ResponsePhase(HALTED))
+    sup = SupervisorState(phase=ResponsePhase(HALTED))
     # halted with small margin: stay in BC
     new, _ = decide(PAPER, CFG, sup, state(0.5, 0.0, 0.0), 2.0, t=5.0)
     assert new.mode == BC
@@ -190,6 +190,16 @@ def test_a_trace_audits_as_its_trajectory():
 def test_benign_ac_keeps_supervisor_quiet():
     trace = run_supervised(PAPER, CFG, state(80.0, 20.0, 20.0),
                            benign_ac(PAPER), gentle_pov(PAPER), dt=0.01, t_end=20.0)
+    assert trace.collision is None
+    assert trace.bc_engagements == 0
+    assert all(s.mode == AC for s in trace.samples)
+
+
+def test_benign_ac_keeps_supervisor_quiet_with_a_vehicle_length():
+    # benign_ac aimed at a gap of 1.5 d_min, not at 1.5 d_min of free space:
+    # with vehicle_length 4.5 this run engaged once, at 2.62 m of free space
+    p = RssParams(0.3, 2.0, 4.0, 8.0, vehicle_length=4.5)
+    trace = run_supervised(p, CFG, state(84.5, 20.0, 20.0), benign_ac(p), gentle_pov(p), dt=0.01, t_end=20.0)
     assert trace.collision is None
     assert trace.bc_engagements == 0
     assert all(s.mode == AC for s in trace.samples)
