@@ -101,8 +101,8 @@ def check_compliance(
     episode start) brake at least a_brake_min - accel_tol while still
     moving.  Consecutive failing samples with the same reason are merged
     into one violation range.
-    holds, if given, is each sample's condition verdict (audit's per_sample
-    has them), else each margin is computed here; extra items are ignored.
+    holds, if given, is a sequence of each sample's verdict (audit's per_sample has
+    them), else each margin is computed here; too few raise ConfigError, extras are ignored.
     """
     if not traj.samples:
         raise EmptyTrajectory("cannot check compliance of an empty trajectory")
@@ -110,6 +110,8 @@ def check_compliance(
     params = traj.params
     if holds is None:
         holds = (margin(params, s.state) > 0.0 for s in traj.samples)
+    elif len(holds) < len(traj.samples):
+        raise ConfigError(f"holds has {len(holds)} items for {len(traj.samples)} samples")
     if time_tol is None:
         time_tol = _default_time_tol(traj)
     window = params.rho + time_tol

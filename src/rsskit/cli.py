@@ -16,7 +16,7 @@ import os
 import sys
 
 from .audit import DEFAULT_ACCEL_TOL, audit as run_audit
-from .core import ScenarioState, lazy_module, load_json, load_params, np, read_record
+from .core import ScenarioState, lazy_module, load_json, load_params, np, read_record, write_text
 from .dynamics import POV_A_FWD_MAX, gentle_pov, piecewise_pov, worst_case_pov
 from .errors import DomainError, InvariantBreach, RssError
 from .rule import safe_distance_terms
@@ -121,8 +121,7 @@ def _write_report(path, kind, params, config, outcome) -> None:
     except ValueError as exc:  # NaN, or a value that overflowed to +-inf
         raise DomainError(f"cannot write the {kind} report: {exc}") from exc
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
 
 
 def cmd_audit(args) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -158,6 +160,23 @@ def load_json(path, what: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, as open(path, "w") would, but overwrite a
+    file in place and then cut it to length: ext4 flushes a file truncated to 0
+    on close.  A raise keeps only the bytes written; a pipe is never cut; no fsync."""
+    data, done = memoryview(text.encode("utf-8")), 0
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        try:
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:  # after a raise too, so a new head never keeps an old tail
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def load_params(path) -> RssParams:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from math import inf, isfinite
 
-from .core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
-from .errors import TrajectoryFormatError
+from .core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample, write_text
+from .errors import ConfigError, TrajectoryFormatError
 from .rule import margin
 
 HEADER = "t,x_f,v_f,x_r,v_r,a_r,mode"
@@ -21,8 +21,7 @@ def write_trajectory(traj: Trajectory, path) -> None:
         "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x_f, v_f, x_r, v_r, a_r, mode)
         for t, (x_f, v_f, x_r, v_r), a_r, mode in traj.samples
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HEADER + "\n" + "".join(rows))
+    write_text(path, HEADER + "\n" + "".join(rows))
 
 
 def read_trajectory(path, params: RssParams) -> Trajectory:
@@ -90,9 +89,10 @@ def write_metric_csv(traj: Trajectory, path, margins=None) -> None:
     passed, e.g. from an audit's per_sample."""
     if margins is None:
         margins = [margin(traj.params, state) for _, state, _, _ in traj.samples]
+    elif len(margins) != len(traj.samples):
+        raise ConfigError(f"got {len(margins)} margins for {len(traj.samples)} samples")
     rows = [
         "%.9g,%.9g,%.9g,%.9g,%.9g\n" % (t, m, x_f - x_r, v_r, v_f)
         for (t, (x_f, v_f, x_r, v_r), _, _), m in zip(traj.samples, margins)
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,margin,gap,v_r,v_f\n" + "".join(rows))
+    write_text(path, "t,margin,gap,v_r,v_f\n" + "".join(rows))

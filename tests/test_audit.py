@@ -115,6 +115,17 @@ def test_golden_weak_braking():
     assert violations[0].t_start == pytest.approx(0.6)
 
 
+def test_holds_with_fewer_items_than_samples_is_refused():
+    # the second sample violates the rule, which a one-item holds would hide
+    record = traj([(0.0, 40.0, 20.0, 20.0, 0.0, AC), (0.1, 1.0, 20.0, 20.0, 0.0, AC)])
+    compliant, violations = check_compliance(record)
+    assert not compliant and [(v.t_start, v.reason) for v in violations] == [
+        (0.1, REASON_NO_RESPONSE)]
+    with pytest.raises(ConfigError, match="holds has 1 items for 2 samples"):
+        check_compliance(record, holds=[True])
+    assert check_compliance(record, holds=[True, False, True]) == (compliant, violations)
+
+
 def test_valid_episode_bridges_condition_violation():
     # proper response started from a safe state: later condition-false
     # samples are compliant while braking hard enough

@@ -3,7 +3,7 @@ import pytest
 from rsskit.cli import main
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
 from rsskit.dynamics import integrate, worst_case_pov
-from rsskit.errors import DomainError, TrajectoryFormatError
+from rsskit.errors import ConfigError, DomainError, TrajectoryFormatError
 from rsskit.report import dump_report, make_report
 from rsskit.trajio import HEADER, read_trajectory, write_metric_csv, write_trajectory
 
@@ -181,6 +181,14 @@ def test_metric_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,margin,gap,v_r,v_f"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("margins", [[1.0], [1.0, 2.0, 3.0]])
+def test_metric_csv_refuses_a_margin_count_other_than_the_samples(tmp_path, margins):
+    path = tmp_path / "metric.csv"
+    with pytest.raises(ConfigError, match=f"got {len(margins)} margins for 2 samples"):
+        write_metric_csv(small_traj(), path, margins)
+    assert not path.exists()
 
 
 def test_report_hash_excludes_timestamp():
