@@ -26,7 +26,7 @@ from .dynamics import (
     pov_stop_distance,
     sv_stop_distance,
 )
-from .supervisor import SupervisorConfig, SupervisorState, decide, run_supervised
+from .supervisor import SupervisorConfig, decide, run_supervised
 from .audit import AuditReport, audit, check_compliance, safety_metric
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SafetyEvaluation",
     "ScenarioState",
     "SupervisorConfig",
-    "SupervisorState",
     "Trajectory",
     "TrajectorySample",
     "audit",

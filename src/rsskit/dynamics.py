@@ -344,17 +344,19 @@ MAX_STEPS = 1_000_000
 
 def check_step(dt: float, t_end: float = 0.0) -> int:
     """The number of dt steps a run to t_end takes, ceil(t_end / dt) with a
-    1e-9 allowance for rounding.  Rejects a step that is not finite and
-    positive, a t_end that is not finite and >= 0, or more than MAX_STEPS."""
-    if not 0.0 < dt < math.inf:
-        raise StepError(f"dt must be finite and > 0, got {dt!r}")
-    if not 0.0 <= t_end < math.inf:
-        raise StepError(f"t_end must be finite and >= 0, got {t_end!r}")
-    if t_end / dt > MAX_STEPS:
+    1e-9 allowance for rounding.  Rejects a dt or t_end that fails
+    core._finite (a bool, Fraction or numpy number other than float64
+    included), a step that is not > 0, a t_end < 0, or more than MAX_STEPS."""
+    if not (_finite(dt) and dt > 0.0):
+        raise StepError(f"dt must be finite and > 0, got {shown(dt)}")
+    if not (_finite(t_end) and t_end >= 0.0):
+        raise StepError(f"t_end must be finite and >= 0, got {shown(t_end)}")
+    steps = float(t_end) / float(dt)  # as floats: numpy's float64 warns on overflow
+    if steps > MAX_STEPS:
         raise StepError(
             f"t_end {t_end!r} s at dt {dt!r} s takes more than {MAX_STEPS} steps"
         )
-    return max(0, int(math.ceil(t_end / dt - 1e-9)))
+    return math.ceil(steps - 1e-9) if steps > 1e-9 else 0
 
 
 def refine_crossing(x_r, v_r, a_r, x_f, v_f, a_f, step, length):
@@ -403,6 +405,14 @@ def crossing(t, x_r, v_r, a_r, x_f, v_f, a_f, step, length, mode):
     return TrajectorySample(t + tau, ScenarioState(cx_f, cv_f, cx_r, cv_r), a_r, mode)
 
 
+def read_command(who: str, t: float, a) -> float:
+    """The command a at time t as a float, where numpy's float64 would warn
+    on overflow; one that is not a finite number raises DomainError."""
+    if not _finite(a):
+        raise DomainError(f"the {who} command at t = {t!r} s must be a finite number, got {shown(a)}")
+    return float(a)
+
+
 def run_fixed_step(
     params: RssParams,
     start: ScenarioState,
@@ -418,14 +428,15 @@ def run_fixed_step(
     acceleration held over the step, the control mode recorded with the
     sample, and whether the controller may stop here once both vehicles
     have halted.  The POV command pov_policy(t, x_f, v_f), sampled at the
-    same instant, must be a finite number and is clamped to [-a_brake_max,
-    POV_A_FWD_MAX]: braking harder would leave the RSS model.  Within a
+    same instant, is clamped to [-a_brake_max, POV_A_FWD_MAX]: braking
+    harder would leave the RSS model.  dt and both commands are read as
+    floats, and a command must be a finite number.  Within a
     step the kinematics are exact.  The run takes full dt steps until t_end
     is reached, and ends early at a settled halt or at a collision (gap
     falling to vehicle_length), which refine_crossing locates inside the
     step; the sample in contact is the trace's collision.
     """
-    n_steps = check_step(dt, t_end)
+    n_steps, dt = check_step(dt, t_end), float(dt)
     length, pov_brake = params.vehicle_length, -params.a_brake_max
     x_f, v_f, x_r, v_r = start.x_f, start.v_f, start.x_r, start.v_r
     samples = []
@@ -434,14 +445,12 @@ def run_fixed_step(
         t = i * dt
         state = ScenarioState(x_f, v_f, x_r, v_r)
         a_r, mode, settled = control(i, t, state)
+        a_r = read_command("SV", t, a_r)
         samples.append(TrajectorySample(t, state, a_r, mode))
         if state.gap - length <= COLLISION_EPS or i == n_steps or (settled and v_r <= 0.0 and v_f <= 0.0):
             break
 
-        a_f = pov_policy(t, x_f, v_f)
-        if not _finite(a_f):
-            raise DomainError(f"the POV command at t = {t!r} s must be a finite number, got {shown(a_f)}")
-        a_f = min(POV_A_FWD_MAX, max(pov_brake, a_f))
+        a_f = min(POV_A_FWD_MAX, max(pov_brake, read_command("POV", t, pov_policy(t, x_f, v_f))))
         nx_r, nv_r, _ = advance_vehicle(x_r, v_r, a_r, dt)
         nx_f, nv_f, _ = advance_vehicle(x_f, v_f, a_f, dt)
         if (nx_f - nx_r) - length <= COLLISION_EPS:

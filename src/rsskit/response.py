@@ -22,29 +22,25 @@ class ResponsePhase(NamedTuple):
     """Phase of one proper-response episode.
 
     elapsed tracks time spent in the response window; it never exceeds
-    rho while the phase is still the window.  Transitions are monotone:
-    window -> braking -> halted.
+    rho while the phase is still the window.  command is the AC command
+    clamped at engagement, which the window holds.  Transitions are
+    monotone: window -> braking -> halted.
     """
 
     kind: str
     elapsed: float = 0.0
+    command: float = 0.0
 
 
-def proper_response_command(
-    params: RssParams,
-    phase: ResponsePhase,
-    v_r: float,
-    window_command: float,
-) -> float:
+def proper_response_command(params: RssParams, phase: ResponsePhase, v_r: float) -> float:
     """Commanded SV acceleration for the current phase.
 
-    Inside the response window the SV keeps window_command, the AC
-    command held at engagement, clamped to [-a_brake_min, a_max]; it is
-    ignored after the window.  The braking phase commands -a_brake_min
+    Inside the response window the SV keeps the phase's command, clamped
+    to [-a_brake_min, a_max].  The braking phase commands -a_brake_min
     until the vehicle stops; a halted vehicle stays halted.
     """
     if phase.kind == RESPONSE_WINDOW:
-        return min(params.a_max, max(-params.a_brake_min, window_command))
+        return min(params.a_max, max(-params.a_brake_min, phase.command))
     if phase.kind == BRAKING:
         return -params.a_brake_min if v_r > 0.0 else 0.0
     return 0.0
@@ -64,7 +60,7 @@ def advance_phase(
         elapsed = phase.elapsed + dt
         if elapsed >= params.rho:
             return ResponsePhase(BRAKING, min(elapsed, params.rho))
-        return ResponsePhase(RESPONSE_WINDOW, elapsed)
+        return ResponsePhase(RESPONSE_WINDOW, elapsed, phase.command)
     if phase.kind == BRAKING and v_r_next <= 0.0:
         return ResponsePhase(HALTED, phase.elapsed)
     return phase

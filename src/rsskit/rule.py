@@ -18,13 +18,15 @@ from .errors import DomainError
 
 def _checked(params: RssParams, v_r, v_f):
     """_terms of bare speeds, once they pass the checks ScenarioState makes."""
-    # written so that NaN fails too, and an int that no float holds; a bool
-    # (numpy's refuses v - v), an array (unhashable, whatever its shape) or a
-    # value that is no number is no speed, as ScenarioState has it
+    # read as floats first, so that NaN, inf and an int that no float holds
+    # fail without numpy's cast or subtract warnings; a bool (numpy's refuses
+    # v - v), an array (unhashable, whatever its shape) or a value that is no
+    # number (a string fails v - v) is no speed, as ScenarioState has it
     try:
         hash((v_r, v_f))
-        speeds = v_r - v_r == 0 <= v_r <= float_info.max and v_f - v_f == 0 <= v_f <= float_info.max
-    except (TypeError, ValueError):
+        speeds = (0.0 <= float(v_r) <= float_info.max and v_r - v_r == 0 <= v_r
+                  and 0.0 <= float(v_f) <= float_info.max and v_f - v_f == 0 <= v_f)
+    except (TypeError, ValueError, OverflowError):
         speeds = False
     if not speeds or v_r is True or v_r is False or v_f is True or v_f is False:
         raise DomainError(f"velocities must be finite and >= 0, got v_r={shown(v_r)}, v_f={shown(v_f)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional, Tuple
 
 from .core import AC, BC, RssParams, ScenarioState, read_value
-from .dynamics import ExecutionTrace, advance_vehicle, check_step, run_fixed_step
+from .dynamics import ExecutionTrace, advance_vehicle, check_step, read_command, run_fixed_step
 from .errors import ConfigError, InvariantBreach
 from .response import (
     BRAKING,
@@ -64,6 +64,12 @@ class SupervisorConfig:
             return self.sv_command_bounds
         return (-params.a_brake_min, params.a_max)
 
+    def clamp(self, params: RssParams, ac_command: float, t: float) -> float:
+        """The AC command at time t read as dynamics.read_command reads it,
+        then clamped to the bounds."""
+        lo, hi = self.bounds(params)
+        return min(hi, max(lo, read_command("AC", t, ac_command)))
+
     def validate_against(self, params: RssParams, slack: float = 0.0) -> None:
         if self.period > params.rho + slack:
             raise ConfigError(
@@ -78,19 +84,6 @@ class SupervisorConfig:
             )
 
 
-@dataclass(frozen=True)
-class SupervisorState:
-    """The response episode, None in AC mode, and the last clamped AC
-    command; the mode is read from the episode."""
-
-    phase: Optional[ResponsePhase] = None
-    held_command: float = 0.0
-
-    @property
-    def mode(self) -> str:
-        return AC if self.phase is None else BC
-
-
 def worst_case_successor(
     params: RssParams, state: ScenarioState, delta: float
 ) -> ScenarioState:
@@ -103,34 +96,35 @@ def worst_case_successor(
 def decide(
     params: RssParams,
     cfg: SupervisorConfig,
-    sup: SupervisorState,
+    phase: Optional[ResponsePhase],
     state: ScenarioState,
     ac_command: float,
     t: float = 0.0,
 ):
-    """One decision: returns (new supervisor state, commanded acceleration).
+    """One decision from the response episode phase, None in AC mode:
+    returns (new phase, commanded acceleration).
 
-    Raises InvariantBreach if asked to decide from AC mode in a state
-    where the safety condition already fails -- the supervised loop is
-    responsible for never letting that happen.
+    Raises DomainError if the AC command is not a finite number, and
+    InvariantBreach if asked to decide from AC mode in a state where the
+    safety condition already fails -- the supervised loop is responsible
+    for never letting that happen.
     """
-    lo, hi = cfg.bounds(params)
-    clamped = min(hi, max(lo, ac_command))
+    clamped = cfg.clamp(params, ac_command, t)
 
     m = margin(params, state)
-    if sup.phase is None and not m > 0.0:
+    if phase is None and not m > 0.0:
         raise InvariantBreach(
             f"AC-mode decision at t={t!r} with the safety condition violated "
             f"(margin {m!r}); the supervised loop is misconfigured"
         )
     # AC holds, or BC releases once braking has begun and the margin clears
     # the hysteresis threshold, only while the lookahead is clean.
-    ac_allowed = sup.phase is None or (sup.phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin)
+    ac_allowed = phase is None or (phase.kind in (BRAKING, HALTED) and m > cfg.switchback_margin)
     if ac_allowed and margin(params, worst_case_successor(params, state, cfg.period)) > 0.0:
-        return SupervisorState(None, clamped), clamped
-    if sup.phase is None:
-        sup = SupervisorState(ResponsePhase(RESPONSE_WINDOW), clamped)
-    return sup, proper_response_command(params, sup.phase, state.v_r, sup.held_command)
+        return None, clamped
+    if phase is None:
+        phase = ResponsePhase(RESPONSE_WINDOW, 0.0, clamped)
+    return phase, proper_response_command(params, phase, state.v_r)
 
 
 def adversarial_ac(params: RssParams) -> Callable[[float, ScenarioState], float]:
@@ -201,31 +195,27 @@ def run_supervised(
             start.v_f / params.a_brake_max
         ) + 10.0
 
-    lo, hi = cfg.bounds(params)
     braking = ResponsePhase(BRAKING)
-    phase, held, cmd = None, 0.0, 0.0  # phase: the response episode, None in AC mode
+    phase, cmd = None, 0.0  # phase: the response episode, None in AC mode
 
     def supervisor_policy(i, t, state):
-        nonlocal phase, held, cmd
+        nonlocal phase, cmd
         if phase is not None:
             phase = advance_phase(params, phase, dt, state.v_r)
         decision = i % steps_per_period == 0
         if decision:
-            sup, cmd = decide(params, cfg, SupervisorState(phase, held), state, ac_policy(t, state), t)
-            phase, held = sup.phase, sup.held_command
-        elif phase is not None:
-            cmd = proper_response_command(params, phase, state.v_r, held)
+            phase, cmd = decide(params, cfg, phase, state, ac_policy(t, state), t)
         if phase is None:
             return cmd, AC, decision
-        if phase.kind == RESPONSE_WINDOW and phase.elapsed + dt > params.rho + WINDOW_SLACK:
-            cmd = proper_response_command(params, braking, state.v_r, 0.0)
+        window_ends = phase.kind == RESPONSE_WINDOW and phase.elapsed + dt > params.rho + WINDOW_SLACK
+        cmd = proper_response_command(params, braking if window_ends else phase, state.v_r)
         return cmd, BC, decision and phase.kind == HALTED
 
     def pass_through(i, t, state):
         nonlocal cmd
         decision = i % steps_per_period == 0
         if decision:
-            cmd = min(hi, max(lo, ac_policy(t, state)))
+            cmd = cfg.clamp(params, ac_policy(t, state), t)
         return cmd, AC, decision and cmd <= 0.0
 
     policy = supervisor_policy if supervised else pass_through

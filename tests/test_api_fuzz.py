@@ -16,19 +16,26 @@ outcome.  A Trajectory that builds must audit to a report or an RssError,
 and the report must encode as rsskit audit --out encodes it.
 The campaigns run at most 20 trials, from the paper's parameters
 and the default configs with about one field in twelve drawn instead.
+The simulations (integrate, and run_supervised with and without the
+supervisor) draw dt, t_end and the SV, AC and POV commands from the same
+kinds, a number drawn for t_end being at most 2 s; a run returns a trace
+whose samples Trajectory accepts, or raises an RssError.
 """
 import dataclasses
+import math
+import numbers
 import sys
 
 import numpy as np
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import rsskit
 from rsskit.audit import audit
 from rsskit.core import AC, BC, RssParams, ScenarioState, Trajectory, TrajectorySample
+from rsskit.dynamics import MAX_STEPS, integrate
 from rsskit.errors import RssError
 from rsskit.report import report_text
-from rsskit.supervisor import SupervisorConfig
+from rsskit.supervisor import SupervisorConfig, run_supervised
 from rsskit.verify import (
     CampaignConfig, falsify_below_threshold, verify_safety_theorem, verify_supervised_safety,
 )
@@ -177,3 +184,49 @@ def test_campaigns_return_an_outcome_or_raise_an_rss_error(kind, params, supervi
     event(f"{kind} {'refused' if outcome is None else 'ran'}")
     if outcome is not None:
         assert isinstance(report_text(kind, params, cfg.to_dict(), outcome.to_dict()), str)
+
+
+def _real(v):
+    """Whether v is a finite real number other than a bool, of any type."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int that no float holds
+        return False
+
+
+def _drawn(plain):
+    return st.sampled_from([plain, plain, VALUES]).flatmap(lambda s: s)
+
+
+STEP = _drawn(st.floats(0.01, 0.3))
+END = _drawn(st.floats(0.0, 2.0)).map(lambda v: v % 2 if _real(v) and v > 2 else v)
+COMMAND = _drawn(st.floats(-10.0, 10.0))
+# margins 25.9 m and 1.9 m: the second engages the supervisor at its first decisions
+STARTS = st.sampled_from([ScenarioState(60.0, 20.0, 0.0, 20.0), ScenarioState(36.0, 20.0, 0.0, 20.0)])
+
+
+def _policy(first, later, switch):
+    """A command that is first before time switch and later from then on."""
+    return lambda t, *state: first if t < switch else later
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(st.sampled_from(["integrate", "supervised", "unsupervised"]), STARTS, STEP, END,
+       COMMAND, COMMAND, COMMAND, st.floats(0.0, 1.0))
+def test_simulations_return_a_trace_or_raise_an_rss_error(kind, start, dt, t_end, first, later,
+                                                          pov, switch):
+    # a run of at most 200 steps, or of so many that check_step refuses it,
+    # whatever the types of dt and t_end (run_supervised's own t_end, taken
+    # as 40 s, is about 34 s from these starts)
+    end = 40.0 if t_end is None and kind != "integrate" else t_end
+    assume(not (_real(dt) and _real(end) and dt > 0 and 200 < float(end) / float(dt) <= MAX_STEPS))
+    policy = _policy(first, later, switch)
+    pov_policy = _policy(0.0, pov, switch)
+    if kind == "integrate":
+        trace = _call(integrate, PAPER, start, policy, pov_policy, dt, t_end)
+    else:
+        trace = _call(run_supervised, PAPER, SupervisorConfig(), start, policy, pov_policy,
+                      dt=dt, t_end=t_end, supervised=kind == "supervised")
+    event(f"{kind} {'refused' if trace is None else 'ran'}")
+    if trace is not None:
+        Trajectory(trace.samples, trace.params)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rsskit.dynamics import (
 )
 from rsskit.errors import DomainError, StepError
 from rsskit.rule import safe_distance
+from rsskit.supervisor import SupervisorConfig, run_supervised
 
 from conftest import state
 
@@ -378,6 +380,44 @@ def test_pov_command_must_be_a_finite_number(command):
     # returns its first argument
     with pytest.raises(DomainError, match=r"POV command at t = 0\.0 s must be a finite number, got "):
         integrate(PAPER, state(1000.0, 0.0, 10.0), lambda t, s: 0.0, lambda t, x, v: command, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5])
+@pytest.mark.parametrize("command", [math.nan, math.inf, -math.inf, None, "1", True])
+def test_sv_command_must_be_a_finite_number(command, at):
+    # a NaN command at t_end was recorded as the last a_r, in a trace that
+    # Trajectory refuses; None or "1" raised TypeError, and True was recorded
+    sv = lambda t, s: command if t >= at else 0.0
+    with pytest.raises(DomainError, match=f"SV command at t = {at!r} s must be a finite number, got "):
+        integrate(PAPER, state(1000.0, 0.0, 10.0), sv, STEADY_POV, 0.125, 0.5)
+
+
+def test_numpy_floats_are_read_as_floats():
+    # numpy's float64 warns where a float overflows quietly: this SV command
+    # raised "overflow encountered in scalar multiply" in refine_crossing,
+    # and this step count "overflow encountered in scalar divide"
+    trace = integrate(PAPER, state(60.0, 20.0, 20.0), lambda t, s: np.float64(1e308),
+                      lambda t, x, v: np.float64(-1.0), np.float64(0.01), 1.0)
+    assert trace.collision is not None
+    assert {(type(s.t), type(s.a_r)) for s in trace.samples} == {(float, float)}
+    with pytest.raises(StepError, match="more than"):
+        check_step(np.float64(0.01), np.float64(1e308))
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (True, 1.0), (Fraction(1, 20), 1.0), (np.int64(1), 1.0), (np.float32(0.05), 1.0), (10 ** 400, 1.0),
+    (0.1, False), (0.1, Fraction(1)), (0.1, np.int64(1)), (0.1, np.float32(1.0)), (0.1, 10 ** 400),
+])
+def test_steps_must_be_ints_or_floats(dt, t_end):
+    # dt=True ran 1 s steps, a Fraction or numpy integer dt gave sample times
+    # Trajectory refuses, np.float32 failed later in ScenarioState, and an int
+    # t_end no float holds raised OverflowError; ints and numpy's float64 stay steps
+    assert check_step(1, 2) == 2 and check_step(np.float64(0.5), np.float64(1.0)) == 2
+    with pytest.raises(StepError, match="must be finite"):
+        integrate(PAPER, state(40.0, 10.0, 10.0), lambda t, s: 0.0, STEADY_POV, dt, t_end)
+    with pytest.raises(StepError, match="must be finite"):
+        run_supervised(PAPER, SupervisorConfig(), state(40.0, 10.0, 10.0), lambda t, s: 0.0,
+                       STEADY_POV, dt=dt, t_end=t_end)
 
 
 @pytest.mark.parametrize("schedule", [

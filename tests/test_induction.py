@@ -22,7 +22,7 @@ from rsskit.core import AC, RssParams, ScenarioState
 from rsskit.dynamics import POV_A_FWD_MAX
 from rsskit.errors import InvariantBreach
 from rsskit.response import BRAKING, HALTED, ResponsePhase
-from rsskit.supervisor import SupervisorConfig, SupervisorState, decide
+from rsskit.supervisor import SupervisorConfig, decide
 
 TOL = 64 * 2.0 ** -53
 PARAM_SETS, STARTS, SUCCESSORS, DECIDED = 40, 8_000, 8, 200
@@ -76,19 +76,19 @@ def check_decisions(rng, params, cfg, x, v, kept, released):
         (x_r, x_f), (v_r, v_f) = x[:, i].tolist(), v[:, i].tolist()
         state, command = ScenarioState(x_f, v_f, x_r, v_r), rng.uniform(lo - 1.0, hi + 1.0)
         if m[i] > 0.0:
-            new, cmd = decide(params, cfg, SupervisorState(), state, command)
-            assert (new.mode == AC) == kept[i]
+            new, cmd = decide(params, cfg, None, state, command)
+            assert (new is None) == kept[i]
             assert cmd == min(hi, max(lo, command)) or not kept[i]
         else:
             try:
-                decide(params, cfg, SupervisorState(), state, command)
+                decide(params, cfg, None, state, command)
             except InvariantBreach:
                 pass
             else:
                 raise AssertionError(f"an AC decision at margin {m[i]!r} was taken")
         phase = ResponsePhase(BRAKING if rng.random() < 0.5 else HALTED)
-        new, _ = decide(params, cfg, SupervisorState(phase), state, command)
-        assert (new.mode == AC) == released[i]
+        new, _ = decide(params, cfg, phase, state, command)
+        assert (new is None) == released[i]
 
 
 def successors(rng, params, cfg, x, v):

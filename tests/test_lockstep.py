@@ -100,6 +100,8 @@ def result(campaign, *args, **kwargs):
 MATRIX = {
     "default": (PAPER, {}, {}, 3000),
     "dt_not_dividing_period": (PAPER, {}, {"sim_dt": 0.03}, 1000),
+    # the one entry with a window step that ends past rho (elapsed 0.28 at rho 0.3)
+    "dt_not_dividing_rho": (PAPER, {}, {"sim_dt": 0.04}, 1000),
     "period_equals_rho": (PAPER, {"period": 0.3}, {}, 1000),
     "vehicle_length": (LONG, {}, {}, 1000),
     "command_bounds": (PAPER, {"sv_command_bounds": (-2.0, 1.0)}, {}, 1000),

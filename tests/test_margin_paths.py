@@ -27,7 +27,6 @@ from rsskit.response import (
 from rsskit.rule import SafetyEvaluation, evaluate, margin, safe_distance, safe_distance_raw
 from rsskit.supervisor import (
     SupervisorConfig,
-    SupervisorState,
     adversarial_ac,
     benign_ac,
     decide,
@@ -52,12 +51,12 @@ def reference_margin(params, state):
             - max(0.0, safe_distance_raw(params, state.v_r, state.v_f)))
 
 
-def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
+def reference_decide(params, cfg, phase, state, ac_command, t=0.0):
     lo, hi = cfg.bounds(params)
     clamped = min(hi, max(lo, ac_command))
 
     ev = evaluate(params, state)
-    if sup.mode == AC:
+    if phase is None:
         if not ev.condition_holds:
             raise InvariantBreach(
                 f"AC-mode decision at t={t!r} with the safety condition violated "
@@ -65,14 +64,14 @@ def reference_decide(params, cfg, sup, state, ac_command, t=0.0):
             )
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
-            return replace(sup, held_command=clamped), clamped
-        sup = SupervisorState(ResponsePhase(RESPONSE_WINDOW), clamped)
-    elif sup.phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
+            return None, clamped
+        phase = ResponsePhase(RESPONSE_WINDOW, 0.0, clamped)
+    elif phase.kind in (BRAKING, HALTED) and ev.margin > cfg.switchback_margin:
         succ = worst_case_successor(params, state, cfg.period)
         if evaluate(params, succ).condition_holds:
-            return SupervisorState(None, clamped), clamped
-    cmd = proper_response_command(params, sup.phase, state.v_r, sup.held_command)
-    return sup, cmd
+            return None, clamped
+    cmd = proper_response_command(params, phase, state.v_r)
+    return phase, cmd
 
 
 def reference_check_compliance(traj, accel_tol=0.2, time_tol=None):
@@ -246,12 +245,12 @@ def test_evaluate_and_margin_match_the_checked_chain_at_the_overflow_edge():
     assert 0 < raised < 2 * len(speeds)
 
 
-def random_supervisor_state(rng):
+def random_phase(rng):
     held = rng.uniform(-6.0, 6.0)
     if rng.random() < 0.5:
-        return SupervisorState(None, held)
+        return None
     kind = rng.choice([RESPONSE_WINDOW, BRAKING, HALTED])
-    return SupervisorState(ResponsePhase(kind, rng.uniform(0.0, 0.3)), held)
+    return ResponsePhase(kind, rng.uniform(0.0, 0.3), held)
 
 
 def outcome(fn, *args):
@@ -259,7 +258,7 @@ def outcome(fn, *args):
         new, cmd = fn(*args)
     except InvariantBreach as exc:
         return "InvariantBreach: " + str(exc)
-    return repr(new), bits(cmd), new.mode
+    return repr(new), bits(cmd), AC if new is None else BC
 
 
 def test_decide_matches_the_evaluate_based_reference():
@@ -273,18 +272,18 @@ def test_decide_matches_the_evaluate_based_reference():
                                         params.a_max * rng.uniform(0.0, 1.0))])
             cfg = SupervisorConfig(period, rng.choice([0.0, rng.uniform(0.0, 5.0)]), bounds)
             zeros = boundary_states(params)
-        sup = random_supervisor_state(rng)
+        phase = random_phase(rng)
         if zeros and rng.random() < 0.05:
             st = rng.choice(zeros)
         else:
             st = random_state(rng, params, lo=-3.0, hi=8.0)
         ac_command = rng.choice([params.a_max, rng.uniform(-10.0, 10.0)])
         t = rng.uniform(0.0, 30.0)
-        got = outcome(decide, params, cfg, sup, st, ac_command, t)
-        assert got == outcome(reference_decide, params, cfg, sup, st, ac_command, t)
+        got = outcome(decide, params, cfg, phase, st, ac_command, t)
+        assert got == outcome(reference_decide, params, cfg, phase, st, ac_command, t)
         if isinstance(got, str):
             counts["breach"] += 1
-        elif sup.mode == AC:
+        elif phase is None:
             counts["ac" if got[2] == AC else "engage"] += 1
         else:
             counts["release" if got[2] == AC else "bc"] += 1

@@ -181,6 +181,15 @@ def test_numpy_and_int_speeds_keep_their_values():
     assert safe_distance(PAPER, np.float64(20.0), np.float64(10.0)) == safe_distance(PAPER, 20.0, 10.0)
     assert safe_distance(PAPER, np.int64(20), 10) == safe_distance(PAPER, 20.0, 10.0)
     assert sv_stop_distance(PAPER, 1) == sv_stop_distance(PAPER, 1.0)
+    # numpy's narrower floats are read as floats too, without numpy's
+    # "overflow encountered in cast" warning from comparing them to float_info.max
+    assert safe_distance(PAPER, np.float32(20.0), np.float16(10.0)) == safe_distance(PAPER, 20.0, 10.0)
+    assert safe_distance_terms(PAPER, np.float16(20.0), np.float32(10.0)) == safe_distance_terms(PAPER, 20.0, 10.0)
+    assert sv_stop_distance(PAPER, np.float32(1.5)) == sv_stop_distance(PAPER, 1.5)
+    # and their infinities are refused without numpy's "invalid value" warning from v - v
+    for inf in (np.float64(math.inf), np.float32(math.inf)):
+        with pytest.raises(DomainError, match="velocities must be finite"):
+            safe_distance(PAPER, inf, 10.0)
 
 
 @given(v_r=speeds, v_f=speeds)

@@ -8,11 +8,10 @@ from rsskit.audit import audit, check_compliance
 from rsskit.batch import unsupervised_runs
 from rsskit.dynamics import ExecutionTrace, gentle_pov, worst_case_gap_analysis, worst_case_pov
 from rsskit.errors import ConfigError, DomainError, EmptyTrajectory, InvariantBreach, StepError
-from rsskit.response import BRAKING, HALTED, ResponsePhase
+from rsskit.response import BRAKING, HALTED, RESPONSE_WINDOW, ResponsePhase
 from rsskit.rule import evaluate, safe_distance
 from rsskit.supervisor import (
     SupervisorConfig,
-    SupervisorState,
     adversarial_ac,
     benign_ac,
     decide,
@@ -53,17 +52,15 @@ def test_worst_case_successor_clamps_pov_velocity():
 
 
 def test_decide_stays_in_ac_when_lookahead_clean():
-    sup = SupervisorState()
-    new, cmd = decide(PAPER, CFG, sup, state(60.0, 20.0, 20.0), 1.5)
-    assert new.mode == AC
+    new, cmd = decide(PAPER, CFG, None, state(60.0, 20.0, 20.0), 1.5)
+    assert new is None
     assert cmd == 1.5
 
 
 def test_decide_clamps_ac_command():
-    sup = SupervisorState()
-    _, cmd = decide(PAPER, CFG, sup, state(60.0, 20.0, 20.0), 99.0)
+    _, cmd = decide(PAPER, CFG, None, state(60.0, 20.0, 20.0), 99.0)
     assert cmd == PAPER.a_max
-    _, cmd = decide(PAPER, CFG, sup, state(60.0, 20.0, 20.0), -99.0)
+    _, cmd = decide(PAPER, CFG, None, state(60.0, 20.0, 20.0), -99.0)
     assert cmd == -PAPER.a_brake_min
 
 
@@ -73,34 +70,54 @@ def test_decide_engages_before_violation():
     assert evaluate(PAPER, st).condition_holds
     succ = worst_case_successor(PAPER, st, CFG.period)
     assert not evaluate(PAPER, succ).condition_holds
-    new, cmd = decide(PAPER, CFG, SupervisorState(), st, 2.0)
-    assert new.mode == BC
-    assert new.phase is not None
+    new, cmd = decide(PAPER, CFG, None, st, 2.0)
+    assert new == ResponsePhase(RESPONSE_WINDOW, 0.0, 2.0)
+    assert cmd == 2.0
 
 
 def test_decide_raises_on_violated_ac_state():
     with pytest.raises(InvariantBreach):
-        decide(PAPER, CFG, SupervisorState(), state(30.0, 20.0, 20.0), 0.0)
+        decide(PAPER, CFG, None, state(30.0, 20.0, 20.0), 0.0)
 
 
 def test_no_switchback_during_response_window():
     st = state(34.2, 20.0, 20.0)
-    sup, _ = decide(PAPER, CFG, SupervisorState(), st, 2.0)
-    assert sup.mode == BC
+    phase, _ = decide(PAPER, CFG, None, st, 2.0)
+    assert phase is not None
     # huge margin now, but the episode is still in its response window
-    sup2, _ = decide(PAPER, CFG, sup, state(200.0, 20.0, 20.0), 2.0, t=0.1)
-    assert sup2.mode == BC
+    phase2, _ = decide(PAPER, CFG, phase, state(200.0, 20.0, 20.0), 2.0, t=0.1)
+    assert phase2 == phase
 
 
 def test_switchback_requires_margin_and_clean_lookahead():
-    sup = SupervisorState(phase=ResponsePhase(HALTED))
+    phase = ResponsePhase(HALTED)
     # halted with small margin: stay in BC
-    new, _ = decide(PAPER, CFG, sup, state(0.5, 0.0, 0.0), 2.0, t=5.0)
-    assert new.mode == BC
+    new, _ = decide(PAPER, CFG, phase, state(0.5, 0.0, 0.0), 2.0, t=5.0)
+    assert new == phase
     # halted with ample margin: release
-    new, cmd = decide(PAPER, CFG, sup, state(50.0, 0.0, 0.0), 2.0, t=5.0)
-    assert new.mode == AC
+    new, cmd = decide(PAPER, CFG, phase, state(50.0, 0.0, 0.0), 2.0, t=5.0)
+    assert new is None
     assert cmd == 2.0
+
+
+NOT_FINITE = [math.nan, math.inf, -math.inf, None, "1", True]
+
+
+@pytest.mark.parametrize("command", NOT_FINITE)
+def test_decide_refuses_an_ac_command_that_is_not_a_finite_number(command):
+    for phase in (None, ResponsePhase(HALTED)):
+        with pytest.raises(DomainError, match=r"AC command at t = 1\.5 s must be a finite number, got "):
+            decide(PAPER, CFG, phase, state(60.0, 20.0, 20.0), command, t=1.5)
+
+
+@pytest.mark.parametrize("supervised", [True, False])
+@pytest.mark.parametrize("command", NOT_FINITE)
+def test_run_supervised_refuses_an_ac_command_that_is_not_a_finite_number(command, supervised):
+    # NaN ran as -a_brake_min and +inf as a_max; None and "1" raised TypeError
+    ac = lambda t, s: command if t >= 0.15 else 1.0
+    with pytest.raises(DomainError, match=r"AC command at t = 0\.2 s must be a finite number, got "):
+        run_supervised(PAPER, CFG, state(60.0, 20.0, 20.0), ac, worst_case_pov(PAPER),
+                       dt=0.05, t_end=1.0, supervised=supervised)
 
 
 def test_run_supervised_rejects_unsafe_start():
@@ -217,7 +234,7 @@ def test_condition_holds_at_every_supervised_sample():
 def test_custom_command_bounds():
     cfg = SupervisorConfig(sv_command_bounds=(-2.0, 1.0))
     assert cfg.bounds(PAPER) == (-2.0, 1.0)
-    _, cmd = decide(PAPER, cfg, SupervisorState(), state(60.0, 20.0, 20.0), 5.0)
+    _, cmd = decide(PAPER, cfg, None, state(60.0, 20.0, 20.0), 5.0)
     assert cmd == 1.0
 
 

@@ -159,7 +159,7 @@ OTHERS = [
     ScenarioState(40.0, 20.0, 0.0, 16.0),
     TrajectorySample(0.5, STATE, 2.0, "AC"),
     SafetyEvaluation(d_min=34.1, gap=40.0, margin=5.9, condition_holds=False),
-    ResponsePhase(BRAKING, 0.2),
+    ResponsePhase(BRAKING, 0.3, 2.0),
 ]
 
 
@@ -181,7 +181,7 @@ def test_repr_matches_the_dataclass_form():
     assert repr(VALUES[2]) == (
         "SafetyEvaluation(d_min=34.1, gap=40.0, margin=5.9, condition_holds=True)"
     )
-    assert repr(VALUES[3]) == "ResponsePhase(kind='braking', elapsed=0.3)"
+    assert repr(VALUES[3]) == "ResponsePhase(kind='braking', elapsed=0.3, command=0.0)"
 
 
 @pytest.mark.parametrize("value, other", zip(VALUES, OTHERS), ids=lambda v: type(v).__name__)
@@ -197,12 +197,13 @@ def test_equality_and_hash_within_a_type(value, other):
 def test_defaults():
     assert TrajectorySample(0.0, STATE, 1.0).mode == AC
     assert ResponsePhase(BRAKING).elapsed == 0.0
+    assert ResponsePhase(BRAKING).command == 0.0
     assert TrajectorySample._field_defaults == {"mode": AC}
-    assert ResponsePhase._field_defaults == {"elapsed": 0.0}
+    assert ResponsePhase._field_defaults == {"elapsed": 0.0, "command": 0.0}
 
 
 def test_field_order():
     assert ScenarioState._fields == NAMES
     assert TrajectorySample._fields == ("t", "state", "a_r", "mode")
     assert SafetyEvaluation._fields == ("d_min", "gap", "margin", "condition_holds")
-    assert ResponsePhase._fields == ("kind", "elapsed")
+    assert ResponsePhase._fields == ("kind", "elapsed", "command")
